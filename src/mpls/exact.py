@@ -191,8 +191,11 @@ def verify_local_optimum(instance: ParityInstance, trace: SolverTrace) -> bool:
 
     Replays the per-interval prefix solutions recorded in the trace and
     enumerates every candidate swap from scratch, with none of the
-    solver's pruning, using fraction arithmetic directly.  Returns False
-    as soon as one improving swap is found.
+    solver's pruning, using fraction arithmetic directly.  The only cut
+    is by size: once the lightest removal set of a size weighs at least
+    the addition, no set of that size or larger can improve, since
+    weights are nonnegative.  Returns False as soon as one improving swap
+    is found.
     """
     if trace.instance_signature != instance_signature(instance):
         raise TraceMismatch("trace was produced for a different instance")
@@ -209,6 +212,10 @@ def verify_local_optimum(instance: ParityInstance, trace: SolverTrace) -> bool:
         outside_sol = [j for j in inside if j not in prefix]
         in_sol = [j for j in inside if j in prefix]
         base = instance.vertices_of(prefix)
+        # lightest[s]: the least weight any s edges of in_sol can have.
+        lightest = [Fraction(0)]
+        for w in sorted(weights[j] for j in in_sol):
+            lightest.append(lightest[-1] + w)
         for add_size in (1, 2):
             for add in combinations(outside_sol, add_size):
                 add_w = sum((weights[j] for j in add), Fraction(0))
@@ -216,6 +223,8 @@ def verify_local_optimum(instance: ParityInstance, trace: SolverTrace) -> bool:
                 if len(add_verts) < sum(len(instance.edges[j]) for j in add):
                     continue  # overlapping additions can never be applied
                 for rem_size in range(0, min(2 * instance.arity, len(in_sol)) + 1):
+                    if lightest[rem_size] >= add_w:
+                        break  # every removal set of this size or larger loses too much
                     for rem in combinations(in_sol, rem_size):
                         rem_w = sum((weights[j] for j in rem), Fraction(0))
                         if add_w <= rem_w:

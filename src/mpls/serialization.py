@@ -17,12 +17,18 @@ from typing import Any
 
 from .instance import InstanceError, ParityInstance, RawParityInstance, make_disjoint
 from .matroids import (
+    ColoopExtensionMatroid,
+    ContractedMatroid,
+    DisjointUnionMatroid,
     FreeMatroid,
     GraphicMatroid,
     LinearMatroid,
     MatroidOracle,
     PartitionMatroid,
+    RelabeledMatroid,
+    RestrictedMatroid,
     UniformMatroid,
+    VertexCopyMatroid,
 )
 
 
@@ -199,17 +205,57 @@ def load_instance(path: str | Path) -> ParityInstance:
         raise FormatError(f"invalid instance in {path}: {exc}") from exc
 
 
+_FILE_FAMILIES = (UniformMatroid, PartitionMatroid, GraphicMatroid, LinearMatroid, FreeMatroid)
+
+
+def _matroid_payload(oracle: MatroidOracle) -> Any:
+    """JSON-ready content of an oracle, for signatures.
+
+    File families give their descriptor; the combinators give their base
+    oracle's payload plus their own map or element set.  An oracle class
+    this module does not know contributes only its class name.
+    """
+    if isinstance(oracle, _FILE_FAMILIES):
+        return matroid_to_descriptor(oracle)
+    payload: dict[str, Any] = {"oracle": type(oracle).__name__}
+    if isinstance(oracle, DisjointUnionMatroid):
+        payload["parts"] = [_matroid_payload(p) for p in oracle.parts]
+        return payload
+    if isinstance(oracle, VertexCopyMatroid):
+        payload["copy_to_original"] = sorted(oracle.copy_to_original.items())
+    elif isinstance(oracle, RelabeledMatroid):
+        payload["mapping"] = sorted((old, new) for new, old in oracle._back.items())
+    elif isinstance(oracle, RestrictedMatroid):
+        payload["keep"] = sorted(oracle.ground)
+    elif isinstance(oracle, ContractedMatroid):
+        payload["away"] = sorted(oracle.away)
+    elif isinstance(oracle, ColoopExtensionMatroid):
+        payload["extras"] = sorted(oracle.extras)
+    else:
+        return type(oracle).__name__
+    payload["base"] = _matroid_payload(oracle.base)
+    return payload
+
+
 def instance_signature(instance: ParityInstance) -> str:
-    """Short content hash used to detect trace/instance mismatches."""
-    payload = {
-        "k": instance.arity,
-        "vertices": instance.num_vertices,
-        "edges": [sorted(e) for e in instance.edges],
-        "weights": [format_fraction(w) for w in instance.weights],
-        "matroid": type(instance.matroid).__name__,
-    }
-    digest = hashlib.sha256(dumps_canonical(payload).encode("utf-8")).hexdigest()
-    return digest[:16]
+    """Short content hash used to detect trace/instance mismatches.
+
+    It covers the arity, vertices, edges, weights and matroid payload.
+    Instances and oracles are immutable, so the hash is computed once per
+    instance object and kept on it, as a cached property would be.
+    """
+    signature = instance.__dict__.get("_signature")
+    if signature is None:
+        payload = {
+            "k": instance.arity,
+            "vertices": instance.num_vertices,
+            "edges": [sorted(e) for e in instance.edges],
+            "weights": [format_fraction(w) for w in instance.weights],
+            "matroid": _matroid_payload(instance.matroid),
+        }
+        digest = hashlib.sha256(dumps_canonical(payload).encode("utf-8")).hexdigest()
+        signature = instance.__dict__["_signature"] = digest[:16]
+    return signature
 
 
 @dataclass

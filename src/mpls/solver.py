@@ -20,7 +20,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Any, Callable, Iterable, Sequence
 
 from .instance import ParityInstance, Solution
@@ -188,7 +188,11 @@ class SolverTrace:
     ``oracle_calls`` counts independence queries issued by the search
     itself (swap tests and post-swap feasibility asserts); instance-level
     cached lookups such as per-edge feasibility are excluded so the count
-    is identical no matter how often the instance was used before.
+    is identical no matter how often the instance was used before.  Tests
+    the search can decide without a query are not issued: a pair
+    containing a single addition that stayed infeasible with every
+    interval edge of the solution removed, and, under ``best-gain``, an
+    addition that cannot beat the best gain found so far.
     """
 
     instance_signature: str
@@ -204,6 +208,40 @@ class SolverTrace:
     oracle_calls: int
 
 
+def _light_combinations(
+    weights: Sequence[int], size: int, limit: int
+) -> Iterable[tuple[tuple[int, ...], int]]:
+    """Position tuples of ``size`` weights summing below ``limit``, with the sum.
+
+    Tuples come in ``itertools.combinations`` order.  Weights are
+    nonnegative, so the depth-first walk drops a prefix, and every tuple
+    extending it, as soon as the prefix sum reaches ``limit``.
+    """
+    if size == 0:
+        if limit > 0:
+            yield (), 0
+        return
+    last = len(weights) - size  # highest position the first element may take
+    picked: list[int] = []
+    sums = [0]
+    i = 0
+    while True:
+        if i <= last + len(picked):
+            total = sums[-1] + weights[i]
+            if total < limit:
+                if len(picked) + 1 == size:
+                    yield (*picked, i), total
+                else:
+                    picked.append(i)
+                    sums.append(total)
+            i += 1
+        elif picked:
+            i = picked.pop() + 1
+            sums.pop()
+        else:
+            return
+
+
 def _swap_search(
     instance: ParityInstance,
     sol_set: set[int],
@@ -216,55 +254,82 @@ def _swap_search(
 
     Candidate additions are interval edges outside the solution, at most
     two at a time; removals come only from interval edges currently in
-    the solution, at most ``2 * arity`` of them.  ``first-lex`` accepts
-    the first improving pair in enumeration order (additions by size then
-    id order, removals by size then id order); ``best-gain`` scans
-    everything and keeps the maximum gain, breaking ties toward the
-    lexicographically smallest move.
+    the solution, at most ``2 * arity`` of them.  ``interval_ids`` must be
+    ascending.  ``first-lex`` accepts the first improving pair in
+    enumeration order (additions by size then id order, removals by size
+    then id order); ``best-gain`` scans everything and keeps the maximum
+    gain, breaking ties toward the lexicographically smallest move, which
+    is the earliest in that order.
 
     A candidate addition is pruned outright if it stays infeasible even
     after removing every interval edge of the solution, which is the
-    weakest requirement any removal choice could meet.
+    weakest requirement any removal choice could meet.  A pair containing
+    a single addition pruned that way is skipped without a query, since
+    its vertex set contains the single's and independence is closed
+    downward.
+
+    Removal sets that cannot pay for the addition are never built.  Edge
+    weights are nonnegative, so a removal size stops the size loop once
+    its lightest sets already lose at least the gain, and inside a size
+    the sets are walked depth first, cutting a prefix whose loss already
+    reaches the gain.  Under ``best-gain`` the gain to pay for is the
+    excess over the best move so far, since only a strictly larger gain
+    can replace it; an addition with no excess is skipped before its
+    pre-check.  These cuts skip only moves the enumeration would reject,
+    so the move returned is the same as with every set built.
     """
     wn = instance.weight_numerators
     edges = instance.edges
     cand = [j for j in interval_ids if j not in sol_set]
-    pool = [j for j in interval_ids if j in sol_set]
     if not cand:
         return None
+    pool = [j for j in interval_ids if j in sol_set]
+    pool_w = [wn[j] for j in pool]
 
-    stripped = sol_verts
-    for j in pool:
-        stripped = stripped - edges[j]
+    stripped = sol_verts.difference(*(edges[j] for j in pool))
     max_remove = min(2 * instance.arity, len(pool))
-
-    removal_sizes = range(0, max_remove + 1)
+    # lightest[s] is the loss of the s lightest pool edges, a lower bound
+    # on the loss of any s removals.
+    lightest = list(accumulate(sorted(pool_w)[:max_remove], initial=0))
+    kept: dict[tuple[int, ...], frozenset[int]] = {}  # removal positions -> vertices left
+    blocked: set[int] = set()  # single additions that failed the pre-check
     best: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
 
     for add_size in (1, 2):
         for add in combinations(cand, add_size):
-            gain_add = sum(wn[j] for j in add)
-            if gain_add == 0:
-                continue  # cannot strictly improve
-            add_verts = frozenset().union(*(edges[j] for j in add))
-            if pool and not indep(stripped | add_verts):
+            if add_size == 2 and (add[0] in blocked or add[1] in blocked):
                 continue
-            for rem_size in removal_sizes:
-                for rem in combinations(pool, rem_size):
-                    loss = sum(wn[j] for j in rem)
-                    if loss >= gain_add:
+            gain_add = sum(wn[j] for j in add)
+            limit = gain_add if best is None else gain_add - best[0]
+            if limit <= 0:
+                continue  # cannot strictly improve, or cannot beat the best
+            add_verts = edges[add[0]] if add_size == 1 else edges[add[0]] | edges[add[1]]
+            if not indep(stripped | add_verts):
+                if add_size == 1:
+                    blocked.add(add[0])
+                continue
+            if not pool:
+                # The pre-check was the query of the only move, removing nothing.
+                if rule == FIRST_LEX:
+                    return add, (), gain_add
+                best = (gain_add, add, ())
+                continue
+            for rem_size in range(max_remove + 1):
+                if lightest[rem_size] >= limit:
+                    break
+                for pos, loss in _light_combinations(pool_w, rem_size, limit):
+                    if loss >= limit:
+                        continue  # the best gain rose during this walk
+                    left = kept.get(pos)
+                    if left is None:
+                        left = kept[pos] = sol_verts.difference(*(edges[pool[i]] for i in pos))
+                    if not indep(left | add_verts):
                         continue
-                    if best is not None and rule == BEST_GAIN:
-                        move_key = (-(gain_add - loss), len(add), add, len(rem), rem)
-                        best_key = (-best[0], len(best[1]), best[1], len(best[2]), best[2])
-                        if move_key >= best_key:
-                            continue
-                    removed_verts = frozenset().union(*(edges[j] for j in rem)) if rem else frozenset()
-                    if not indep((sol_verts - removed_verts) | add_verts):
-                        continue
+                    rem = tuple(pool[i] for i in pos)
                     if rule == FIRST_LEX:
                         return add, rem, gain_add - loss
                     best = (gain_add - loss, add, rem)
+                    limit = loss  # only a lighter removal set beats this move
     if best is None:
         return None
     return best[1], best[2], best[0]

@@ -19,7 +19,7 @@ from mpls.exact import (
 )
 from mpls.generators import generate, random_partition_matroids
 from mpls.instance import ParityInstance, from_matroid_intersection
-from mpls.matroids import FreeMatroid, UniformMatroid
+from mpls.matroids import FreeMatroid, PartitionMatroid, UniformMatroid
 from mpls.solver import IntervalScheme, compute_markers, sliding_local_search
 
 EPS = Fraction("0.3873")
@@ -158,6 +158,22 @@ def test_trace_for_wrong_instance_is_refused():
     _, trace = sliding_local_search(inst, EPS, DELTA, seed=0)
     with pytest.raises(TraceMismatch):
         verify_local_optimum(other, trace)
+
+
+def test_trace_for_a_different_matroid_is_refused():
+    def one_block(capacity):
+        return ParityInstance(
+            2,
+            (frozenset([0]), frozenset([1])),
+            (Fraction(2), Fraction(1)),
+            PartitionMatroid([[0, 1]], [capacity]),
+            1,
+        )
+
+    _, trace = sliding_local_search(one_block(1), EPS, DELTA, seed=0)
+    assert verify_local_optimum(one_block(1), trace)
+    with pytest.raises(TraceMismatch):
+        verify_local_optimum(one_block(2), trace)
 
 
 def test_tail_bound_holds_for_real_ladders():

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from mpls.exact import brute_force_optimum
 from mpls.generators import build_doc
+from mpls.instance import RawParityInstance, from_matroid_intersection, make_disjoint
 from mpls.serialization import (
     FormatError,
     ResultRecord,
@@ -102,6 +103,27 @@ def test_signature_separates_instances():
     b = build_doc("set-packing", n=7, m=6, k=3, seed=1).normalize()
     assert instance_signature(a) != instance_signature(b)
     assert len(instance_signature(a)) == 16
+
+
+def test_signature_sees_into_composed_matroids():
+    weights = [Fraction(3), Fraction(2), Fraction(1)]
+    tight = [PartitionMatroid([[0, 1, 2]], [1]), PartitionMatroid([[0], [1, 2]], [1, 1])]
+    loose = [PartitionMatroid([[0, 1, 2]], [2]), PartitionMatroid([[0], [1, 2]], [1, 1])]
+    a = from_matroid_intersection(tight, weights)
+    assert instance_signature(a) == instance_signature(from_matroid_intersection(tight, weights))
+    assert instance_signature(a) != instance_signature(from_matroid_intersection(loose, weights))
+
+    def shared_vertex(capacity):
+        raw = RawParityInstance(
+            3,
+            (frozenset([0, 1]), frozenset([1, 2])),
+            (Fraction(1), Fraction(1)),
+            PartitionMatroid([[0, 1, 2]], [capacity]),
+            2,
+        )
+        return make_disjoint(raw)
+
+    assert instance_signature(shared_vertex(2)) != instance_signature(shared_vertex(3))
 
 
 def test_bad_files_raise_format_errors(tmp_path):

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mpls.exact import brute_force_optimum
-from mpls.generators import generate
+from mpls import solver
+from mpls.exact import brute_force_optimum, verify_local_optimum
+from mpls.generators import build_doc, generate
 from mpls.instance import ParityInstance
 from mpls.matroids import FreeMatroid, UniformMatroid
 from mpls.serialization import dumps_canonical
@@ -280,3 +282,127 @@ def test_oracle_count_ignores_instance_warmup():
     _, warm = sliding_local_search(inst, EPS, DELTA, seed=1)
     assert cold.oracle_calls == warm.oracle_calls
     assert cold == warm
+
+
+def reference_swap_search(instance, sol_set, sol_verts, interval_ids, rule, indep):
+    """The swap search with every removal set built, as it was before the loss cuts."""
+    wn = instance.weight_numerators
+    edges = instance.edges
+    cand = [j for j in interval_ids if j not in sol_set]
+    pool = [j for j in interval_ids if j in sol_set]
+    if not cand:
+        return None
+
+    stripped = sol_verts
+    for j in pool:
+        stripped = stripped - edges[j]
+    max_remove = min(2 * instance.arity, len(pool))
+
+    removal_sizes = range(0, max_remove + 1)
+    best = None
+
+    for add_size in (1, 2):
+        for add in combinations(cand, add_size):
+            gain_add = sum(wn[j] for j in add)
+            if gain_add == 0:
+                continue  # cannot strictly improve
+            add_verts = frozenset().union(*(edges[j] for j in add))
+            if pool and not indep(stripped | add_verts):
+                continue
+            for rem_size in removal_sizes:
+                for rem in combinations(pool, rem_size):
+                    loss = sum(wn[j] for j in rem)
+                    if loss >= gain_add:
+                        continue
+                    if best is not None and rule == BEST_GAIN:
+                        move_key = (-(gain_add - loss), len(add), add, len(rem), rem)
+                        best_key = (-best[0], len(best[1]), best[1], len(best[2]), best[2])
+                        if move_key >= best_key:
+                            continue
+                    removed_verts = frozenset().union(*(edges[j] for j in rem)) if rem else frozenset()
+                    if not indep((sol_verts - removed_verts) | add_verts):
+                        continue
+                    if rule == FIRST_LEX:
+                        return add, rem, gain_add - loss
+                    best = (gain_add - loss, add, rem)
+    if best is None:
+        return None
+    return best[1], best[2], best[0]
+
+
+def equivalence_instances():
+    """Seeded instances with k = 1..3, zero weights and scaled (tied) weights."""
+    rng = random.Random(2024)
+    out = []
+    for k in (1, 2, 3):
+        for seed in range(3):
+            out.append(generate("set-packing", n=3 * k + 4, m=9, k=k, seed=seed))
+            out.append(generate("graphic-parity", n=4, m=7, k=k, seed=seed))
+            out.append(generate("k-mi-partition", n=6, k=k, seed=seed))
+    for inst in list(out):
+        weights = tuple(w if rng.random() < 0.7 else Fraction(0) for w in inst.weights)
+        out.append(ParityInstance(inst.num_vertices, inst.edges, weights, inst.matroid, inst.arity))
+        out.append(scale_weights(inst, Fraction(1, 10)))
+    return out
+
+
+def random_feasible(inst, rng):
+    sol = set()
+    order = list(range(inst.num_edges))
+    rng.shuffle(order)
+    for j in order:
+        if rng.random() < 0.6 and inst.is_feasible(sol | {j}):
+            sol.add(j)
+    return sol
+
+
+@pytest.mark.parametrize("rule", [FIRST_LEX, BEST_GAIN])
+def test_pruned_swap_search_returns_the_unpruned_move(monkeypatch, rule):
+    rng = random.Random(7)
+    checked = 0
+    for inst in equivalence_instances():
+        try:
+            scheme = compute_markers(inst, EPS, DELTA, EPS * rng.random() / 2)
+        except DegenerateInstanceError:
+            continue
+        intervals = [
+            # every edge, so weights differ widely; a random interval; the last one
+            WeightInterval(upper=scheme.markers[0], lower=Fraction(0), closed_lower=True),
+            scheme.interval(rng.randint(1, scheme.levels)),
+            scheme.interval(scheme.levels + 1),
+        ]
+        for start in (random_feasible(inst, rng), random_feasible(inst, rng)):
+            for interval in intervals:
+                pruned = find_improving_swap(inst, start, interval, rule)
+                with monkeypatch.context() as m:
+                    m.setattr(solver, "_swap_search", reference_swap_search)
+                    assert find_improving_swap(inst, start, interval, rule) == pruned
+                checked += pruned is not None
+    assert checked > 50
+
+
+@pytest.mark.parametrize("rule", [FIRST_LEX, BEST_GAIN])
+def test_pruned_sliding_runs_match_the_unpruned_search(monkeypatch, rule):
+    for inst in equivalence_instances():
+        for seed in (0, 3):
+            _, pruned = sliding_local_search(inst, EPS, DELTA, seed, rule)
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_swap_search", reference_swap_search)
+                _, reference = sliding_local_search(inst, EPS, DELTA, seed, rule)
+            assert [r.swaps for r in pruned.records] == [r.swaps for r in reference.records]
+            assert pruned.final_edges == reference.final_edges
+            assert pruned.final_weight == reference.final_weight
+            assert pruned.oracle_calls <= reference.oracle_calls
+
+
+def test_hundred_edge_run_solves_and_verifies_quickly():
+    # One interval of this run holds enough solution edges that building
+    # every removal set took seconds, and replaying it with the verifier
+    # a minute and a half.
+    inst = scale_weights(
+        build_doc("set-packing", n=150, m=100, k=3, seed=0).normalize(), Fraction(1, 10)
+    )
+    sol, trace = sliding_local_search(inst, EPS, DELTA, seed=2)
+    assert sol.weight == 21724
+    assert sum(len(r.swaps) for r in trace.records) == 38
+    assert verify_local_optimum(inst, trace)
