@@ -285,7 +285,7 @@ def test_oracle_count_ignores_instance_warmup():
 
 
 def reference_swap_search(instance, sol_set, sol_verts, interval_ids, rule, indep):
-    """The swap search with every removal set built, as it was before the loss cuts."""
+    """Swap search that builds every removal set and applies no loss cut."""
     wn = instance.weight_numerators
     edges = instance.edges
     cand = [j for j in interval_ids if j not in sol_set]
@@ -396,9 +396,9 @@ def test_pruned_sliding_runs_match_the_unpruned_search(monkeypatch, rule):
 
 
 def test_hundred_edge_run_solves_and_verifies_quickly():
-    # One interval of this run holds enough solution edges that building
-    # every removal set took seconds, and replaying it with the verifier
-    # a minute and a half.
+    # One interval of this run holds so many solution edges that building
+    # every removal set takes seconds, and replaying the trace without the
+    # verifier's size cut takes minutes.
     inst = scale_weights(
         build_doc("set-packing", n=150, m=100, k=3, seed=0).normalize(), Fraction(1, 10)
     )
