@@ -41,7 +41,6 @@ from .instance import (
     Solution,
     from_matroid_intersection,
     make_disjoint,
-    vertex_costs,
 )
 from .matroids import (
     FreeMatroid,
@@ -53,11 +52,6 @@ from .matroids import (
     PartitionMatroid,
     UniformMatroid,
     check_matroid_axioms,
-    contract,
-    disjoint_union,
-    relabel,
-    restrict,
-    with_coloops,
 )
 from .serialization import (
     FormatError,

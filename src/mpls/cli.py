@@ -22,7 +22,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import campaigns, generators
 from .exact import (
@@ -59,11 +59,10 @@ DEFAULT_SCALE_EPSILON = Fraction(1, 10)
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad usage; reserve 2 for violations."""
+    """Bad usage exits 1 with one ``mpls: error:`` line; 2 is kept for violations."""
 
     def error(self, message: str) -> Any:
-        self.print_usage(sys.stderr)
-        self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
+        self.exit(USAGE_EXIT, f"mpls: error: {message}\n")
 
 
 def _fraction(text: str) -> Fraction:
@@ -71,6 +70,32 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+
+
+def _fraction_in(low: Fraction, high: Fraction) -> Callable[[str], Fraction]:
+    """Argument type: a rational strictly between ``low`` and ``high``."""
+
+    def parse(text: str) -> Fraction:
+        value = _fraction(text)
+        if not low < value < high:
+            raise argparse.ArgumentTypeError(f"{text} is not in ({low}, {high})")
+        return value
+
+    return parse
+
+
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is less than 1")
+    return value
+
+
+_epsilon = _fraction_in(Fraction(0), Fraction(1, 2))  # the solver's range
+_unit = _fraction_in(Fraction(0), Fraction(1))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -135,10 +160,10 @@ def _load_source(args: argparse.Namespace) -> tuple[str, ParityInstance]:
 
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", type=_fraction, default=DEFAULT_EPSILON)
-    p.add_argument("--delta", type=_fraction, default=DEFAULT_DELTA)
+    p.add_argument("--epsilon", type=_epsilon, default=DEFAULT_EPSILON)
+    p.add_argument("--delta", type=_unit, default=DEFAULT_DELTA)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--runs", type=int, default=1, help="independent shift draws")
+    p.add_argument("--runs", type=_at_least_one, default=1, help="independent shift draws")
     p.add_argument("--swap-rule", choices=sorted(SWAP_RULES), default=FIRST_LEX)
     scale = p.add_mutually_exclusive_group()
     scale.add_argument(
@@ -149,7 +174,7 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
         help="round weights onto an integer grid before solving (default)",
     )
     scale.add_argument("--no-scale", dest="scale", action="store_false")
-    p.add_argument("--scale-epsilon", type=_fraction, default=DEFAULT_SCALE_EPSILON)
+    p.add_argument("--scale-epsilon", type=_unit, default=DEFAULT_SCALE_EPSILON)
 
 
 def _ratio_floor(arity: int, scaled: bool, scale_epsilon: Fraction) -> Fraction:
@@ -160,8 +185,6 @@ def _ratio_floor(arity: int, scaled: bool, scale_epsilon: Fraction) -> Fraction:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.count < 1:
-        raise FormatError("--count must be positive")
     texts: list[str] = []
     for i in range(args.count):
         doc = generators.build_doc(args.gen, **_gen_kwargs(args, seed=args.seed + i))
@@ -262,8 +285,6 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.count < 1 or args.runs < 1:
-        raise FormatError("--count and --runs must be positive")
     rows: list[dict[str, str]] = []
     any_violation = False
     for i in range(args.count):
@@ -376,7 +397,7 @@ def build_parser() -> _Parser:
     _add_family_args(p_gen, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument(
-        "--count", type=int, default=1, help="instances (seeds seed..seed+count-1)"
+        "--count", type=_at_least_one, default=1, help="instances (seeds seed..seed+count-1)"
     )
     p_gen.add_argument("--out", default=None)
     p_gen.set_defaults(func=cmd_gen)
@@ -410,7 +431,7 @@ def build_parser() -> _Parser:
     _add_family_args(p_bench, required=True)
     _add_solver_args(p_bench)
     p_bench.add_argument("--algo", choices=("sliding", "greedy"), default="sliding")
-    p_bench.add_argument("--count", type=int, default=5)
+    p_bench.add_argument("--count", type=_at_least_one, default=5)
     p_bench.add_argument("--exact-limit", type=int, default=None)
     p_bench.add_argument("--out", default=None)
     p_bench.set_defaults(func=cmd_bench)
@@ -419,25 +440,25 @@ def build_parser() -> _Parser:
     vsub = p_verify.add_subparsers(dest="what", required=True)
     for name in ("rota", "laminar"):
         p = vsub.add_parser(name)
-        p.add_argument("--count", type=int, default=200)
+        p.add_argument("--count", type=_at_least_one, default=200)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--max-elements", type=int, default=7)
         p.add_argument("--out", default=None)
         p.set_defaults(func=cmd_verify)
     p_trace = vsub.add_parser("trace")
-    p_trace.add_argument("--count", type=int, default=25)
+    p_trace.add_argument("--count", type=_at_least_one, default=25)
     p_trace.add_argument("--seed", type=int, default=0)
-    p_trace.add_argument("--epsilon", type=_fraction, default=DEFAULT_EPSILON)
-    p_trace.add_argument("--delta", type=_fraction, default=DEFAULT_DELTA)
+    p_trace.add_argument("--epsilon", type=_epsilon, default=DEFAULT_EPSILON)
+    p_trace.add_argument("--delta", type=_unit, default=DEFAULT_DELTA)
     p_trace.add_argument("--gamma", type=_fraction, default=DEFAULT_GAMMA)
     p_trace.add_argument("--out", default=None)
     p_trace.set_defaults(func=cmd_verify)
     p_bad = vsub.add_parser("badprob")
     _add_source_args(p_bad)
     p_bad.add_argument("--seed", type=int, default=0)
-    p_bad.add_argument("--epsilon", type=_fraction, default=DEFAULT_EPSILON)
+    p_bad.add_argument("--epsilon", type=_unit, default=DEFAULT_EPSILON)
     p_bad.add_argument("--gamma", type=_fraction, default=DEFAULT_GAMMA)
-    p_bad.add_argument("--tau-samples", type=int, default=2000)
+    p_bad.add_argument("--tau-samples", type=_at_least_one, default=2000)
     p_bad.add_argument("--out", default=None)
     p_bad.set_defaults(func=cmd_verify)
     p_k4 = vsub.add_parser("k4")

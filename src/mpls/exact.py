@@ -61,16 +61,9 @@ def resolve_limit(method: str, limit: int | None = None) -> int:
     return DEFAULT_LIMITS[method]
 
 
-def _prepare(instance: ParityInstance | RawParityInstance):
-    edges = instance.edges
-    weights = instance.weights
-    matroid = instance.matroid
-    return edges, weights, matroid
-
-
 def _enumerate_optimum(instance) -> tuple[Solution, int]:
     """Flat scan over all edge subsets; deliberately simple."""
-    edges, weights, matroid = _prepare(instance)
+    edges, weights, matroid = instance.edges, instance.weights, instance.matroid
     m = len(edges)
     best_key: tuple[int, ...] | None = None
     best_weight = Fraction(0)
@@ -102,7 +95,7 @@ def _branch_and_bound_optimum(instance) -> tuple[Solution, int]:
     tie-break (lexicographically smallest edge set among maximum weight)
     is preserved exactly.
     """
-    edges, weights, matroid = _prepare(instance)
+    edges, weights, matroid = instance.edges, instance.weights, instance.matroid
     m = len(edges)
     suffix = [Fraction(0)] * (m + 1)
     for j in range(m - 1, -1, -1):

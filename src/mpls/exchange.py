@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .instance import ParityInstance, Solution
-from .matroids import ContractedMatroid, GraphicMatroid, MatroidOracle, with_coloops
+from .matroids import ColoopExtensionMatroid, ContractedMatroid, GraphicMatroid, MatroidOracle
 from .serialization import instance_signature
 from .solver import IntervalScheme, SolverTrace, SwapMove, compute_markers
 
@@ -343,7 +343,9 @@ def build_conflict_trace(
         optimum_vertices |= dummy
         next_vertex += instance.arity
     if next_vertex > instance.num_vertices:
-        extended = with_coloops(instance.matroid, range(instance.num_vertices, next_vertex))
+        extended = ColoopExtensionMatroid(
+            instance.matroid, range(instance.num_vertices, next_vertex)
+        )
     else:
         extended = instance.matroid
     optimum_frozen = frozenset(optimum_vertices)

@@ -177,32 +177,6 @@ class ParityInstance:
         return frozenset(used)
 
 
-def vertex_costs(instance: ParityInstance, edge_ids: Iterable[int]) -> dict[int, Fraction]:
-    """Cost of a vertex: the weight of the chosen edge covering it.
-
-    Only vertices covered by ``edge_ids`` appear in the result.
-    """
-    costs: dict[int, Fraction] = {}
-    for j in frozenset(edge_ids):
-        w = instance.weights[j]
-        for v in instance.edges[j]:
-            costs[v] = w
-    return costs
-
-
-def cost_of_vertices(
-    instance: ParityInstance, edge_ids: Iterable[int], vertex_subset: Iterable[int]
-) -> Fraction:
-    """Total cost of ``vertex_subset`` under the covering given by ``edge_ids``."""
-    costs = vertex_costs(instance, edge_ids)
-    total = Fraction(0)
-    for v in frozenset(vertex_subset):
-        if v not in costs:
-            raise InstanceError(f"vertex {v} is not covered by the given edges")
-        total += costs[v]
-    return total
-
-
 def make_disjoint(raw: RawParityInstance) -> ParityInstance:
     """Normalize a raw instance so edges become pairwise vertex-disjoint.
 

@@ -1,18 +1,23 @@
 """Matroid independence oracles.
 
 Every matroid here is presented as a black box answering "is this subset
-independent?".  Rank, restriction, contraction and disjoint unions are all
-derived from that single query.  Oracles are immutable after construction;
-combinators wrap a base oracle instead of copying it.  Each oracle keeps a
-thread-safe counter of independence queries so call budgets can be asserted
-by tests and reported by the solver.
+independent?".  The families are free, uniform, partition, graphic and
+linear over a small prime field.  The combinators are contraction,
+disjoint union, relabeling, vertex copies and coloop extension; each
+wraps a base oracle instead of copying it, and is immutable after
+construction.
+
+``is_independent`` is the one public entry: it validates the query,
+turns it into a frozenset and bumps a thread-safe counter, once per
+query.  A combinator answers by calling its base's unchecked
+``_independent``, so a counter counts only the queries asked of that
+oracle directly, never those that reach it through a combinator.
 """
 
 from __future__ import annotations
 
 import threading
-from itertools import combinations
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 
 class GroundSetError(ValueError):
@@ -30,9 +35,11 @@ class MatroidAxiomError(AssertionError):
 class MatroidOracle:
     """Base class for independence oracles over a finite ground set.
 
-    Subclasses implement ``_independent`` for a frozenset already known to
-    lie inside ``ground``.  The public entry point validates the query,
-    bumps the call counter, and delegates.
+    Subclasses implement ``_independent`` for a set already known to lie
+    inside ``ground``; it must not modify the set.  The public entry
+    point validates the query, bumps the call counter, and delegates.  A
+    wrapper that overrides only ``is_independent`` is still answered
+    through that override when a combinator queries it.
     """
 
     __slots__ = ("ground", "_calls", "_lock")
@@ -52,8 +59,9 @@ class MatroidOracle:
             self._calls += 1
         return self._independent(s)
 
-    def _independent(self, subset: frozenset[int]) -> bool:
-        raise NotImplementedError
+    def _independent(self, subset: AbstractSet[int]) -> bool:
+        # Reached only by a wrapper that overrides ``is_independent`` alone.
+        return self.is_independent(subset)
 
     @property
     def calls(self) -> int:
@@ -63,22 +71,6 @@ class MatroidOracle:
     def reset_calls(self) -> None:
         with self._lock:
             self._calls = 0
-
-    def rank(self, subset: Iterable[int]) -> int:
-        """Rank of ``subset`` by greedy augmentation.
-
-        Uses exactly one oracle call per element of the subset; correctness
-        of the greedy relies on the exchange property.
-        """
-        acc: set[int] = set()
-        count = 0
-        for e in sorted(frozenset(subset)):
-            acc.add(e)
-            if self.is_independent(acc):
-                count += 1
-            else:
-                acc.discard(e)
-        return count
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(|ground|={len(self.ground)})"
@@ -94,7 +86,7 @@ class FreeMatroid(MatroidOracle):
             raise ValueError("ground size must be nonnegative")
         super().__init__(range(n))
 
-    def _independent(self, subset: frozenset[int]) -> bool:
+    def _independent(self, subset: AbstractSet[int]) -> bool:
         return True
 
 
@@ -109,7 +101,7 @@ class UniformMatroid(MatroidOracle):
         super().__init__(range(n))
         self.r = r
 
-    def _independent(self, subset: frozenset[int]) -> bool:
+    def _independent(self, subset: AbstractSet[int]) -> bool:
         return len(subset) <= self.r
 
 
@@ -139,7 +131,7 @@ class PartitionMatroid(MatroidOracle):
         self.capacities = caps
         self._block_of = block_of
 
-    def _independent(self, subset: frozenset[int]) -> bool:
+    def _independent(self, subset: AbstractSet[int]) -> bool:
         counts: dict[int, int] = {}
         block_of = self._block_of
         caps = self.capacities
@@ -166,7 +158,7 @@ class GraphicMatroid(MatroidOracle):
         self.num_graph_vertices = num_graph_vertices
         self.graph_edges = edges
 
-    def _independent(self, subset: frozenset[int]) -> bool:
+    def _independent(self, subset: AbstractSet[int]) -> bool:
         parent: dict[int, int] = {}
 
         def find(x: int) -> int:
@@ -209,7 +201,7 @@ class LinearMatroid(MatroidOracle):
         self.columns = cols
         self._dim = dim
 
-    def _independent(self, subset: frozenset[int]) -> bool:
+    def _independent(self, subset: AbstractSet[int]) -> bool:
         if len(subset) > self._dim:
             return False
         p = self.prime
@@ -228,22 +220,6 @@ class LinearMatroid(MatroidOracle):
             col = [(inv * x) % p for x in col]
             pivots.append((pivot_row, col))
         return True
-
-
-class RestrictedMatroid(MatroidOracle):
-    """Base matroid restricted to a subset of its ground set."""
-
-    __slots__ = ("base",)
-
-    def __init__(self, base: MatroidOracle, keep: Iterable[int]):
-        keep = frozenset(keep)
-        if not keep <= base.ground:
-            raise GroundSetError("restriction outside the base ground set")
-        super().__init__(keep)
-        self.base = base
-
-    def _independent(self, subset: frozenset[int]) -> bool:
-        return self.base.is_independent(subset)
 
 
 class ContractedMatroid(MatroidOracle):
@@ -265,8 +241,8 @@ class ContractedMatroid(MatroidOracle):
         self.base = base
         self.away = away
 
-    def _independent(self, subset: frozenset[int]) -> bool:
-        return self.base.is_independent(subset | self.away)
+    def _independent(self, subset: AbstractSet[int]) -> bool:
+        return self.base._independent(subset | self.away)
 
 
 class DisjointUnionMatroid(MatroidOracle):
@@ -292,11 +268,11 @@ class DisjointUnionMatroid(MatroidOracle):
         self.parts = tuple(parts)
         self._owner = owner
 
-    def _independent(self, subset: frozenset[int]) -> bool:
+    def _independent(self, subset: AbstractSet[int]) -> bool:
         split: dict[int, set[int]] = {}
         for v in subset:
             split.setdefault(self._owner[v], set()).add(v)
-        return all(self.parts[i].is_independent(s) for i, s in split.items())
+        return all(self.parts[i]._independent(s) for i, s in split.items())
 
 
 class RelabeledMatroid(MatroidOracle):
@@ -314,9 +290,9 @@ class RelabeledMatroid(MatroidOracle):
         self.base = base
         self._back = back
 
-    def _independent(self, subset: frozenset[int]) -> bool:
+    def _independent(self, subset: AbstractSet[int]) -> bool:
         back = self._back
-        return self.base.is_independent(frozenset(back[v] for v in subset))
+        return self.base._independent({back[v] for v in subset})
 
 
 class VertexCopyMatroid(MatroidOracle):
@@ -338,7 +314,7 @@ class VertexCopyMatroid(MatroidOracle):
         self.base = base
         self.copy_to_original = dict(copy_to_original)
 
-    def _independent(self, subset: frozenset[int]) -> bool:
+    def _independent(self, subset: AbstractSet[int]) -> bool:
         seen: set[int] = set()
         mapping = self.copy_to_original
         for c in subset:
@@ -346,7 +322,7 @@ class VertexCopyMatroid(MatroidOracle):
             if o in seen:
                 return False
             seen.add(o)
-        return self.base.is_independent(seen)
+        return self.base._independent(seen)
 
 
 class ColoopExtensionMatroid(MatroidOracle):
@@ -362,28 +338,8 @@ class ColoopExtensionMatroid(MatroidOracle):
         self.base = base
         self.extras = extras
 
-    def _independent(self, subset: frozenset[int]) -> bool:
-        return self.base.is_independent(subset - self.extras)
-
-
-def restrict(oracle: MatroidOracle, keep: Iterable[int]) -> MatroidOracle:
-    return RestrictedMatroid(oracle, keep)
-
-
-def contract(oracle: MatroidOracle, away: Iterable[int]) -> MatroidOracle:
-    return ContractedMatroid(oracle, away)
-
-
-def disjoint_union(parts: Sequence[MatroidOracle]) -> MatroidOracle:
-    return DisjointUnionMatroid(parts)
-
-
-def relabel(oracle: MatroidOracle, mapping: dict[int, int]) -> MatroidOracle:
-    return RelabeledMatroid(oracle, mapping)
-
-
-def with_coloops(oracle: MatroidOracle, extras: Iterable[int]) -> MatroidOracle:
-    return ColoopExtensionMatroid(oracle, extras)
+    def _independent(self, subset: AbstractSet[int]) -> bool:
+        return self.base._independent(subset - self.extras)
 
 
 def check_matroid_axioms(oracle: MatroidOracle, max_ground: int = 8) -> None:
@@ -429,16 +385,3 @@ def check_matroid_axioms(oracle: MatroidOracle, max_ground: int = 8) -> None:
                 set_a = sorted(elems[i] for i in range(n) if a >> i & 1)
                 set_b = sorted(elems[i] for i in range(n) if b >> i & 1)
                 raise MatroidAxiomError(f"exchange fails for {set_a} vs {set_b}")
-
-
-def independent_subsets(oracle: MatroidOracle, pool: Iterable[int] | None = None):
-    """Yield every independent subset of ``pool`` (default: whole ground set).
-
-    Intended for exhaustive verification at small sizes only.
-    """
-    elems = sorted(oracle.ground if pool is None else frozenset(pool))
-    for size in range(len(elems) + 1):
-        for combo in combinations(elems, size):
-            s = frozenset(combo)
-            if oracle.is_independent(s):
-                yield s

@@ -26,7 +26,6 @@ from .matroids import (
     MatroidOracle,
     PartitionMatroid,
     RelabeledMatroid,
-    RestrictedMatroid,
     UniformMatroid,
     VertexCopyMatroid,
 )
@@ -163,7 +162,7 @@ class InstanceDoc:
                 matroid_desc=dict(obj["matroid"]),
                 name=str(obj.get("name", "instance")),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad instance document: {exc}") from exc
         return doc
 
@@ -225,8 +224,6 @@ def _matroid_payload(oracle: MatroidOracle) -> Any:
         payload["copy_to_original"] = sorted(oracle.copy_to_original.items())
     elif isinstance(oracle, RelabeledMatroid):
         payload["mapping"] = sorted((old, new) for new, old in oracle._back.items())
-    elif isinstance(oracle, RestrictedMatroid):
-        payload["keep"] = sorted(oracle.ground)
     elif isinstance(oracle, ContractedMatroid):
         payload["away"] = sorted(oracle.away)
     elif isinstance(oracle, ColoopExtensionMatroid):
@@ -295,8 +292,3 @@ class ResultRecord:
         if with_timing:
             obj["wall_time_s"] = self.wall_time_s
         return obj
-
-
-def write_jsonl(records: list[dict[str, Any]], path: str | Path) -> None:
-    text = "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
-    Path(path).write_text(text, encoding="utf-8")

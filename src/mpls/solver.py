@@ -24,7 +24,7 @@ from itertools import accumulate, combinations
 from typing import Any, Callable, Iterable, Sequence
 
 from .instance import ParityInstance, Solution
-from .serialization import format_fraction, instance_signature, parse_fraction
+from .serialization import FormatError, format_fraction, instance_signature, parse_fraction
 
 FIRST_LEX = "first-lex"
 BEST_GAIN = "best-gain"
@@ -209,35 +209,46 @@ class SolverTrace:
 
 
 def _light_combinations(
-    weights: Sequence[int], size: int, limit: int
-) -> Iterable[tuple[tuple[int, ...], int]]:
-    """Position tuples of ``size`` weights summing below ``limit``, with the sum.
+    weights: Sequence[int],
+    vertex_sets: Sequence[frozenset[int]],
+    start: frozenset[int],
+    size: int,
+    limit: int,
+) -> Iterable[tuple[tuple[int, ...], int, frozenset[int]]]:
+    """Position tuples of ``size`` weights summing below ``limit``.
 
-    Tuples come in ``itertools.combinations`` order.  Weights are
-    nonnegative, so the depth-first walk drops a prefix, and every tuple
-    extending it, as soon as the prefix sum reaches ``limit``.
+    Each tuple comes with its weight sum and with ``start`` minus the
+    vertex sets at its positions.  Tuples come in
+    ``itertools.combinations`` order.  Weights are nonnegative, so the
+    depth-first walk drops a prefix, and every tuple extending it, as
+    soon as the prefix sum reaches ``limit``.  The walk keeps one sum and
+    one vertex set per picked position, nothing more.
     """
     if size == 0:
         if limit > 0:
-            yield (), 0
+            yield (), 0, start
         return
     last = len(weights) - size  # highest position the first element may take
     picked: list[int] = []
     sums = [0]
+    lefts = [start]
     i = 0
     while True:
         if i <= last + len(picked):
             total = sums[-1] + weights[i]
             if total < limit:
+                left = lefts[-1] - vertex_sets[i]
                 if len(picked) + 1 == size:
-                    yield (*picked, i), total
+                    yield (*picked, i), total, left
                 else:
                     picked.append(i)
                     sums.append(total)
+                    lefts.append(left)
             i += 1
         elif picked:
             i = picked.pop() + 1
             sums.pop()
+            lefts.pop()
         else:
             return
 
@@ -285,13 +296,13 @@ def _swap_search(
         return None
     pool = [j for j in interval_ids if j in sol_set]
     pool_w = [wn[j] for j in pool]
+    pool_sets = [edges[j] for j in pool]
 
-    stripped = sol_verts.difference(*(edges[j] for j in pool))
+    stripped = sol_verts.difference(*pool_sets)
     max_remove = min(2 * instance.arity, len(pool))
     # lightest[s] is the loss of the s lightest pool edges, a lower bound
     # on the loss of any s removals.
     lightest = list(accumulate(sorted(pool_w)[:max_remove], initial=0))
-    kept: dict[tuple[int, ...], frozenset[int]] = {}  # removal positions -> vertices left
     blocked: set[int] = set()  # single additions that failed the pre-check
     best: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
 
@@ -317,12 +328,11 @@ def _swap_search(
             for rem_size in range(max_remove + 1):
                 if lightest[rem_size] >= limit:
                     break
-                for pos, loss in _light_combinations(pool_w, rem_size, limit):
+                for pos, loss, left in _light_combinations(
+                    pool_w, pool_sets, sol_verts, rem_size, limit
+                ):
                     if loss >= limit:
                         continue  # the best gain rose during this walk
-                    left = kept.get(pos)
-                    if left is None:
-                        left = kept[pos] = sol_verts.difference(*(edges[pool[i]] for i in pos))
                     if not indep(left | add_verts):
                         continue
                     rem = tuple(pool[i] for i in pos)
@@ -335,13 +345,17 @@ def _swap_search(
     return best[1], best[2], best[0]
 
 
-def find_improving_swap(
+def _start_in_interval(
     instance: ParityInstance,
     solution_edges: Iterable[int],
     interval: WeightInterval,
-    rule: str = FIRST_LEX,
-) -> SwapMove | None:
-    """Public single-shot swap search for a feasible solution and interval."""
+    rule: str,
+) -> tuple[set[int], frozenset[int], list[int]]:
+    """Checked start of a one-interval search: solution, its vertices, interval edges.
+
+    The interval edges are those feasible alone with a weight inside
+    ``interval``, ascending.
+    """
     if rule not in SWAP_RULES:
         raise ValueError(f"unknown swap rule {rule!r}")
     sol = set(solution_edges)
@@ -352,10 +366,18 @@ def find_improving_swap(
         for j in range(instance.num_edges)
         if instance.feasible_alone[j] and interval.contains(instance.weights[j])
     ]
-    sol_verts = instance.vertices_of(sol)
-    found = _swap_search(
-        instance, sol, sol_verts, ids, rule, lambda vs: instance.matroid.is_independent(vs)
-    )
+    return sol, instance.vertices_of(sol), ids
+
+
+def find_improving_swap(
+    instance: ParityInstance,
+    solution_edges: Iterable[int],
+    interval: WeightInterval,
+    rule: str = FIRST_LEX,
+) -> SwapMove | None:
+    """Public single-shot swap search for a feasible solution and interval."""
+    sol, verts, ids = _start_in_interval(instance, solution_edges, interval, rule)
+    found = _swap_search(instance, sol, verts, ids, rule, instance.matroid.is_independent)
     if found is None:
         return None
     add, rem, gain_num = found
@@ -397,20 +419,8 @@ def interval_local_search(
     rule: str = FIRST_LEX,
 ) -> Solution:
     """Exhaust improving swaps for one interval starting from a feasible set."""
-    if rule not in SWAP_RULES:
-        raise ValueError(f"unknown swap rule {rule!r}")
-    sol = set(solution_edges)
-    if not instance.is_feasible(sol):
-        raise ValueError("the starting solution is not feasible")
-    ids = [
-        j
-        for j in range(instance.num_edges)
-        if instance.feasible_alone[j] and interval.contains(instance.weights[j])
-    ]
-    verts = instance.vertices_of(sol)
-    _run_interval(
-        instance, sol, verts, ids, rule, lambda vs: instance.matroid.is_independent(vs)
-    )
+    sol, verts, ids = _start_in_interval(instance, solution_edges, interval, rule)
+    _run_interval(instance, sol, verts, ids, rule, instance.matroid.is_independent)
     return instance.solution(sol)
 
 
@@ -652,40 +662,44 @@ def trace_to_json_obj(trace: SolverTrace) -> dict[str, Any]:
 
 
 def trace_from_json_obj(obj: dict[str, Any]) -> SolverTrace:
-    epsilon = parse_fraction(obj["epsilon"])
-    delta = parse_fraction(obj["delta"])
-    tau = None if obj["tau"] is None else parse_fraction(obj["tau"])
-    scheme_obj = obj["scheme"]
-    scheme = None
-    if scheme_obj is not None:
-        scheme = IntervalScheme(
-            max_feasible_weight=parse_fraction(scheme_obj["max_feasible_weight"]),
+    """Rebuild a trace from its JSON object; a malformed one raises FormatError."""
+    try:
+        epsilon = parse_fraction(obj["epsilon"])
+        delta = parse_fraction(obj["delta"])
+        tau = None if obj["tau"] is None else parse_fraction(obj["tau"])
+        scheme_obj = obj["scheme"]
+        scheme = None
+        if scheme_obj is not None:
+            scheme = IntervalScheme(
+                max_feasible_weight=parse_fraction(scheme_obj["max_feasible_weight"]),
+                epsilon=epsilon,
+                delta=delta,
+                tau=tau if tau is not None else Fraction(0),
+                levels=int(scheme_obj["levels"]),
+                markers=tuple(parse_fraction(m) for m in scheme_obj["markers"]),
+            )
+        return SolverTrace(
+            instance_signature=obj["instance_signature"],
             epsilon=epsilon,
             delta=delta,
-            tau=tau if tau is not None else Fraction(0),
-            levels=int(scheme_obj["levels"]),
-            markers=tuple(parse_fraction(m) for m in scheme_obj["markers"]),
+            seed=obj["seed"],
+            tau=tau,
+            rule=obj["rule"],
+            scheme=scheme,
+            records=tuple(
+                IntervalRecord(
+                    index=r["index"],
+                    upper=parse_fraction(r["upper"]),
+                    lower=parse_fraction(r["lower"]),
+                    added=tuple(r["added"]),
+                    swaps=tuple(_swap_from_obj(s) for s in r["swaps"]),
+                    oracle_calls=r["oracle_calls"],
+                )
+                for r in obj["records"]
+            ),
+            final_edges=tuple(obj["final_edges"]),
+            final_weight=parse_fraction(obj["final_weight"]),
+            oracle_calls=obj["oracle_calls"],
         )
-    return SolverTrace(
-        instance_signature=obj["instance_signature"],
-        epsilon=epsilon,
-        delta=delta,
-        seed=obj["seed"],
-        tau=tau,
-        rule=obj["rule"],
-        scheme=scheme,
-        records=tuple(
-            IntervalRecord(
-                index=r["index"],
-                upper=parse_fraction(r["upper"]),
-                lower=parse_fraction(r["lower"]),
-                added=tuple(r["added"]),
-                swaps=tuple(_swap_from_obj(s) for s in r["swaps"]),
-                oracle_calls=r["oracle_calls"],
-            )
-            for r in obj["records"]
-        ),
-        final_edges=tuple(obj["final_edges"]),
-        final_weight=parse_fraction(obj["final_weight"]),
-        oracle_calls=obj["oracle_calls"],
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad trace document: {exc!r}") from exc

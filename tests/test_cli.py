@@ -189,3 +189,40 @@ def test_input_errors_exit_one(tmp_path, capsys):
     both.write_text("{}")
     assert main(["solve", str(both), "--gen", "set-packing"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", *GEN_ARGS, "--epsilon", "0.6"],
+        ["solve", *GEN_ARGS, "--epsilon", "0"],
+        ["solve", *GEN_ARGS, "--delta", "1"],
+        ["solve", *GEN_ARGS, "--scale-epsilon", "-1/10"],
+        ["solve", *GEN_ARGS, "--runs", "0"],
+        ["bench", *GEN_ARGS, "--count", "0"],
+        ["gen", *GEN_ARGS, "--count", "-2"],
+        ["verify", "trace", "--epsilon", "1/2"],
+        ["verify", "badprob", *GEN_ARGS, "--tau-samples", "0"],
+    ],
+)
+def test_out_of_range_flags_exit_one_with_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mpls: error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_non_integer_arity_in_a_file_exits_one_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    assert main(["gen", *GEN_ARGS, "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["k"] = "x"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mpls: error: ")
+    assert captured.err.count("\n") == 1

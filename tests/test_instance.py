@@ -7,10 +7,8 @@ from mpls.instance import (
     InstanceError,
     ParityInstance,
     RawParityInstance,
-    cost_of_vertices,
     from_matroid_intersection,
     make_disjoint,
-    vertex_costs,
 )
 from mpls.exact import brute_force_intersection, brute_force_optimum
 from mpls.matroids import (
@@ -69,21 +67,6 @@ def test_weight_numerators_share_denominator():
     inst = singles(3, [Fraction(1, 2), Fraction(1, 3), 1], FreeMatroid(3))
     assert inst.weight_denominator == 6
     assert inst.weight_numerators == (3, 2, 6)
-
-
-def test_vertex_costs():
-    inst = ParityInstance(
-        4,
-        (frozenset({0, 1}), frozenset({2}), frozenset({3})),
-        (Fraction(5), Fraction(2), Fraction(1)),
-        FreeMatroid(4),
-        2,
-    )
-    costs = vertex_costs(inst, {0, 1})
-    assert costs == {0: Fraction(5), 1: Fraction(5), 2: Fraction(2)}
-    assert cost_of_vertices(inst, {0, 1}, {1, 2}) == Fraction(7)
-    with pytest.raises(InstanceError):
-        cost_of_vertices(inst, {0}, {3})
 
 
 def overlap_raw():

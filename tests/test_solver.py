@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,9 +9,9 @@ from hypothesis import given, strategies as st
 from mpls import solver
 from mpls.exact import brute_force_optimum, verify_local_optimum
 from mpls.generators import build_doc, generate
-from mpls.instance import ParityInstance
+from mpls.instance import ParityInstance, RawParityInstance, make_disjoint
 from mpls.matroids import FreeMatroid, UniformMatroid
-from mpls.serialization import dumps_canonical
+from mpls.serialization import FormatError, dumps_canonical
 from mpls.solver import (
     BEST_GAIN,
     FIRST_LEX,
@@ -226,6 +227,15 @@ def test_trace_serialization_round_trip():
     assert trace_to_json_obj(trace_from_json_obj(obj)) == obj
 
 
+@pytest.mark.parametrize("field", ["epsilon", "scheme", "records", "oracle_calls"])
+def test_trace_missing_a_field_is_a_format_error(field):
+    inst = generate("set-packing", n=7, m=6, k=3, seed=1)
+    obj = trace_to_json_obj(sliding_local_search(inst, EPS, DELTA, seed=4)[1])
+    del obj[field]
+    with pytest.raises(FormatError):
+        trace_from_json_obj(obj)
+
+
 def test_same_seed_gives_identical_traces():
     inst = generate("graphic-parity", n=4, m=6, k=2, seed=2)
     _, first = sliding_local_search(inst, EPS, DELTA, seed=9)
@@ -406,3 +416,37 @@ def test_hundred_edge_run_solves_and_verifies_quickly():
     assert sol.weight == 21724
     assert sum(len(r.swaps) for r in trace.records) == 38
     assert verify_local_optimum(inst, trace)
+
+
+def tail_instance(dust, seed):
+    """Unscaled free-matroid k=3 instance whose weights span nine orders of magnitude.
+
+    One edge of weight 1, ``dust`` edges of weight about 1e-12 on disjoint
+    triples, and ten grain edges of weight 1e-9, each on one vertex of
+    three random dust edges.  Nearly all of it lands in the tail interval.
+    """
+    rng = random.Random(seed)
+    dust_edges = [frozenset(range(3 + 3 * i, 6 + 3 * i)) for i in range(dust)]
+    edges = [frozenset({0, 1, 2}), *dust_edges]
+    weights = [Fraction(1)] + [Fraction(rng.randint(50, 150), 10**14) for _ in dust_edges]
+    for _ in range(10):
+        picked = rng.sample(range(dust), 3)
+        edges.append(frozenset(rng.choice(sorted(dust_edges[i])) for i in picked))
+        weights.append(Fraction(1, 10**9))
+    n = 3 + 3 * dust
+    return make_disjoint(RawParityInstance(n, tuple(edges), tuple(weights), FreeMatroid(n), 3))
+
+
+def test_tail_swap_search_memory_stays_flat():
+    # Many solution edges share the tail interval, so the swap search walks
+    # thousands of removal sets; it must not hold one vertex set per set.
+    inst = tail_instance(20, seed=3)
+    tracemalloc.start()
+    try:
+        _, trace = sliding_local_search(inst, EPS, DELTA, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.oracle_calls == 7202
+    assert peak < 1_000_000
+
