@@ -75,7 +75,6 @@ from .solver import (
     compute_markers,
     find_improving_swap,
     greedy,
-    interval_local_search,
     scale_weights,
     sliding_local_search,
     trace_from_json_obj,

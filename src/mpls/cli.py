@@ -58,6 +58,10 @@ DEFAULT_GAMMA = Fraction("0.2253")
 DEFAULT_SCALE_EPSILON = Fraction(1, 10)
 
 
+class UsageError(ValueError):
+    """A flag value outside the range that other flags allow."""
+
+
 class _Parser(argparse.ArgumentParser):
     """Bad usage exits 1 with one ``mpls: error:`` line; 2 is kept for violations."""
 
@@ -372,11 +376,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = campaigns.laminar_campaign(args.count, args.seed, args.max_elements)
         bad = bool(report["failures"])
     elif what == "trace":
+        if args.gamma < 0:
+            raise UsageError(f"--gamma {args.gamma} is negative")
         report = campaigns.trace_campaign(
             args.count, args.seed, args.epsilon, args.delta, args.gamma
         )
         bad = bool(report["failures"]) or report["successes"] < args.count
     elif what == "badprob":
+        top = 1 / (1 - args.epsilon) - 1
+        if not 0 <= args.gamma <= top:
+            raise UsageError(
+                f"--gamma {args.gamma} is not in [0, {top}] for --epsilon {args.epsilon}"
+            )
         _, inst = _load_source(args)
         report = campaigns.near_marker_report(
             inst, args.epsilon, args.gamma, args.tau_samples, args.seed
@@ -473,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, InstanceError, generators.GeneratorError, OSError) as exc:
+    except (FormatError, InstanceError, UsageError, generators.GeneratorError, OSError) as exc:
         print(f"mpls: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

@@ -180,30 +180,78 @@ def brute_force_intersection(
 
 
 def verify_local_optimum(instance: ParityInstance, trace: SolverTrace) -> bool:
-    """Re-check that no improving swap existed at any interval's close.
+    """Check a trace against the instance, then re-check its local optimality.
 
-    Replays the per-interval prefix solutions recorded in the trace and
-    enumerates every candidate swap from scratch, with none of the
-    solver's pruning, using fraction arithmetic directly.  The only cut
-    is by size: once the lightest removal set of a size weighs at least
-    the addition, no set of that size or larger can improve, since
-    weights are nonnegative.  Returns False as soon as one improving swap
-    is found.
+    Nothing in the trace that the instance determines is trusted.  The
+    trace is refuted (False) unless all of these hold:
+
+    * a degenerate trace (no scheme) belongs to an instance with no
+      positive lone-feasible weight, and has no records and no edges;
+    * the scheme's epsilon, delta and tau are the trace's and lie in the
+      solver's ranges, its heaviest feasible weight is the instance's,
+      and its level count is the least with
+      ``(1 - epsilon)^(levels - 1) <= delta / m``, checked by two exact
+      powers rather than a loop whose length epsilon would set;
+    * the records are indexed 1..levels+1 in order; every added edge is
+      feasible alone, lies in its record's interval and is added once;
+      the added edges are ``final_edges`` and weigh ``final_weight``;
+      and every prefix that grew is feasible, one query per such interval.
+
+    Then it replays the per-interval prefix solutions and enumerates
+    every candidate swap from scratch, with none of the solver's pruning,
+    using fraction arithmetic directly.  The only cut is by size: once
+    the lightest removal set of a size weighs at least the addition, no
+    set of that size or larger can improve, since weights are
+    nonnegative.  Returns False as soon as one improving swap is found.
     """
     if trace.instance_signature != instance_signature(instance):
         raise TraceMismatch("trace was produced for a different instance")
-    if trace.scheme is None:
-        return True  # degenerate run: nothing was searched, nothing to refute
-
-    scheme = trace.scheme
     weights = instance.weights
+    lone = [j for j in range(instance.num_edges) if instance.feasible_alone[j]]
+    heaviest = max((weights[j] for j in lone), default=Fraction(0))
+    scheme = trace.scheme
+    if scheme is None:
+        # A degenerate run searched nothing, so it must have nothing to show.
+        return heaviest == 0 and not trace.records and not trace.final_edges and (
+            trace.final_weight == 0
+        )
+
+    epsilon, delta, tau, levels = scheme.epsilon, scheme.delta, scheme.tau, scheme.levels
+    if (epsilon, delta, tau) != (trace.epsilon, trace.delta, trace.tau):
+        return False
+    if not (0 < epsilon < Fraction(1, 2) and 0 < delta < 1 and 0 <= tau < epsilon):
+        return False
+    if heaviest == 0 or scheme.max_feasible_weight != heaviest:
+        return False
+    records = trace.records
+    if len(records) != levels + 1 or any(r.index != i for i, r in enumerate(records, 1)):
+        return False
+    shrink, tail = 1 - epsilon, delta / instance.num_edges
+    if not shrink ** (levels - 1) <= tail < shrink ** (levels - 2):
+        return False
+    # Every lone-feasible weight is at most the top marker, since tau < epsilon.
+    own = {j: scheme.interval_of(weights[j]) for j in lone}
+    seen: set[int] = set()
+    for record in records:
+        for j in record.added:
+            if j in seen or own.get(j) != record.index:
+                return False
+            seen.add(j)
+        if record.added and not instance.is_feasible(seen):
+            return False
+    if trace.final_edges != tuple(sorted(seen)):
+        return False
+    if trace.final_weight != sum((weights[j] for j in seen), Fraction(0)):
+        return False
+
+    inside: list[list[int]] = [[] for _ in range(levels + 2)]
+    for j, i in own.items():
+        inside[i].append(j)
     prefix: set[int] = set()
-    for record in trace.records:
-        prefix |= set(record.added)
-        interval = scheme.interval(record.index)
-        inside = [j for j in range(instance.num_edges) if interval.contains(weights[j])]
-        outside_sol = [j for j in inside if j not in prefix]
-        in_sol = [j for j in inside if j in prefix]
+    for record in records:
+        prefix.update(record.added)
+        outside_sol = [j for j in inside[record.index] if j not in prefix]
+        in_sol = [j for j in inside[record.index] if j in prefix]
         base = instance.vertices_of(prefix)
         # lightest[s]: the least weight any s edges of in_sol can have.
         lightest = [Fraction(0)]

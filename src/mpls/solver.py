@@ -11,15 +11,18 @@ accepted in earlier (heavier) intervals are never removed again.
 All weight arithmetic is exact.  Edge weights are compared through
 integer numerators over a common denominator; markers and the random
 shift are exact rationals, so interval membership and improvement tests
-never see floating point.
+never see floating point.  The marker ladder is derived from five values
+(epsilon, delta, the shift, the heaviest feasible weight and the level
+count), so a trace stores those and rebuilds the ladder on load.
 """
 
 from __future__ import annotations
 
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, combinations
 from typing import Any, Callable, Iterable, Sequence
 
@@ -59,12 +62,14 @@ class WeightInterval:
 class IntervalScheme:
     """Marker ladder for one solver run.
 
-    ``markers[j]`` is the j-th marker; ``markers[0]`` sits above the
-    heaviest feasible weight, each later marker shrinks by the factor
-    ``1 - epsilon``, and ``markers[levels + 1]`` is the zero sentinel.
-    Interval j covers ``(markers[j], markers[j-1]]`` for j up to
-    ``levels``; the final interval ``levels + 1`` is closed at zero.
-    A weight equal to a marker belongs to the interval below that marker.
+    ``markers`` is derived from the other fields and never passed in.
+    ``markers[j]`` is the j-th marker; ``markers[1]`` is
+    ``max_feasible_weight * (1 - tau)``, ``markers[0]`` sits one factor
+    ``1 - epsilon`` above it, each later marker shrinks by that factor,
+    and ``markers[levels + 1]`` is the zero sentinel.  Interval j covers
+    ``(markers[j], markers[j-1]]`` for j up to ``levels``; the final
+    interval ``levels + 1`` is closed at zero.  A weight equal to a
+    marker belongs to the interval below that marker.
     """
 
     max_feasible_weight: Fraction
@@ -72,7 +77,16 @@ class IntervalScheme:
     delta: Fraction
     tau: Fraction
     levels: int
-    markers: tuple[Fraction, ...]
+    markers: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        shrink = 1 - self.epsilon
+        first = self.max_feasible_weight * (1 - self.tau)
+        markers = [first / shrink, first]
+        for _ in range(self.levels - 1):
+            markers.append(markers[-1] * shrink)
+        markers.append(Fraction(0))
+        object.__setattr__(self, "markers", tuple(markers))
 
     def interval(self, j: int) -> WeightInterval:
         if not 1 <= j <= self.levels + 1:
@@ -102,6 +116,23 @@ class IntervalScheme:
         raise ValueError(f"weight {w} above the top marker")
 
 
+@lru_cache(maxsize=256)
+def _level_count(epsilon: Fraction, delta: Fraction, num_edges: int) -> int:
+    """One more than the least s with ``(1 - epsilon)^s <= delta / num_edges``.
+
+    Found by exact rational iteration, not floating-point logs.  It does
+    not depend on the shift, so every run on the same edge count shares it.
+    """
+    shrink = 1 - epsilon
+    target = delta / num_edges
+    power = Fraction(1)
+    steps = 0
+    while power > target:
+        power *= shrink
+        steps += 1
+    return steps + 1
+
+
 def compute_markers(
     instance: ParityInstance,
     epsilon: Fraction,
@@ -112,8 +143,7 @@ def compute_markers(
 
     The ladder starts from the heaviest weight among edges that are
     feasible on their own.  The number of levels is the smallest that
-    pushes the residual geometric tail below ``delta`` relative weight;
-    it is found by exact rational iteration, not floating-point logs.
+    pushes the residual geometric tail below ``delta`` relative weight.
 
     Raises DegenerateInstanceError when no edge is feasible alone or the
     best feasible weight is zero.
@@ -126,39 +156,20 @@ def compute_markers(
     if not 0 <= tau < epsilon:
         raise ValueError("the shift must lie in [0, epsilon)")
 
-    heaviest = Fraction(0)
-    any_feasible = False
-    for j, ok in enumerate(instance.feasible_alone):
-        if ok:
-            any_feasible = True
-            if instance.weights[j] > heaviest:
-                heaviest = instance.weights[j]
-    if not any_feasible:
+    heaviest = max(
+        (wn for wn, ok in zip(instance.weight_numerators, instance.feasible_alone) if ok),
+        default=None,
+    )
+    if heaviest is None:
         raise DegenerateInstanceError("no edge is feasible on its own")
     if heaviest == 0:
         raise DegenerateInstanceError("all feasible edges have zero weight")
-
-    shrink = 1 - epsilon
-    target = delta / len(instance.edges)
-    power = Fraction(1)
-    steps = 0
-    while power > target:
-        power *= shrink
-        steps += 1
-    levels = steps + 1
-
-    first = heaviest * (1 - tau)
-    markers = [first / shrink, first]
-    for _ in range(levels - 1):
-        markers.append(markers[-1] * shrink)
-    markers.append(Fraction(0))
     return IntervalScheme(
-        max_feasible_weight=heaviest,
+        max_feasible_weight=Fraction(heaviest, instance.weight_denominator),
         epsilon=epsilon,
         delta=delta,
         tau=tau,
-        levels=levels,
-        markers=tuple(markers),
+        levels=_level_count(epsilon, delta, instance.num_edges),
     )
 
 
@@ -174,8 +185,6 @@ class SwapMove:
 @dataclass(frozen=True)
 class IntervalRecord:
     index: int
-    upper: Fraction
-    lower: Fraction
     added: tuple[int, ...]
     swaps: tuple[SwapMove, ...]
     oracle_calls: int
@@ -345,16 +354,16 @@ def _swap_search(
     return best[1], best[2], best[0]
 
 
-def _start_in_interval(
+def find_improving_swap(
     instance: ParityInstance,
     solution_edges: Iterable[int],
     interval: WeightInterval,
-    rule: str,
-) -> tuple[set[int], frozenset[int], list[int]]:
-    """Checked start of a one-interval search: solution, its vertices, interval edges.
+    rule: str = FIRST_LEX,
+) -> SwapMove | None:
+    """Public single-shot swap search for a feasible solution and interval.
 
-    The interval edges are those feasible alone with a weight inside
-    ``interval``, ascending.
+    The interval's candidates are the edges feasible alone with a weight
+    inside ``interval``.
     """
     if rule not in SWAP_RULES:
         raise ValueError(f"unknown swap rule {rule!r}")
@@ -366,18 +375,9 @@ def _start_in_interval(
         for j in range(instance.num_edges)
         if instance.feasible_alone[j] and interval.contains(instance.weights[j])
     ]
-    return sol, instance.vertices_of(sol), ids
-
-
-def find_improving_swap(
-    instance: ParityInstance,
-    solution_edges: Iterable[int],
-    interval: WeightInterval,
-    rule: str = FIRST_LEX,
-) -> SwapMove | None:
-    """Public single-shot swap search for a feasible solution and interval."""
-    sol, verts, ids = _start_in_interval(instance, solution_edges, interval, rule)
-    found = _swap_search(instance, sol, verts, ids, rule, instance.matroid.is_independent)
+    found = _swap_search(
+        instance, sol, instance.vertices_of(sol), ids, rule, instance.matroid.is_independent
+    )
     if found is None:
         return None
     add, rem, gain_num = found
@@ -410,18 +410,6 @@ def _run_interval(
         if not indep(sol_verts):
             raise LocalSearchError(f"swap add={add} remove={rem} broke feasibility")
         swaps.append(SwapMove(add=add, remove=rem, gain=Fraction(gain_num, den)))
-
-
-def interval_local_search(
-    instance: ParityInstance,
-    solution_edges: Iterable[int],
-    interval: WeightInterval,
-    rule: str = FIRST_LEX,
-) -> Solution:
-    """Exhaust improving swaps for one interval starting from a feasible set."""
-    sol, verts, ids = _start_in_interval(instance, solution_edges, interval, rule)
-    _run_interval(instance, sol, verts, ids, rule, instance.matroid.is_independent)
-    return instance.solution(sol)
 
 
 def _draw_shift(epsilon: Fraction, seed: int) -> Fraction:
@@ -472,16 +460,20 @@ def sliding_local_search(
         )
         return empty, trace
 
-    # Distribute candidate edges over intervals with one merged sweep.
+    # Distribute candidate edges over intervals with one merged sweep, in
+    # integers: numerator wn lies at or below marker m iff wn <= floor(m * den).
+    wn = instance.weight_numerators
+    den = instance.weight_denominator
+    levels = scheme.levels
+    floors = [m.numerator * den // m.denominator for m in scheme.markers]
     by_weight = sorted(
         (j for j in range(instance.num_edges) if instance.feasible_alone[j]),
-        key=lambda j: (-instance.weight_numerators[j], j),
+        key=lambda j: (-wn[j], j),
     )
-    interval_ids: list[list[int]] = [[] for _ in range(scheme.levels + 2)]
+    interval_ids: list[list[int]] = [[] for _ in range(levels + 2)]
     level = 1
     for j in by_weight:
-        w = instance.weights[j]
-        while level <= scheme.levels and w <= scheme.markers[level]:
+        while level <= levels and wn[j] <= floors[level]:
             level += 1
         interval_ids[level].append(j)
     for ids in interval_ids:
@@ -497,7 +489,7 @@ def sliding_local_search(
     sol_set: set[int] = set()
     sol_verts: frozenset[int] = frozenset()
     records: list[IntervalRecord] = []
-    for j in range(1, scheme.levels + 2):
+    for j in range(1, levels + 2):
         calls_before = counter[0]
         swaps, sol_verts = _run_interval(
             instance, sol_set, sol_verts, interval_ids[j], rule, indep
@@ -505,8 +497,6 @@ def sliding_local_search(
         records.append(
             IntervalRecord(
                 index=j,
-                upper=scheme.markers[j - 1],
-                lower=scheme.markers[j],
                 added=tuple(sorted(sol_set.intersection(interval_ids[j]))),
                 swaps=tuple(swaps),
                 oracle_calls=counter[0] - calls_before,
@@ -629,6 +619,7 @@ def _swap_from_obj(obj: dict[str, Any]) -> SwapMove:
 
 
 def trace_to_json_obj(trace: SolverTrace) -> dict[str, Any]:
+    """JSON object of a trace; a scheme is stored by the values that define its ladder."""
     scheme = trace.scheme
     return {
         "instance_signature": trace.instance_signature,
@@ -642,13 +633,10 @@ def trace_to_json_obj(trace: SolverTrace) -> dict[str, Any]:
         else {
             "max_feasible_weight": format_fraction(scheme.max_feasible_weight),
             "levels": scheme.levels,
-            "markers": [format_fraction(m) for m in scheme.markers],
         },
         "records": [
             {
                 "index": r.index,
-                "upper": format_fraction(r.upper),
-                "lower": format_fraction(r.lower),
                 "added": list(r.added),
                 "swaps": [_swap_to_obj(s) for s in r.swaps],
                 "oracle_calls": r.oracle_calls,
@@ -661,22 +649,54 @@ def trace_to_json_obj(trace: SolverTrace) -> dict[str, Any]:
     }
 
 
+def _edge_ids(values: Any) -> tuple[int, ...]:
+    ids = tuple(values)
+    if not all(type(j) is int for j in ids):
+        raise FormatError(f"edge ids must be integers, got {values!r}")
+    return ids
+
+
 def trace_from_json_obj(obj: dict[str, Any]) -> SolverTrace:
-    """Rebuild a trace from its JSON object; a malformed one raises FormatError."""
+    """Rebuild a trace from its JSON object; a malformed one raises FormatError.
+
+    The scheme's ladder is rebuilt from epsilon, delta, tau, the heaviest
+    feasible weight and ``levels``; the ``markers`` and per-record
+    ``upper``/``lower`` keys of older files are ignored.  ``levels`` must
+    match the record count, and epsilon, delta and tau the solver's
+    ranges, before any ladder is built, so the ladder never has more
+    steps than the file has records.
+    """
     try:
         epsilon = parse_fraction(obj["epsilon"])
         delta = parse_fraction(obj["delta"])
         tau = None if obj["tau"] is None else parse_fraction(obj["tau"])
+        records = tuple(
+            IntervalRecord(
+                index=r["index"],
+                added=_edge_ids(r["added"]),
+                swaps=tuple(_swap_from_obj(s) for s in r["swaps"]),
+                oracle_calls=r["oracle_calls"],
+            )
+            for r in obj["records"]
+        )
         scheme_obj = obj["scheme"]
         scheme = None
         if scheme_obj is not None:
+            levels = scheme_obj["levels"]
+            if type(levels) is not int or levels < 1 or len(records) != levels + 1:
+                raise FormatError(f"{len(records)} records for {levels!r} levels")
+            if any(r.index != i for i, r in enumerate(records, 1)):
+                raise FormatError("records are not indexed 1..levels+1 in order")
+            if not (0 < epsilon < Fraction(1, 2) and 0 < delta < 1):
+                raise FormatError("epsilon must lie in (0, 1/2) and delta in (0, 1)")
+            if tau is None or not 0 <= tau < epsilon:
+                raise FormatError("tau must lie in [0, epsilon)")
             scheme = IntervalScheme(
                 max_feasible_weight=parse_fraction(scheme_obj["max_feasible_weight"]),
                 epsilon=epsilon,
                 delta=delta,
-                tau=tau if tau is not None else Fraction(0),
-                levels=int(scheme_obj["levels"]),
-                markers=tuple(parse_fraction(m) for m in scheme_obj["markers"]),
+                tau=tau,
+                levels=levels,
             )
         return SolverTrace(
             instance_signature=obj["instance_signature"],
@@ -686,20 +706,12 @@ def trace_from_json_obj(obj: dict[str, Any]) -> SolverTrace:
             tau=tau,
             rule=obj["rule"],
             scheme=scheme,
-            records=tuple(
-                IntervalRecord(
-                    index=r["index"],
-                    upper=parse_fraction(r["upper"]),
-                    lower=parse_fraction(r["lower"]),
-                    added=tuple(r["added"]),
-                    swaps=tuple(_swap_from_obj(s) for s in r["swaps"]),
-                    oracle_calls=r["oracle_calls"],
-                )
-                for r in obj["records"]
-            ),
-            final_edges=tuple(obj["final_edges"]),
+            records=records,
+            final_edges=_edge_ids(obj["final_edges"]),
             final_weight=parse_fraction(obj["final_weight"]),
             oracle_calls=obj["oracle_calls"],
         )
+    except FormatError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad trace document: {exc!r}") from exc

@@ -215,6 +215,21 @@ def test_out_of_range_flags_exit_one_with_one_error_line(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "badprob", *GEN_ARGS, "--gamma", "5"],
+        ["verify", "trace", "--count", "2", "--gamma", "-1"],
+    ],
+)
+def test_gamma_out_of_range_exits_one_with_one_error_line(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mpls: error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_non_integer_arity_in_a_file_exits_one_with_one_error_line(tmp_path, capsys):
     path = tmp_path / "inst.json"
     assert main(["gen", *GEN_ARGS, "--out", str(path)]) == 0

@@ -1,8 +1,10 @@
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpls.exact import (
     BRANCH_AND_BOUND,
@@ -20,7 +22,7 @@ from mpls.exact import (
 from mpls.generators import generate, random_partition_matroids
 from mpls.instance import ParityInstance, from_matroid_intersection
 from mpls.matroids import FreeMatroid, PartitionMatroid, UniformMatroid
-from mpls.solver import IntervalScheme, compute_markers, sliding_local_search
+from mpls.solver import IntervalRecord, IntervalScheme, compute_markers, sliding_local_search
 
 EPS = Fraction("0.3873")
 DELTA = Fraction("0.0001")
@@ -189,12 +191,189 @@ def test_tail_bound_fails_for_truncated_ladder():
     inst = dataclasses.replace(inst, weights=(Fraction(1), Fraction(1, 100)))
     optimum = brute_force_optimum(inst).optimum
     assert optimum.edges == frozenset([0, 1])
+    # One level is far too few for delta = 1/1000: the last positive marker
+    # is 1, so the 1/100 edge falls in the discarded tail.
     doctored = IntervalScheme(
         max_feasible_weight=Fraction(1),
         epsilon=Fraction(1, 2),
         delta=Fraction(1, 1000),
         tau=Fraction(0),
         levels=1,
-        markers=(Fraction(2), Fraction(1, 2), Fraction(0)),
     )
+    assert doctored.markers == (Fraction(2), Fraction(1), Fraction(0))
     assert not verify_tail_bound(inst, doctored, optimum)
+
+
+def genuine_trace():
+    inst = generate("set-packing", n=7, m=6, k=3, seed=4)
+    _, trace = sliding_local_search(inst, EPS, DELTA, seed=1)
+    assert trace.final_edges == (4, 5)
+    return inst, trace
+
+
+def with_added(trace, i, added):
+    records = list(trace.records)
+    records[i] = dataclasses.replace(records[i], added=added)
+    return dataclasses.replace(trace, records=tuple(records))
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        lambda t: dataclasses.replace(t, records=(), final_edges=(), final_weight=Fraction(0)),
+        lambda t: dataclasses.replace(t, final_edges=tuple(range(6))),
+        lambda t: with_added(t, 0, tuple(range(6))),
+        lambda t: dataclasses.replace(
+            t, scheme=None, records=(), final_edges=(), final_weight=Fraction(0)
+        ),
+    ],
+    ids=["no-records", "all-final-edges", "all-added-first", "claims-degenerate"],
+)
+def test_forged_trace_is_refuted(forge):
+    inst, trace = genuine_trace()
+    assert verify_local_optimum(inst, trace)
+    assert not verify_local_optimum(inst, forge(trace))
+
+
+def true_local_optimum(inst, trace):
+    """Brute-force reference for what a verified trace claims.
+
+    The trace's ladder is the one ``compute_markers`` builds for its
+    epsilon, delta and tau, its records add the final edges interval by
+    interval, and at each interval's close no swap of at most two
+    interval edges in for at most ``2 * arity`` interval edges of the
+    prefix out is feasible and strictly heavier.
+    """
+    weights, m = inst.weights, inst.num_edges
+    final = set(trace.final_edges)
+    if not final <= set(range(m)) or not inst.is_feasible(final):
+        return False
+    if trace.final_weight != sum((weights[j] for j in final), Fraction(0)):
+        return False
+    added = [j for r in trace.records for j in r.added]
+    if sorted(added) != sorted(final):
+        return False
+    if trace.scheme is None:
+        positive = [j for j in range(m) if inst.feasible_alone[j] and weights[j] > 0]
+        return not positive and not trace.records
+    if not 0 < trace.epsilon < Fraction(1, 2):
+        return False
+    try:
+        scheme = compute_markers(inst, trace.epsilon, trace.delta, trace.tau)
+    except ValueError:
+        return False
+    if trace.scheme != scheme:
+        return False
+    if [r.index for r in trace.records] != list(range(1, scheme.levels + 2)):
+        return False
+    if any(scheme.interval_of(weights[j]) != r.index for r in trace.records for j in r.added):
+        return False
+    lone = [j for j in range(m) if inst.feasible_alone[j]]
+    for i in range(1, scheme.levels + 2):
+        prefix = {j for j in final if scheme.interval_of(weights[j]) <= i}
+        members = [j for j in lone if scheme.interval_of(weights[j]) == i]
+        outside = [j for j in members if j not in prefix]
+        inside = [j for j in members if j in prefix]
+        for a in (1, 2):
+            for add in combinations(outside, a):
+                for r in range(min(2 * inst.arity, len(inside)) + 1):
+                    for rem in combinations(inside, r):
+                        gain = sum(weights[j] for j in add) - sum(weights[j] for j in rem)
+                        if gain > 0 and inst.is_feasible((prefix - set(rem)) | set(add)):
+                            return False
+    return True
+
+
+def rescheme(trace, **changes):
+    if trace.scheme is None:
+        return trace
+    scheme = dataclasses.replace(trace.scheme, **changes)
+    return dataclasses.replace(trace, scheme=scheme, tau=scheme.tau)
+
+
+def relevel(trace, levels):
+    if trace.scheme is None:
+        return trace
+    records = list(trace.records[: levels + 1])
+    records += [IntervalRecord(i, (), (), 0) for i in range(len(records) + 1, levels + 2)]
+    return dataclasses.replace(rescheme(trace, levels=levels), records=tuple(records))
+
+
+def toggle(inst, trace, j):
+    """Drop edge j from the records, or add it to its own interval's record.
+
+    Either way ``final_edges`` and ``final_weight`` follow the records, so
+    only the deeper checks can refute the result.
+    """
+    if not trace.records:
+        return trace
+    if any(j in r.added for r in trace.records):
+        records = [
+            dataclasses.replace(r, added=tuple(e for e in r.added if e != j))
+            for r in trace.records
+        ]
+    else:
+        try:
+            i = min(trace.scheme.interval_of(inst.weights[j]), len(trace.records)) - 1
+        except ValueError:
+            i = 0
+        records = list(trace.records)
+        records[i] = dataclasses.replace(records[i], added=tuple(sorted(records[i].added + (j,))))
+    final = sorted({j for r in records for j in r.added if 0 <= j < inst.num_edges})
+    return dataclasses.replace(
+        trace,
+        records=tuple(records),
+        final_edges=tuple(final),
+        final_weight=sum((inst.weights[j] for j in final), Fraction(0)),
+    )
+
+
+def mutation(inst, trace):
+    last = max(len(trace.records) - 1, 0)
+    ids = st.lists(st.integers(-1, 6), max_size=4).map(tuple)
+    record = st.integers(0, last)
+    grid = st.integers(-1000, 2000).map(lambda i: EPS * Fraction(i, 1000))  # [-eps, 2 eps]
+    kinds = [
+        st.integers(0, inst.num_edges - 1).map(lambda j: toggle(inst, trace, j)),
+        ids.map(lambda e: dataclasses.replace(trace, final_edges=e)),
+        st.fractions(0, 300).map(lambda w: dataclasses.replace(trace, final_weight=w)),
+        grid.map(lambda tau: rescheme(trace, tau=tau)),
+        grid.map(lambda tau: dataclasses.replace(trace, tau=tau)),
+        grid.map(lambda w: rescheme(trace, max_feasible_weight=w * 300)),
+        st.integers(1, len(trace.records) + 3).map(lambda levels: relevel(trace, levels)),
+        st.permutations(trace.records).map(
+            lambda rs: dataclasses.replace(trace, records=tuple(rs))
+        ),
+        st.just(
+            dataclasses.replace(trace, scheme=None, records=(), final_edges=(), final_weight=0)
+        ),
+    ]
+    if trace.records:
+        kinds.append(st.tuples(record, ids).map(lambda a: with_added(trace, *a)))
+    grown = [i for i, r in enumerate(trace.records) if r.added]
+    if grown:
+        kinds.append(
+            st.sampled_from(grown).map(lambda i: with_added(trace, i, trace.records[i].added * 2))
+        )
+        kinds.append(
+            st.tuples(record, st.integers(0, last + 2)).map(
+                lambda a: dataclasses.replace(
+                    trace,
+                    records=trace.records[: a[0]]
+                    + (dataclasses.replace(trace.records[a[0]], index=a[1]),)
+                    + trace.records[a[0] + 1 :],
+                )
+            )
+        )
+    return st.one_of(kinds)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_every_mutation_is_refuted_or_a_true_local_optimum(data):
+    inst, trace = genuine_trace()
+    assert true_local_optimum(inst, trace)
+    for _ in range(data.draw(st.integers(1, 3))):
+        trace = data.draw(mutation(inst, trace))
+    if verify_local_optimum(inst, trace):
+        assert true_local_optimum(inst, trace)

@@ -1,4 +1,6 @@
+import json
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -11,7 +13,7 @@ from mpls.exact import brute_force_optimum, verify_local_optimum
 from mpls.generators import build_doc, generate
 from mpls.instance import ParityInstance, RawParityInstance, make_disjoint
 from mpls.matroids import FreeMatroid, UniformMatroid
-from mpls.serialization import FormatError, dumps_canonical
+from mpls.serialization import FormatError, dumps_canonical, format_fraction
 from mpls.solver import (
     BEST_GAIN,
     FIRST_LEX,
@@ -22,7 +24,6 @@ from mpls.solver import (
     compute_markers,
     find_improving_swap,
     greedy,
-    interval_local_search,
     scale_weights,
     sliding_local_search,
     trace_from_json_obj,
@@ -141,7 +142,7 @@ def test_single_swap_replaces_lighter_edge():
     move = find_improving_swap(inst, {0}, interval)
     assert move == SwapMove(add=(1,), remove=(0,), gain=Fraction(1))
     assert find_improving_swap(inst, {1}, interval) is None
-    improved = interval_local_search(inst, {0}, interval)
+    improved, _ = sliding_local_search(inst, EPS, DELTA, seed=0)
     assert sorted(improved.edges) == [1]
     assert improved.weight == Fraction(2)
 
@@ -232,6 +233,80 @@ def test_trace_missing_a_field_is_a_format_error(field):
     inst = generate("set-packing", n=7, m=6, k=3, seed=1)
     obj = trace_to_json_obj(sliding_local_search(inst, EPS, DELTA, seed=4)[1])
     del obj[field]
+    with pytest.raises(FormatError):
+        trace_from_json_obj(obj)
+
+
+def sample_run():
+    inst = generate("set-packing", n=7, m=6, k=3, seed=1)
+    return inst, sliding_local_search(inst, EPS, DELTA, seed=4)[1]
+
+
+def test_loaded_trace_has_the_scheme_compute_markers_builds():
+    inst, trace = sample_run()
+    back = trace_from_json_obj(json.loads(dumps_canonical(trace_to_json_obj(trace))))
+    expected = compute_markers(inst, EPS, DELTA, trace.tau)
+    assert back.scheme == expected
+    assert back.scheme.markers == expected.markers
+
+
+def test_trace_files_with_stored_markers_still_load():
+    # Older files also store the ladder and each record's bounds.
+    inst, trace = sample_run()
+    obj = trace_to_json_obj(trace)
+    markers = trace.scheme.markers
+    obj["scheme"]["markers"] = [format_fraction(m) for m in markers]
+    for r in obj["records"]:
+        r["upper"] = format_fraction(markers[r["index"] - 1])
+        r["lower"] = format_fraction(markers[r["index"]])
+    assert trace_from_json_obj(obj) == trace
+
+
+def test_huge_level_count_is_refused_before_building_a_ladder():
+    obj = trace_to_json_obj(sample_run()[1])
+    obj["scheme"]["levels"] = 10**9
+    obj["records"] = obj["records"][:3]
+    start = time.perf_counter()
+    with pytest.raises(FormatError):
+        trace_from_json_obj(obj)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obj: obj["records"].pop(),
+        lambda obj: obj.update(scheme=dict(obj["scheme"], levels=0), records=obj["records"][:1]),
+        lambda obj: obj["scheme"].update(levels="26"),
+        lambda obj: obj["records"][1].update(index=1),
+        lambda obj: obj.update(tau=obj["epsilon"]),
+        lambda obj: obj.update(tau="-1/10"),
+        lambda obj: obj.update(tau=None),
+        lambda obj: obj.update(epsilon="1/2"),
+        lambda obj: obj.update(delta="1"),
+    ],
+    ids=[
+        "records-short",
+        "levels-zero",
+        "levels-text",
+        "indices-out-of-order",
+        "tau-at-epsilon",
+        "tau-negative",
+        "tau-missing",
+        "epsilon-too-wide",
+        "delta-one",
+    ],
+)
+def test_inconsistent_scheme_is_a_format_error(edit):
+    obj = trace_to_json_obj(sample_run()[1])
+    edit(obj)
+    with pytest.raises(FormatError):
+        trace_from_json_obj(obj)
+
+
+def test_non_integer_edge_ids_are_a_format_error():
+    obj = trace_to_json_obj(sample_run()[1])
+    obj["final_edges"] = ["0"]
     with pytest.raises(FormatError):
         trace_from_json_obj(obj)
 
