@@ -38,6 +38,7 @@ from .serialization import (
     dumps_canonical,
     format_fraction,
     load_instance_doc,
+    parse_fraction,
 )
 from .solver import (
     FIRST_LEX,
@@ -71,9 +72,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+        return parse_fraction(text)
+    except FormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _fraction_in(low: Fraction, high: Fraction) -> Callable[[str], Fraction]:

@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Sequence
 
 from .instance import ParityInstance, RawParityInstance, Solution
@@ -89,42 +90,54 @@ def _enumerate_optimum(instance) -> tuple[Solution, int]:
 
 
 def _branch_and_bound_optimum(instance) -> tuple[Solution, int]:
-    """Depth-first include/exclude with an admissible remaining-weight bound.
+    """Depth-first include/exclude, heaviest edge first, in integer weights.
 
-    Pruning only happens on a strict bound violation so the canonical
-    tie-break (lexicographically smallest edge set among maximum weight)
-    is preserved exactly.
+    Each weight is an integer numerator over the lcm of the weights'
+    denominators, so every sum and bound is an integer operation.  Edges
+    are decided by decreasing weight, ties by id, and a subtree is cut
+    when even all of its remaining weight could not reach the best found
+    so far.  The cut is strict (``weight + suffix < best``), and every
+    prefix of a feasible set is feasible, so each maximum-weight feasible
+    set is still reached as a node; comparing the sorted id tuple of each
+    node at least as heavy as the best therefore yields the same
+    canonical optimum as any other visiting order.  Only ``explored``
+    depends on the order.
     """
     edges, weights, matroid = instance.edges, instance.weights, instance.matroid
     m = len(edges)
-    suffix = [Fraction(0)] * (m + 1)
-    for j in range(m - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + weights[j]
+    den = lcm(*(w.denominator for w in weights))
+    numerators = [w.numerator * (den // w.denominator) for w in weights]
+    order = sorted(range(m), key=lambda j: (-numerators[j], j))
+    suffix = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + numerators[order[i]]
 
-    best_weight = Fraction(0)
+    best_weight = 0
     best_key: tuple[int, ...] = ()
     explored = 0
 
-    def visit(j: int, chosen: list[int], used: frozenset[int], weight: Fraction) -> None:
+    def visit(i: int, chosen: list[int], used: frozenset[int], weight: int) -> None:
         nonlocal best_weight, best_key, explored
         explored += 1
-        key = tuple(chosen)
-        if weight > best_weight or (weight == best_weight and key < best_key):
-            best_weight = weight
-            best_key = key
-        if j == m or weight + suffix[j] < best_weight:
+        if weight >= best_weight:
+            key = tuple(sorted(chosen))
+            if weight > best_weight or key < best_key:
+                best_weight = weight
+                best_key = key
+        if i == m or weight + suffix[i] < best_weight:
             return
+        j = order[i]
         e = edges[j]
         if not (used & e):
             grown = used | e
             if matroid.is_independent(grown):
                 chosen.append(j)
-                visit(j + 1, chosen, grown, weight + weights[j])
+                visit(i + 1, chosen, grown, weight + numerators[j])
                 chosen.pop()
-        visit(j + 1, chosen, used, weight)
+        visit(i + 1, chosen, used, weight)
 
-    visit(0, [], frozenset(), Fraction(0))
-    return Solution(frozenset(best_key), best_weight), explored
+    visit(0, [], frozenset(), 0)
+    return Solution(frozenset(best_key), Fraction(best_weight, den)), explored
 
 
 def brute_force_optimum(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -35,11 +36,29 @@ class FormatError(ValueError):
     """Unparseable or schema-violating input."""
 
 
+# ``Fraction`` expands a decimal exponent in full, at a cost that grows
+# faster than the exponent.  ``format_fraction`` never writes one, and a
+# float's exponent stays within 308, so this bound sits far above what a
+# hand-written file needs.
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][+-]?([0-9_]+)")
+
+
 def parse_fraction(text: str | int) -> Fraction:
-    """Parse "3", "0.35" or "7/10" into an exact Fraction."""
+    """Parse "3", "0.35", "7/10" or "1.5e-3" into an exact Fraction.
+
+    A decimal exponent beyond ``MAX_EXPONENT`` in magnitude is refused
+    before any digit is expanded.
+    """
+    if isinstance(text, str):
+        match = _EXPONENT.search(text)
+        if match is not None:
+            digits = match.group(1).replace("_", "").lstrip("0")
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+                raise FormatError(f"exponent beyond {MAX_EXPONENT}: {text[:40]!r}")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise FormatError(f"not a rational: {text!r}") from exc
 
 

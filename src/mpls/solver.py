@@ -656,6 +656,17 @@ def _edge_ids(values: Any) -> tuple[int, ...]:
     return ids
 
 
+# Marker j has about j times the bits of ``1 - epsilon`` plus those of
+# tau and the heaviest weight, so ``levels`` times the deepest marker's
+# size bounds the whole ladder's.  Solver traces at the default epsilon
+# and delta on 48 edges need about 2.5e4 bits; the budget is 2 MB.
+MAX_LADDER_BITS = 1 << 24
+
+
+def _bits(value: Fraction) -> int:
+    return value.numerator.bit_length() + value.denominator.bit_length()
+
+
 def trace_from_json_obj(obj: dict[str, Any]) -> SolverTrace:
     """Rebuild a trace from its JSON object; a malformed one raises FormatError.
 
@@ -664,7 +675,8 @@ def trace_from_json_obj(obj: dict[str, Any]) -> SolverTrace:
     ``upper``/``lower`` keys of older files are ignored.  ``levels`` must
     match the record count, and epsilon, delta and tau the solver's
     ranges, before any ladder is built, so the ladder never has more
-    steps than the file has records.
+    steps than the file has records; and the ladder's size, bounded from
+    those values, must stay within ``MAX_LADDER_BITS``.
     """
     try:
         epsilon = parse_fraction(obj["epsilon"])
@@ -691,8 +703,12 @@ def trace_from_json_obj(obj: dict[str, Any]) -> SolverTrace:
                 raise FormatError("epsilon must lie in (0, 1/2) and delta in (0, 1)")
             if tau is None or not 0 <= tau < epsilon:
                 raise FormatError("tau must lie in [0, epsilon)")
+            heaviest = parse_fraction(scheme_obj["max_feasible_weight"])
+            deepest = levels * _bits(1 - epsilon) + _bits(tau) + _bits(heaviest)
+            if levels * deepest > MAX_LADDER_BITS:
+                raise FormatError(f"a ladder of {levels} levels would exceed {MAX_LADDER_BITS} bits")
             scheme = IntervalScheme(
-                max_feasible_weight=parse_fraction(scheme_obj["max_feasible_weight"]),
+                max_feasible_weight=heaviest,
                 epsilon=epsilon,
                 delta=delta,
                 tau=tau,

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -196,6 +197,7 @@ def test_input_errors_exit_one(tmp_path, capsys):
     [
         ["solve", *GEN_ARGS, "--epsilon", "0.6"],
         ["solve", *GEN_ARGS, "--epsilon", "0"],
+        ["solve", *GEN_ARGS, "--epsilon", "1e-1000000000"],
         ["solve", *GEN_ARGS, "--delta", "1"],
         ["solve", *GEN_ARGS, "--scale-epsilon", "-1/10"],
         ["solve", *GEN_ARGS, "--runs", "0"],
@@ -237,6 +239,22 @@ def test_non_integer_arity_in_a_file_exits_one_with_one_error_line(tmp_path, cap
     doc["k"] = "x"
     path.write_text(json.dumps(doc))
     assert main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mpls: error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_huge_exponent_in_a_file_exits_one_within_a_second(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    assert main(["gen", *GEN_ARGS, "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["edges"][0]["w"] = "1e-1000000000"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["solve", str(path)]) == 1
+    assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("mpls: error: ")

@@ -20,7 +20,12 @@ from mpls.exact import (
     verify_tail_bound,
 )
 from mpls.generators import generate, random_partition_matroids
-from mpls.instance import ParityInstance, from_matroid_intersection
+from mpls.instance import (
+    ParityInstance,
+    RawParityInstance,
+    from_matroid_intersection,
+    make_disjoint,
+)
 from mpls.matroids import FreeMatroid, PartitionMatroid, UniformMatroid
 from mpls.solver import IntervalRecord, IntervalScheme, compute_markers, sliding_local_search
 
@@ -68,6 +73,43 @@ def test_subset_enumeration_visits_every_subset():
     assert result.explored == 2 ** 4
     pruned = brute_force_optimum(inst, method=BRANCH_AND_BOUND)
     assert pruned.explored <= 2 ** 4
+
+
+@st.composite
+def overlapping_instances(draw):
+    """Up to 12 possibly overlapping edges under a random partition matroid.
+
+    Weights have numerators 0-3 over denominators 1-3, so ties and zero
+    weights are common.
+    """
+    n = draw(st.integers(1, 8))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.frozensets(vertex, min_size=1, max_size=3), max_size=12))
+    weights = [
+        Fraction(draw(st.integers(0, 3)), draw(st.integers(1, 3))) for _ in edges
+    ]
+    block_of = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    blocks = [[v for v in range(n) if block_of[v] == b] for b in range(3)]
+    capacities = [draw(st.integers(0, len(b))) for b in blocks]
+    return RawParityInstance(n, tuple(edges), tuple(weights), PartitionMatroid(blocks, capacities), 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(overlapping_instances())
+def test_branch_and_bound_matches_subset_enumeration(raw):
+    for inst in (raw, make_disjoint(raw)):
+        fast = brute_force_optimum(inst, method=BRANCH_AND_BOUND)
+        slow = brute_force_optimum(inst, method=SUBSET_ENUM)
+        assert fast.optimum == slow.optimum
+
+
+def test_branch_and_bound_visits_heaviest_edges_first():
+    # Taking edges by id order instead explores 2,434 nodes here.
+    inst = generate("k-mi-partition", n=18, k=3, seed=0)
+    result = brute_force_optimum(inst, method=BRANCH_AND_BOUND)
+    assert result.explored == 333
+    assert sorted(result.optimum.edges) == [0, 1, 3, 4, 5, 6, 9, 12, 13, 14, 15, 16]
+    assert result.optimum.weight == Fraction(71623, 100)
 
 
 def wide_instance(m):

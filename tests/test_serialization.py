@@ -46,6 +46,17 @@ def test_fraction_parsing():
         parse_fraction("seven")
 
 
+def test_fraction_exponents_are_bounded():
+    assert parse_fraction("1.5e-3") == Fraction(3, 2000)
+    assert parse_fraction("1E+2") == Fraction(100)
+    assert parse_fraction("1e-1000") == Fraction(1, 10**1000)
+    for text in ("1e1001", "1e-1001", "2.5E-1000000", "1e-00000000000000001001", "1e" + "9" * 5000):
+        with pytest.raises(FormatError):
+            parse_fraction(text)
+    with pytest.raises(FormatError):
+        parse_fraction(float("inf"))
+
+
 @given(st.fractions())
 def test_fraction_round_trip(q):
     assert parse_fraction(format_fraction(q)) == q

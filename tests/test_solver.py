@@ -272,6 +272,33 @@ def test_huge_level_count_is_refused_before_building_a_ladder():
     assert time.perf_counter() - start < 1
 
 
+def test_fine_epsilon_ladder_is_refused_before_building_it():
+    # 201 empty records at an epsilon whose 1 - epsilon has about 6,600
+    # bits: marker j would have about j times as many, about 2e8 bits in all.
+    levels = 200
+    obj = {
+        "instance_signature": "0" * 16,
+        "epsilon": format_fraction(Fraction(1, 3) + Fraction(1, 10**1000)),
+        "delta": "0.0001",
+        "seed": 0,
+        "tau": "0",
+        "rule": FIRST_LEX,
+        "scheme": {"max_feasible_weight": "1", "levels": levels},
+        "records": [
+            {"index": i, "added": [], "swaps": [], "oracle_calls": 0} for i in range(1, levels + 2)
+        ],
+        "final_edges": [],
+        "final_weight": "0",
+        "oracle_calls": 0,
+    }
+    text = dumps_canonical(obj)
+    assert len(text) < 13_000
+    start = time.perf_counter()
+    with pytest.raises(FormatError):
+        trace_from_json_obj(json.loads(text))
+    assert time.perf_counter() - start < 0.2
+
+
 @pytest.mark.parametrize(
     "edit",
     [
