@@ -47,11 +47,9 @@ from .matroids import (
     GraphicMatroid,
     GroundSetError,
     LinearMatroid,
-    MatroidAxiomError,
     MatroidOracle,
     PartitionMatroid,
     UniformMatroid,
-    check_matroid_axioms,
 )
 from .serialization import (
     FormatError,
@@ -69,11 +67,11 @@ from .solver import (
     FIRST_LEX,
     DegenerateInstanceError,
     IntervalScheme,
+    LadderBudgetError,
     SolverTrace,
     SwapMove,
     best_of_runs,
     compute_markers,
-    find_improving_swap,
     greedy,
     scale_weights,
     sliding_local_search,

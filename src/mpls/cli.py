@@ -43,6 +43,7 @@ from .serialization import (
 from .solver import (
     FIRST_LEX,
     SWAP_RULES,
+    LadderBudgetError,
     best_of_runs,
     greedy,
     scale_weights,
@@ -485,7 +486,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, InstanceError, UsageError, generators.GeneratorError, OSError) as exc:
+    except (
+        FormatError, InstanceError, LadderBudgetError, UsageError, generators.GeneratorError, OSError
+    ) as exc:
         print(f"mpls: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

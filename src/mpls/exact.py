@@ -19,7 +19,7 @@ from typing import Sequence
 from .instance import ParityInstance, RawParityInstance, Solution
 from .matroids import MatroidOracle
 from .serialization import instance_signature
-from .solver import SolverTrace
+from .solver import MAX_MARKER_BITS, SolverTrace, marker_bits
 
 SUBSET_ENUM = "subset-enum"
 BRANCH_AND_BOUND = "branch-and-bound"
@@ -202,13 +202,16 @@ def verify_local_optimum(instance: ParityInstance, trace: SolverTrace) -> bool:
       positive lone-feasible weight, and has no records and no edges;
     * the scheme's epsilon, delta and tau are the trace's and lie in the
       solver's ranges, its heaviest feasible weight is the instance's,
-      and its level count is the least with
-      ``(1 - epsilon)^(levels - 1) <= delta / m``, checked by two exact
-      powers rather than a loop whose length epsilon would set;
-    * the records are indexed 1..levels+1 in order; every added edge is
-      feasible alone, lies in its record's interval and is added once;
-      the added edges are ``final_edges`` and weigh ``final_weight``;
-      and every prefix that grew is feasible, one query per such interval.
+      its deepest marker stays within ``MAX_MARKER_BITS``, and its level
+      count is the least with ``(1 - epsilon)^(levels - 1) <= delta / m``,
+      checked by two exact powers rather than a loop whose length epsilon
+      would set;
+    * the record indices are exactly the occupied intervals, those that
+      hold a lone-feasible edge by ``interval_of``, in increasing order;
+      every added edge is feasible alone, lies in its record's interval
+      and is added once; the added edges are ``final_edges`` and weigh
+      ``final_weight``; and every prefix that grew is feasible, one query
+      per such interval.
 
     Then it replays the per-interval prefix solutions and enumerates
     every candidate swap from scratch, with none of the solver's pruning,
@@ -236,14 +239,19 @@ def verify_local_optimum(instance: ParityInstance, trace: SolverTrace) -> bool:
         return False
     if heaviest == 0 or scheme.max_feasible_weight != heaviest:
         return False
-    records = trace.records
-    if len(records) != levels + 1 or any(r.index != i for i, r in enumerate(records, 1)):
+    if levels < 1 or marker_bits(epsilon, tau, heaviest, levels) > MAX_MARKER_BITS:
         return False
     shrink, tail = 1 - epsilon, delta / instance.num_edges
     if not shrink ** (levels - 1) <= tail < shrink ** (levels - 2):
         return False
     # Every lone-feasible weight is at most the top marker, since tau < epsilon.
     own = {j: scheme.interval_of(weights[j]) for j in lone}
+    inside: dict[int, list[int]] = {}
+    for j, i in own.items():
+        inside.setdefault(i, []).append(j)
+    records = trace.records
+    if [r.index for r in records] != sorted(inside):
+        return False
     seen: set[int] = set()
     for record in records:
         for j in record.added:
@@ -257,9 +265,6 @@ def verify_local_optimum(instance: ParityInstance, trace: SolverTrace) -> bool:
     if trace.final_weight != sum((weights[j] for j in seen), Fraction(0)):
         return False
 
-    inside: list[list[int]] = [[] for _ in range(levels + 2)]
-    for j, i in own.items():
-        inside[i].append(j)
     prefix: set[int] = set()
     for record in records:
         prefix.update(record.added)
@@ -300,7 +305,7 @@ def verify_tail_bound(
     most a ``delta`` fraction of the optimum weight.  Exact arithmetic,
     no tolerance.
     """
-    last_marker = scheme.markers[scheme.levels]
+    last_marker = scheme.marker(scheme.levels)
     tail = sum(
         (instance.weights[j] for j in optimum.edges if instance.weights[j] < last_marker),
         Fraction(0),

@@ -11,8 +11,8 @@ checkable on concrete runs:
   given exchange set for S, by contracting away the rest of T.
 * ``build_conflict_trace``: replay a solver trace against an exact
   optimum and produce a nested chain of blocked optimum vertices, one
-  layer per weight interval, that explains which optimum edges the
-  solution displaced and where.
+  layer per occupied weight interval, that explains which optimum edges
+  the solution displaced and where.
 * ``estimate_near_marker_probability``: sampled frequency of an optimum
   edge landing within a relative ``gamma`` of the marker above it.
 * ``k4_non_composability_witness``: a small graphic instance showing two
@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 from .instance import ParityInstance, Solution
 from .matroids import ColoopExtensionMatroid, ContractedMatroid, GraphicMatroid, MatroidOracle
 from .serialization import instance_signature
-from .solver import IntervalScheme, SolverTrace, SwapMove, compute_markers
+from .solver import IntervalScheme, SolverTrace, SwapMove, compute_markers, indices_in_order
 
 CLASS_SINGLE = "single"
 CLASS_DOUBLE = "double"
@@ -240,18 +240,21 @@ class OptimumEdgeReport:
 class ConflictTrace:
     """Nested blocked-vertex chain plus a per-optimum-edge classification.
 
-    ``blocked_sets[i]`` grows by exactly the number of solution vertices
-    accepted in interval i, stays inside the (dummy-padded) optimum
-    vertex set, and leaves the remainder of the optimum compatible with
-    the solution prefix.  Every positive-weight optimum edge is blocked
-    no later than its own interval: inside it with one contact (single),
-    inside it with several (double), or already in an earlier interval.
+    Layer i belongs to interval ``intervals[i - 1]``, the i-th occupied
+    interval of the run; ``blocked_sets[0]`` is empty.  ``blocked_sets[i]``
+    grows by exactly the number of solution vertices accepted in that
+    interval, stays inside the (dummy-padded) optimum vertex set, and
+    leaves the remainder of the optimum compatible with the solution
+    prefix.  Every positive-weight optimum edge is blocked no later than
+    its own interval: inside it with one contact (single), inside it with
+    several (double), or already in an earlier interval.
     """
 
     gamma: Fraction
     scheme: IntervalScheme
     extended_matroid: MatroidOracle
     optimum_vertices: frozenset[int]
+    intervals: tuple[int, ...]
     solution_vertex_sets: tuple[frozenset[int], ...]
     blocked_sets: tuple[frozenset[int], ...]
     reports: tuple[OptimumEdgeReport, ...]
@@ -324,8 +327,9 @@ def build_conflict_trace(
     if not instance.is_feasible(optimum.edges):
         raise ExchangeInputError("claimed optimum is not feasible")
     scheme = trace.scheme
-    if len(trace.records) != scheme.levels + 1:
-        raise ExchangeInputError("trace does not cover all intervals")
+    intervals = tuple(r.index for r in trace.records)
+    if not indices_in_order(intervals, scheme.levels):
+        raise ExchangeInputError("record indices must increase strictly inside 1..levels+1")
 
     solution_vertex_sets = tuple(
         instance.vertices_of(r.added) for r in trace.records
@@ -371,7 +375,7 @@ def build_conflict_trace(
         for i in range(1, len(blocked)):
             hit = verts & blocked[i]
             if hit:
-                first = i
+                first = intervals[i - 1]
                 conflict = len(hit)
                 break
         if first is None:
@@ -409,6 +413,7 @@ def build_conflict_trace(
         scheme=scheme,
         extended_matroid=extended,
         optimum_vertices=optimum_frozen,
+        intervals=intervals,
         solution_vertex_sets=solution_vertex_sets,
         blocked_sets=tuple(blocked),
         reports=tuple(reports),
@@ -424,36 +429,40 @@ def verify_conflict_trace(ct: ConflictTrace) -> list[str]:
     """
     problems: list[str] = []
     blocked = ct.blocked_sets
-    levels = len(ct.solution_vertex_sets)
-    if len(blocked) != levels + 1:
-        return [f"expected {levels + 1} blocked sets, found {len(blocked)}"]
+    intervals = ct.intervals
+    layers = len(ct.solution_vertex_sets)
+    if len(intervals) != layers or len(blocked) != layers + 1:
+        return [f"{layers} layers need {layers} intervals and {layers + 1} blocked sets"]
+    if not indices_in_order(intervals, ct.scheme.levels):
+        return ["layer intervals do not increase strictly inside 1..levels+1"]
 
     prefix: frozenset[int] = frozenset()
     if not ct.extended_matroid.is_independent(ct.optimum_vertices):
         problems.append("padded optimum vertex set is not independent")
-    for i in range(1, levels + 1):
+    for i in range(1, layers + 1):
         t_prev, t_cur = blocked[i - 1], blocked[i]
+        index = intervals[i - 1]
         if not t_prev <= t_cur:
-            problems.append(f"blocked sets not nested at interval {i}")
+            problems.append(f"blocked sets not nested at interval {index}")
         if not t_cur <= ct.optimum_vertices:
-            problems.append(f"blocked set {i} leaves the optimum vertices")
+            problems.append(f"blocked set of interval {index} leaves the optimum vertices")
         grown = len(t_cur) - len(t_prev)
         if grown != len(ct.solution_vertex_sets[i - 1]):
             problems.append(
-                f"interval {i}: layer grew by {grown}, solution added "
+                f"interval {index}: layer grew by {grown}, solution added "
                 f"{len(ct.solution_vertex_sets[i - 1])} vertices"
             )
         prefix = prefix | ct.solution_vertex_sets[i - 1]
         if not ct.extended_matroid.is_independent(prefix | (ct.optimum_vertices - t_cur)):
-            problems.append(f"interval {i}: prefix plus unblocked optimum is dependent")
+            problems.append(f"interval {index}: prefix plus unblocked optimum is dependent")
 
     for r in ct.reports:
         expected_first = None
         expected_conflict = 0
-        for i in range(1, levels + 1):
+        for i in range(1, layers + 1):
             hit = r.vertices & blocked[i]
             if hit:
-                expected_first = i
+                expected_first = intervals[i - 1]
                 expected_conflict = len(hit)
                 break
         if (expected_first, expected_conflict) != (r.first_blocked, r.conflict_size):
@@ -512,22 +521,16 @@ def estimate_near_marker_probability(
         raise ValueError("need at least one sample")
 
     base = compute_markers(instance, epsilon, delta, Fraction(0))
-    positive_markers = base.markers[: base.levels + 1]  # descending, all > 0
     edge_ids = sorted(optimum.edges, key=lambda j: (instance.weights[j], j))
-    weights = [instance.weights[j] for j in edge_ids]
-
     counts = {j: 0 for j in edge_ids}
     rng = random.Random(seed)
     one_plus_gamma = 1 + gamma
     for _ in range(samples):
         tau = epsilon * Fraction(rng.getrandbits(53), 1 << 53)
         shrink_back = 1 - tau  # markers scale linearly with the shift
-        p = base.levels
-        for j, w in zip(edge_ids, weights):
-            scaled = w / shrink_back
-            while positive_markers[p] < scaled:
-                p -= 1
-            if one_plus_gamma * scaled >= positive_markers[p]:
+        for j in edge_ids:
+            scaled = instance.weights[j] / shrink_back
+            if one_plus_gamma * scaled >= base.upper_marker(scaled):
                 counts[j] += 1
     return {j: Fraction(c, samples) for j, c in counts.items()}
 

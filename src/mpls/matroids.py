@@ -28,10 +28,6 @@ class DependentContractionError(ValueError):
     """Contraction was requested on a dependent set."""
 
 
-class MatroidAxiomError(AssertionError):
-    """Raised by the exhaustive axiom checker when a structure is not a matroid."""
-
-
 class MatroidOracle:
     """Base class for independence oracles over a finite ground set.
 
@@ -341,47 +337,3 @@ class ColoopExtensionMatroid(MatroidOracle):
     def _independent(self, subset: AbstractSet[int]) -> bool:
         return self.base._independent(subset - self.extras)
 
-
-def check_matroid_axioms(oracle: MatroidOracle, max_ground: int = 8) -> None:
-    """Exhaustively verify the three matroid axioms.
-
-    Checks that the empty set is independent, that independence is closed
-    downward, and that the exchange property holds for every pair of
-    independent sets of different sizes.  Exponential in the ground size,
-    so refuse anything larger than ``max_ground`` elements.
-
-    Raises MatroidAxiomError on the first violation found.
-    """
-    elems = sorted(oracle.ground)
-    n = len(elems)
-    if n > max_ground:
-        raise ValueError(f"ground set of size {n} exceeds the exhaustive limit {max_ground}")
-
-    indep: dict[int, bool] = {}
-    for mask in range(1 << n):
-        subset = frozenset(elems[i] for i in range(n) if mask >> i & 1)
-        indep[mask] = oracle.is_independent(subset)
-
-    if not indep[0]:
-        raise MatroidAxiomError("empty set is dependent")
-
-    for mask in range(1 << n):
-        if not indep[mask]:
-            continue
-        for i in range(n):
-            if mask >> i & 1 and not indep[mask & ~(1 << i)]:
-                raise MatroidAxiomError(
-                    f"downward closure fails at {sorted(elems[j] for j in range(n) if mask >> j & 1)}"
-                )
-
-    sizes = {mask: bin(mask).count("1") for mask in range(1 << n)}
-    independent_masks = [m for m in range(1 << n) if indep[m]]
-    for a in independent_masks:
-        for b in independent_masks:
-            if sizes[a] >= sizes[b]:
-                continue
-            extra = b & ~a
-            if not any(indep[a | (1 << i)] for i in range(n) if extra >> i & 1):
-                set_a = sorted(elems[i] for i in range(n) if a >> i & 1)
-                set_b = sorted(elems[i] for i in range(n) if b >> i & 1)
-                raise MatroidAxiomError(f"exchange fails for {set_a} vs {set_b}")

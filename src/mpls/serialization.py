@@ -13,6 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import Any
 
@@ -42,6 +43,15 @@ class FormatError(ValueError):
 # hand-written file needs.
 MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE][+-]?([0-9_]+)")
+
+
+# Python refuses to print an integer of more than 4,300 digits.  Written
+# over the lcm of their denominators, weights are integers of at most this
+# many bits, and so is the lcm.  A sum of up to 2^20 weights then has a
+# numerator of at most 3,020 bits, and its terminating decimal form, if it
+# has one, adds at most log2(10) - 1 < 2.33 bits per denominator bit:
+# about 10,000 bits, some 3,000 digits, in any printed sum or ratio.
+MAX_WEIGHT_BITS = 3000
 
 
 def parse_fraction(text: str | int) -> Fraction:
@@ -183,6 +193,16 @@ class InstanceDoc:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad instance document: {exc}") from exc
+        common = 1
+        for w in doc.edge_weights:
+            common = lcm(common, w.denominator)
+            if common.bit_length() > MAX_WEIGHT_BITS:
+                raise FormatError(f"weight denominators have an lcm beyond {MAX_WEIGHT_BITS} bits")
+        if any(
+            (abs(w.numerator) * (common // w.denominator)).bit_length() > MAX_WEIGHT_BITS
+            for w in doc.edge_weights
+        ):
+            raise FormatError(f"a weight over their lcm exceeds {MAX_WEIGHT_BITS} bits")
         return doc
 
     def to_raw(self) -> RawParityInstance:

@@ -1,8 +1,9 @@
 """Sliding local search over randomized geometric weight intervals.
 
-The solver draws one random shift, builds a geometric ladder of weight
-markers from the heaviest individually feasible edge, and processes the
-induced weight intervals from heavy to light.  Inside an interval it
+The solver draws one random shift, lays a geometric ladder of weight
+markers down from the heaviest individually feasible edge, and processes
+the induced weight intervals that hold an edge, from heavy to light.
+Intervals without an edge have nothing to search.  Inside an interval it
 repeatedly applies improving swaps: add at most two non-solution edges of
 the interval, remove at most ``2 * arity`` solution edges of the same
 interval, subject to feasibility and a strict weight increase.  Edges
@@ -11,18 +12,18 @@ accepted in earlier (heavier) intervals are never removed again.
 All weight arithmetic is exact.  Edge weights are compared through
 integer numerators over a common denominator; markers and the random
 shift are exact rationals, so interval membership and improvement tests
-never see floating point.  The marker ladder is derived from five values
+never see floating point.  The marker ladder follows from five values
 (epsilon, delta, the shift, the heaviest feasible weight and the level
-count), so a trace stores those and rebuilds the ladder on load.
+count); a trace stores those, and a marker is computed from them only
+when asked for, so no ladder is ever built.
 """
 
 from __future__ import annotations
 
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, combinations
 from typing import Any, Callable, Iterable, Sequence
 
@@ -42,34 +43,42 @@ class LocalSearchError(RuntimeError):
     """An applied swap broke feasibility; indicates an internal bug."""
 
 
-@dataclass(frozen=True)
-class WeightInterval:
-    """Half-open weight range (lower, upper], optionally closed at the bottom."""
+# The solver and the trace loader refuse a ladder whose deepest marker,
+# bounded by ``marker_bits``, would exceed this many bits.  The default
+# epsilon and delta need about 10^3 bits on 48 edges, epsilon 1/1000
+# about 2.6e5, and epsilon 1/10000 about 3.7e6, which is refused.
+MAX_MARKER_BITS = 1 << 19
 
-    upper: Fraction
-    lower: Fraction
-    closed_lower: bool = False
 
-    def contains(self, w: Fraction) -> bool:
-        if w > self.upper:
-            return False
-        if w > self.lower:
-            return True
-        return self.closed_lower and w == self.lower
+class LadderBudgetError(ValueError):
+    """The deepest marker of a ladder would exceed ``MAX_MARKER_BITS``."""
+
+
+def _bits(value: Fraction) -> int:
+    return value.numerator.bit_length() + value.denominator.bit_length()
+
+
+def marker_bits(epsilon: Fraction, tau: Fraction, heaviest: Fraction, levels: int) -> int:
+    """Size bound of the deepest marker: ``levels`` factors ``1 - epsilon``,
+    the shift and the heaviest weight."""
+    return levels * _bits(1 - epsilon) + _bits(tau) + _bits(heaviest)
 
 
 @dataclass(frozen=True)
 class IntervalScheme:
-    """Marker ladder for one solver run.
+    """Marker ladder for one solver run, derived on demand.
 
-    ``markers`` is derived from the other fields and never passed in.
-    ``markers[j]`` is the j-th marker; ``markers[1]`` is
-    ``max_feasible_weight * (1 - tau)``, ``markers[0]`` sits one factor
-    ``1 - epsilon`` above it, each later marker shrinks by that factor,
-    and ``markers[levels + 1]`` is the zero sentinel.  Interval j covers
-    ``(markers[j], markers[j-1]]`` for j up to ``levels``; the final
-    interval ``levels + 1`` is closed at zero.  A weight equal to a
+    Marker j is ``max_feasible_weight * (1 - tau) * (1 - epsilon)^(j - 1)``
+    for j in 0..levels, so marker 0 sits one factor ``1 - epsilon`` above
+    marker 1, and marker ``levels + 1`` is the zero sentinel.  Interval j
+    covers ``(marker(j), marker(j - 1)]`` for j up to ``levels``; the
+    final interval ``levels + 1`` is closed at zero.  A weight equal to a
     marker belongs to the interval below that marker.
+
+    No marker is stored.  ``interval_of`` and ``upper_marker`` locate a
+    weight by bisection on exact integer powers of ``1 - epsilon``,
+    comparing by cross-multiplication, so a query costs O(log levels)
+    integer products and no ladder is ever built.
     """
 
     max_feasible_weight: Fraction
@@ -77,60 +86,121 @@ class IntervalScheme:
     delta: Fraction
     tau: Fraction
     levels: int
-    markers: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        shrink = 1 - self.epsilon
-        first = self.max_feasible_weight * (1 - self.tau)
-        markers = [first / shrink, first]
-        for _ in range(self.levels - 1):
-            markers.append(markers[-1] * shrink)
-        markers.append(Fraction(0))
-        object.__setattr__(self, "markers", tuple(markers))
-
-    def interval(self, j: int) -> WeightInterval:
-        if not 1 <= j <= self.levels + 1:
-            raise ValueError(f"interval index {j} out of range 1..{self.levels + 1}")
-        return WeightInterval(
-            upper=self.markers[j - 1],
-            lower=self.markers[j],
-            closed_lower=(j == self.levels + 1),
+    def _integers(self) -> tuple[int, int, int, int]:
+        """``(a, b, p, q)``: marker 1 is ``a/b``, unreduced, and ``1 - epsilon`` is ``p/q``."""
+        top, tau, eps = self.max_feasible_weight, self.tau, self.epsilon
+        return (
+            top.numerator * (tau.denominator - tau.numerator),
+            top.denominator * tau.denominator,
+            eps.denominator - eps.numerator,
+            eps.denominator,
         )
+
+    def marker(self, j: int) -> Fraction:
+        """Marker j for j in 0..levels+1, from one exact power."""
+        if not 0 <= j <= self.levels + 1:
+            raise ValueError(f"marker index {j} out of range 0..{self.levels + 1}")
+        if j > self.levels:
+            return Fraction(0)
+        a, b, p, q = self._integers()
+        if j == 0:
+            return Fraction(a * q, b * p)
+        return Fraction(a * p ** (j - 1), b * q ** (j - 1))
+
+    def _deepest_at_or_above(self, w: Fraction) -> int:
+        """Largest j in 1..levels with ``marker(j) >= w``, or 0 if there is none.
+
+        Marker ``1 + s`` is at least ``w = c/d`` iff
+        ``a * d * p^s >= c * b * q^s``.  The largest such s below
+        ``levels`` is built bit by bit from the top, one cross-multiplied
+        test per bit, on the squares ``p^(2^i)`` and ``q^(2^i)``.  This
+        search is kept apart from the solver's sweep (``_gallop``), so the
+        verifier places edges by its own arithmetic.
+        """
+        a, b, p, q = self._integers()
+        high = a * w.denominator
+        low = w.numerator * b
+        if high < low:
+            return 0
+        levels = self.levels
+        squares = [(p, q)]
+        while 1 << len(squares) < levels:
+            p, q = p * p, q * q
+            squares.append((p, q))
+        s = 0
+        for i in range(len(squares) - 1, -1, -1):
+            if s + (1 << i) < levels:
+                p, q = squares[i]
+                if high * p >= low * q:
+                    high, low, s = high * p, low * q, s + (1 << i)
+        return s + 1
 
     def interval_of(self, w: Fraction) -> int:
         """Index of the interval containing weight ``w``."""
-        w = Fraction(w)
-        if w < 0 or w > self.markers[0]:
+        w = w if isinstance(w, Fraction) else Fraction(w)
+        j = self._deepest_at_or_above(w)
+        if w.numerator < 0 or (j == 0 and w > self.marker(0)):
             raise ValueError(f"weight {w} outside the marker range")
-        for j in range(1, self.levels + 1):
-            if w > self.markers[j]:
-                return j
-        return self.levels + 1
+        return j + 1
 
     def upper_marker(self, w: Fraction) -> Fraction:
         """Smallest positive marker at or above ``w``."""
-        w = Fraction(w)
-        for j in range(self.levels, -1, -1):
-            if self.markers[j] >= w:
-                return self.markers[j]
-        raise ValueError(f"weight {w} above the top marker")
+        w = w if isinstance(w, Fraction) else Fraction(w)
+        j = self._deepest_at_or_above(w)
+        marker = self.marker(j)
+        if j == 0 and marker < w:
+            raise ValueError(f"weight {w} above the top marker")
+        return marker
 
 
-@lru_cache(maxsize=256)
-def _level_count(epsilon: Fraction, delta: Fraction, num_edges: int) -> int:
+def _gallop(
+    squares: list[tuple[int, int]], s: int, num: int, den: int, limit: int, keep: Callable
+) -> tuple[int, int, int]:
+    """Largest t in [s, limit] with ``keep(num_t, den_t)``, and that pair.
+
+    ``num / den`` is ``(1 - epsilon)^s`` as an unreduced integer pair and
+    ``keep`` holds there and fails from some t on.  ``squares[i]`` is
+    ``(p^(2^i), q^(2^i))`` for ``1 - epsilon = p/q``; the list grows by
+    squaring when a longer step is needed.  Steps double from s while
+    ``keep`` holds, then halve back, so reaching t takes O(log(t - s))
+    products.
+    """
+    i = 0
+    while s + (1 << i) <= limit:
+        if i == len(squares):
+            p, q = squares[-1]
+            squares.append((p * p, q * q))
+        p, q = squares[i]
+        if not keep(num * p, den * q):
+            break
+        s, num, den = s + (1 << i), num * p, den * q
+        i += 1
+    while i > 0:
+        i -= 1
+        if s + (1 << i) <= limit:
+            p, q = squares[i]
+            if keep(num * p, den * q):
+                s, num, den = s + (1 << i), num * p, den * q
+    return s, num, den
+
+
+def _level_count(epsilon: Fraction, delta: Fraction, num_edges: int, max_levels: int) -> int:
     """One more than the least s with ``(1 - epsilon)^s <= delta / num_edges``.
 
-    Found by exact rational iteration, not floating-point logs.  It does
-    not depend on the shift, so every run on the same edge count shares it.
+    Found by doubling and bisection on exact integer powers, never past
+    ``max_levels``: a ladder that needs more levels raises
+    LadderBudgetError, so no power beyond the budget is built.
     """
-    shrink = 1 - epsilon
-    target = delta / num_edges
-    power = Fraction(1)
-    steps = 0
-    while power > target:
-        power *= shrink
-        steps += 1
-    return steps + 1
+    shrink, tail = 1 - epsilon, delta / num_edges
+    squares, tn, td = [(shrink.numerator, shrink.denominator)], tail.numerator, tail.denominator
+    limit = max(max_levels - 1, 0)
+    last_above, _, _ = _gallop(squares, 0, 1, 1, limit, lambda num, den: num * td > den * tn)
+    if last_above + 2 > max_levels:
+        raise LadderBudgetError(
+            f"epsilon {epsilon} needs markers of more than {MAX_MARKER_BITS} bits"
+        )
+    return last_above + 2
 
 
 def compute_markers(
@@ -146,7 +216,8 @@ def compute_markers(
     pushes the residual geometric tail below ``delta`` relative weight.
 
     Raises DegenerateInstanceError when no edge is feasible alone or the
-    best feasible weight is zero.
+    best feasible weight is zero, and LadderBudgetError when the deepest
+    marker would exceed ``MAX_MARKER_BITS``.
     """
     epsilon, delta, tau = Fraction(epsilon), Fraction(delta), Fraction(tau)
     if not 0 < epsilon < 1:
@@ -164,12 +235,14 @@ def compute_markers(
         raise DegenerateInstanceError("no edge is feasible on its own")
     if heaviest == 0:
         raise DegenerateInstanceError("all feasible edges have zero weight")
+    heaviest_weight = Fraction(heaviest, instance.weight_denominator)
+    spare = MAX_MARKER_BITS - marker_bits(epsilon, tau, heaviest_weight, 0)
     return IntervalScheme(
-        max_feasible_weight=Fraction(heaviest, instance.weight_denominator),
+        max_feasible_weight=heaviest_weight,
         epsilon=epsilon,
         delta=delta,
         tau=tau,
-        levels=_level_count(epsilon, delta, instance.num_edges),
+        levels=_level_count(epsilon, delta, instance.num_edges, spare // _bits(1 - epsilon)),
     )
 
 
@@ -184,6 +257,8 @@ class SwapMove:
 
 @dataclass(frozen=True)
 class IntervalRecord:
+    """The search inside one occupied interval, one that holds a lone-feasible edge."""
+
     index: int
     added: tuple[int, ...]
     swaps: tuple[SwapMove, ...]
@@ -193,6 +268,9 @@ class IntervalRecord:
 @dataclass(frozen=True)
 class SolverTrace:
     """Everything needed to replay and audit one sliding run.
+
+    ``records`` holds one record per occupied interval, in increasing
+    index order; an interval without a lone-feasible edge has none.
 
     ``oracle_calls`` counts independence queries issued by the search
     itself (swap tests and post-swap feasibility asserts); instance-level
@@ -354,36 +432,6 @@ def _swap_search(
     return best[1], best[2], best[0]
 
 
-def find_improving_swap(
-    instance: ParityInstance,
-    solution_edges: Iterable[int],
-    interval: WeightInterval,
-    rule: str = FIRST_LEX,
-) -> SwapMove | None:
-    """Public single-shot swap search for a feasible solution and interval.
-
-    The interval's candidates are the edges feasible alone with a weight
-    inside ``interval``.
-    """
-    if rule not in SWAP_RULES:
-        raise ValueError(f"unknown swap rule {rule!r}")
-    sol = set(solution_edges)
-    if not instance.is_feasible(sol):
-        raise ValueError("the starting solution is not feasible")
-    ids = [
-        j
-        for j in range(instance.num_edges)
-        if instance.feasible_alone[j] and interval.contains(instance.weights[j])
-    ]
-    found = _swap_search(
-        instance, sol, instance.vertices_of(sol), ids, rule, instance.matroid.is_independent
-    )
-    if found is None:
-        return None
-    add, rem, gain_num = found
-    return SwapMove(add=add, remove=rem, gain=Fraction(gain_num, instance.weight_denominator))
-
-
 def _run_interval(
     instance: ParityInstance,
     sol_set: set[int],
@@ -460,24 +508,31 @@ def sliding_local_search(
         )
         return empty, trace
 
-    # Distribute candidate edges over intervals with one merged sweep, in
-    # integers: numerator wn lies at or below marker m iff wn <= floor(m * den).
+    # Place the lone-feasible edges, heaviest first, in one sweep down the
+    # ladder.  With a/b the first marker and p/q = 1 - epsilon, weight
+    # wn/den lies at or below marker(level) iff
+    # wn * b * q^(level-1) <= a * den * p^(level-1); the sweep keeps that
+    # pair of powers and gallops it down to each edge's interval.
     wn = instance.weight_numerators
-    den = instance.weight_denominator
     levels = scheme.levels
-    floors = [m.numerator * den // m.denominator for m in scheme.markers]
-    by_weight = sorted(
+    a, b, p, q = scheme._integers()
+    top, squares = a * instance.weight_denominator, [(p, q)]
+    level, num, den = 1, 1, 1  # num/den = (1 - epsilon)^(level - 1)
+    occupied: dict[int, list[int]] = {}
+    for j in sorted(
         (j for j in range(instance.num_edges) if instance.feasible_alone[j]),
         key=lambda j: (-wn[j], j),
-    )
-    interval_ids: list[list[int]] = [[] for _ in range(levels + 2)]
-    level = 1
-    for j in by_weight:
-        while level <= levels and wn[j] <= floors[level]:
-            level += 1
-        interval_ids[level].append(j)
-    for ids in interval_ids:
-        ids.sort()
+    ):
+        w = wn[j] * b
+        if level <= levels and w * den <= top * num:
+            if w == 0:
+                level = levels + 1
+            else:
+                last, num, den = _gallop(
+                    squares, level - 1, num, den, levels - 1, lambda n, d: w * d <= top * n
+                )
+                level, num, den = last + 2, num * p, den * q
+        occupied.setdefault(level, []).append(j)
 
     counter = [0]
     matroid = instance.matroid
@@ -489,15 +544,14 @@ def sliding_local_search(
     sol_set: set[int] = set()
     sol_verts: frozenset[int] = frozenset()
     records: list[IntervalRecord] = []
-    for j in range(1, levels + 2):
+    for index, ids in occupied.items():  # in increasing index order
+        ids.sort()
         calls_before = counter[0]
-        swaps, sol_verts = _run_interval(
-            instance, sol_set, sol_verts, interval_ids[j], rule, indep
-        )
+        swaps, sol_verts = _run_interval(instance, sol_set, sol_verts, ids, rule, indep)
         records.append(
             IntervalRecord(
-                index=j,
-                added=tuple(sorted(sol_set.intersection(interval_ids[j]))),
+                index=index,
+                added=tuple(sorted(sol_set.intersection(ids))),
                 swaps=tuple(swaps),
                 oracle_calls=counter[0] - calls_before,
             )
@@ -618,6 +672,12 @@ def _swap_from_obj(obj: dict[str, Any]) -> SwapMove:
     )
 
 
+# Traces name their record layout: one record per occupied interval.
+# Files written before it held one record per interval and carry no
+# layout, so the loader refuses them instead of misreading their records.
+RECORD_LAYOUT = "occupied"
+
+
 def trace_to_json_obj(trace: SolverTrace) -> dict[str, Any]:
     """JSON object of a trace; a scheme is stored by the values that define its ladder."""
     scheme = trace.scheme
@@ -634,6 +694,7 @@ def trace_to_json_obj(trace: SolverTrace) -> dict[str, Any]:
             "max_feasible_weight": format_fraction(scheme.max_feasible_weight),
             "levels": scheme.levels,
         },
+        "record_layout": RECORD_LAYOUT,
         "records": [
             {
                 "index": r.index,
@@ -649,6 +710,11 @@ def trace_to_json_obj(trace: SolverTrace) -> dict[str, Any]:
     }
 
 
+def indices_in_order(indices: Sequence[int], levels: int) -> bool:
+    """Whether record indices increase strictly inside 1..levels+1."""
+    return all(a < b for a, b in zip((0, *indices), (*indices, levels + 2)))
+
+
 def _edge_ids(values: Any) -> tuple[int, ...]:
     ids = tuple(values)
     if not all(type(j) is int for j in ids):
@@ -656,29 +722,23 @@ def _edge_ids(values: Any) -> tuple[int, ...]:
     return ids
 
 
-# Marker j has about j times the bits of ``1 - epsilon`` plus those of
-# tau and the heaviest weight, so ``levels`` times the deepest marker's
-# size bounds the whole ladder's.  Solver traces at the default epsilon
-# and delta on 48 edges need about 2.5e4 bits; the budget is 2 MB.
-MAX_LADDER_BITS = 1 << 24
-
-
-def _bits(value: Fraction) -> int:
-    return value.numerator.bit_length() + value.denominator.bit_length()
-
-
 def trace_from_json_obj(obj: dict[str, Any]) -> SolverTrace:
     """Rebuild a trace from its JSON object; a malformed one raises FormatError.
 
-    The scheme's ladder is rebuilt from epsilon, delta, tau, the heaviest
-    feasible weight and ``levels``; the ``markers`` and per-record
-    ``upper``/``lower`` keys of older files are ignored.  ``levels`` must
-    match the record count, and epsilon, delta and tau the solver's
-    ranges, before any ladder is built, so the ladder never has more
-    steps than the file has records; and the ladder's size, bounded from
-    those values, must stay within ``MAX_LADDER_BITS``.
+    The scheme keeps epsilon, delta, tau, the heaviest feasible weight
+    and ``levels``, and no marker is computed here; the ``markers`` and
+    per-record ``upper``/``lower`` keys of older files are ignored.  The
+    document must name the occupied-interval record layout, its record
+    indices must increase strictly inside 1..levels+1, epsilon, delta and
+    tau must lie in the solver's ranges, and the deepest marker, bounded
+    by ``marker_bits``, must stay within ``MAX_MARKER_BITS``.
     """
     try:
+        if "record_layout" not in obj or obj["record_layout"] != RECORD_LAYOUT:
+            raise FormatError(
+                "not in the occupied-interval record layout; traces written before it"
+                " hold one record per interval and must be produced again"
+            )
         epsilon = parse_fraction(obj["epsilon"])
         delta = parse_fraction(obj["delta"])
         tau = None if obj["tau"] is None else parse_fraction(obj["tau"])
@@ -695,18 +755,18 @@ def trace_from_json_obj(obj: dict[str, Any]) -> SolverTrace:
         scheme = None
         if scheme_obj is not None:
             levels = scheme_obj["levels"]
-            if type(levels) is not int or levels < 1 or len(records) != levels + 1:
-                raise FormatError(f"{len(records)} records for {levels!r} levels")
-            if any(r.index != i for i, r in enumerate(records, 1)):
-                raise FormatError("records are not indexed 1..levels+1 in order")
+            if type(levels) is not int or levels < 1:
+                raise FormatError(f"levels must be a positive integer, got {levels!r}")
+            indices = [r.index for r in records]
+            if not all(type(i) is int for i in indices) or not indices_in_order(indices, levels):
+                raise FormatError("record indices must increase strictly inside 1..levels+1")
             if not (0 < epsilon < Fraction(1, 2) and 0 < delta < 1):
                 raise FormatError("epsilon must lie in (0, 1/2) and delta in (0, 1)")
             if tau is None or not 0 <= tau < epsilon:
                 raise FormatError("tau must lie in [0, epsilon)")
             heaviest = parse_fraction(scheme_obj["max_feasible_weight"])
-            deepest = levels * _bits(1 - epsilon) + _bits(tau) + _bits(heaviest)
-            if levels * deepest > MAX_LADDER_BITS:
-                raise FormatError(f"a ladder of {levels} levels would exceed {MAX_LADDER_BITS} bits")
+            if marker_bits(epsilon, tau, heaviest, levels) > MAX_MARKER_BITS:
+                raise FormatError(f"{levels} levels would exceed {MAX_MARKER_BITS} bits per marker")
             scheme = IntervalScheme(
                 max_feasible_weight=heaviest,
                 epsilon=epsilon,

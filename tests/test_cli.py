@@ -259,3 +259,33 @@ def test_huge_exponent_in_a_file_exits_one_within_a_second(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("mpls: error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_tiny_epsilon_exits_one_within_a_second(capsys):
+    start = time.perf_counter()
+    assert main(["solve", *GEN_ARGS, "--epsilon", "1e-9"]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mpls: error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["exact"], ["solve"], ["solve", "--no-scale"]], ids=["exact", "solve", "no-scale"]
+)
+def test_weights_too_long_to_print_exit_one_with_one_error_line(tmp_path, capsys, argv):
+    # Each weight prints in about 2,500 digits, but their sums would need
+    # about 15,000, past the 4,300 digits Python prints.
+    path = tmp_path / "inst.json"
+    assert main(["gen", *GEN_ARGS, "--seed", "4", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    for i, edge in enumerate(doc["edges"]):
+        edge["w"] = f"1/{10**2500 + 2 * i + 1}"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mpls: error: ")
+    assert captured.err.count("\n") == 1

@@ -242,7 +242,7 @@ def test_tail_bound_fails_for_truncated_ladder():
         tau=Fraction(0),
         levels=1,
     )
-    assert doctored.markers == (Fraction(2), Fraction(1), Fraction(0))
+    assert [doctored.marker(j) for j in range(3)] == [Fraction(2), Fraction(1), Fraction(0)]
     assert not verify_tail_bound(inst, doctored, optimum)
 
 
@@ -257,6 +257,38 @@ def with_added(trace, i, added):
     records = list(trace.records)
     records[i] = dataclasses.replace(records[i], added=added)
     return dataclasses.replace(trace, records=tuple(records))
+
+
+def test_genuine_trace_has_only_occupied_records():
+    inst, trace = genuine_trace()
+    assert [r.index for r in trace.records] == [1, 3, 4, 5, 6]
+    assert trace.scheme.levels == 24
+
+
+def without_record(trace, i):
+    return dataclasses.replace(trace, records=trace.records[:i] + trace.records[i + 1 :])
+
+
+def with_extra_record(trace, index):
+    records = sorted((*trace.records, IntervalRecord(index, (), (), 0)), key=lambda r: r.index)
+    return dataclasses.replace(trace, records=tuple(records))
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        lambda t: without_record(t, 3),  # occupied intervals where nothing was added
+        lambda t: without_record(t, 4),
+        lambda t: with_extra_record(t, 2),  # unoccupied intervals
+        lambda t: with_extra_record(t, 7),
+        lambda t: with_extra_record(t, t.scheme.levels + 1),
+    ],
+    ids=["missing-5", "missing-6", "extra-2", "extra-7", "extra-tail"],
+)
+def test_trace_without_an_occupied_record_or_with_an_extra_one_is_refuted(forge):
+    inst, trace = genuine_trace()
+    assert verify_local_optimum(inst, trace)
+    assert not verify_local_optimum(inst, forge(trace))
 
 
 @pytest.mark.parametrize(
@@ -281,7 +313,8 @@ def true_local_optimum(inst, trace):
     """Brute-force reference for what a verified trace claims.
 
     The trace's ladder is the one ``compute_markers`` builds for its
-    epsilon, delta and tau, its records add the final edges interval by
+    epsilon, delta and tau, it has one record per interval that holds a
+    lone-feasible edge, its records add the final edges interval by
     interval, and at each interval's close no swap of at most two
     interval edges in for at most ``2 * arity`` interval edges of the
     prefix out is feasible and strictly heavier.
@@ -306,12 +339,13 @@ def true_local_optimum(inst, trace):
         return False
     if trace.scheme != scheme:
         return False
-    if [r.index for r in trace.records] != list(range(1, scheme.levels + 2)):
+    lone = [j for j in range(m) if inst.feasible_alone[j]]
+    occupied = sorted({scheme.interval_of(weights[j]) for j in lone})
+    if [r.index for r in trace.records] != occupied:
         return False
     if any(scheme.interval_of(weights[j]) != r.index for r in trace.records for j in r.added):
         return False
-    lone = [j for j in range(m) if inst.feasible_alone[j]]
-    for i in range(1, scheme.levels + 2):
+    for i in occupied:
         prefix = {j for j in final if scheme.interval_of(weights[j]) <= i}
         members = [j for j in lone if scheme.interval_of(weights[j]) == i]
         outside = [j for j in members if j not in prefix]
@@ -336,9 +370,8 @@ def rescheme(trace, **changes):
 def relevel(trace, levels):
     if trace.scheme is None:
         return trace
-    records = list(trace.records[: levels + 1])
-    records += [IntervalRecord(i, (), (), 0) for i in range(len(records) + 1, levels + 2)]
-    return dataclasses.replace(rescheme(trace, levels=levels), records=tuple(records))
+    records = tuple(r for r in trace.records if r.index <= levels + 1)
+    return dataclasses.replace(rescheme(trace, levels=levels), records=records)
 
 
 def toggle(inst, trace, j):
@@ -356,9 +389,10 @@ def toggle(inst, trace, j):
         ]
     else:
         try:
-            i = min(trace.scheme.interval_of(inst.weights[j]), len(trace.records)) - 1
+            own = trace.scheme.interval_of(inst.weights[j])
         except ValueError:
-            i = 0
+            own = None
+        i = next((i for i, r in enumerate(trace.records) if r.index == own), 0)
         records = list(trace.records)
         records[i] = dataclasses.replace(records[i], added=tuple(sorted(records[i].added + (j,))))
     final = sorted({j for r in records for j in r.added if 0 <= j < inst.num_edges})
@@ -372,6 +406,7 @@ def toggle(inst, trace, j):
 
 def mutation(inst, trace):
     last = max(len(trace.records) - 1, 0)
+    levels = trace.scheme.levels if trace.scheme is not None else len(trace.records)
     ids = st.lists(st.integers(-1, 6), max_size=4).map(tuple)
     record = st.integers(0, last)
     grid = st.integers(-1000, 2000).map(lambda i: EPS * Fraction(i, 1000))  # [-eps, 2 eps]
@@ -382,7 +417,7 @@ def mutation(inst, trace):
         grid.map(lambda tau: rescheme(trace, tau=tau)),
         grid.map(lambda tau: dataclasses.replace(trace, tau=tau)),
         grid.map(lambda w: rescheme(trace, max_feasible_weight=w * 300)),
-        st.integers(1, len(trace.records) + 3).map(lambda levels: relevel(trace, levels)),
+        st.integers(1, levels + 3).map(lambda levels: relevel(trace, levels)),
         st.permutations(trace.records).map(
             lambda rs: dataclasses.replace(trace, records=tuple(rs))
         ),
@@ -398,7 +433,7 @@ def mutation(inst, trace):
             st.sampled_from(grown).map(lambda i: with_added(trace, i, trace.records[i].added * 2))
         )
         kinds.append(
-            st.tuples(record, st.integers(0, last + 2)).map(
+            st.tuples(record, st.integers(0, levels + 2)).map(
                 lambda a: dataclasses.replace(
                     trace,
                     records=trace.records[: a[0]]

@@ -8,7 +8,9 @@ from mpls.exact import brute_force_optimum
 from mpls.generators import build_doc
 from mpls.instance import RawParityInstance, from_matroid_intersection, make_disjoint
 from mpls.serialization import (
+    MAX_WEIGHT_BITS,
     FormatError,
+    InstanceDoc,
     ResultRecord,
     dumps_canonical,
     format_fraction,
@@ -145,6 +147,27 @@ def test_bad_files_raise_format_errors(tmp_path):
     path.write_text('{"k": 2}')
     with pytest.raises(FormatError):
         load_instance_doc(path)
+
+
+@pytest.mark.parametrize(
+    "weights, refused",
+    [
+        ([1 << (MAX_WEIGHT_BITS - 1), 1], False),
+        ([1 << MAX_WEIGHT_BITS, 1], True),  # a numerator
+        ([Fraction(1, 1 << (MAX_WEIGHT_BITS - 1)), 1], False),
+        ([Fraction(1, 1 << (MAX_WEIGHT_BITS - 1)), Fraction(1, 3)], True),  # the lcm
+        ([Fraction(1, 1 << (MAX_WEIGHT_BITS - 2)), 4], True),  # 4 over that lcm
+    ],
+)
+def test_weight_size_budget(weights, refused):
+    obj = build_doc("set-packing", n=3, m=2, k=1, seed=0).to_json_obj()
+    for edge, w in zip(obj["edges"], weights):
+        edge["w"] = format_fraction(Fraction(w))
+    if refused:
+        with pytest.raises(FormatError):
+            InstanceDoc.from_json_obj(obj)
+    else:
+        InstanceDoc.from_json_obj(obj)
 
 
 def test_result_record_hides_timing_by_default():

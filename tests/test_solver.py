@@ -2,11 +2,12 @@ import json
 import random
 import time
 import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mpls import solver
 from mpls.exact import brute_force_optimum, verify_local_optimum
@@ -17,12 +18,13 @@ from mpls.serialization import FormatError, dumps_canonical, format_fraction
 from mpls.solver import (
     BEST_GAIN,
     FIRST_LEX,
+    MAX_MARKER_BITS,
     DegenerateInstanceError,
+    IntervalScheme,
+    LadderBudgetError,
     SwapMove,
-    WeightInterval,
     best_of_runs,
     compute_markers,
-    find_improving_swap,
     greedy,
     scale_weights,
     sliding_local_search,
@@ -32,6 +34,48 @@ from mpls.solver import (
 
 EPS = Fraction("0.3873")
 DELTA = Fraction("0.0001")
+
+
+@dataclass(frozen=True)
+class WeightInterval:
+    """Half-open weight range (lower, upper], optionally closed at the bottom."""
+
+    upper: Fraction
+    lower: Fraction
+    closed_lower: bool = False
+
+    def contains(self, w: Fraction) -> bool:
+        if w > self.upper:
+            return False
+        if w > self.lower:
+            return True
+        return self.closed_lower and w == self.lower
+
+
+def interval(scheme, j):
+    """Interval j of a scheme as explicit bounds."""
+    if not 1 <= j <= scheme.levels + 1:
+        raise ValueError(f"interval index {j} out of range 1..{scheme.levels + 1}")
+    return WeightInterval(scheme.marker(j - 1), scheme.marker(j), j == scheme.levels + 1)
+
+
+def find_improving_swap(instance, solution_edges, weight_range, rule=FIRST_LEX):
+    """One swap search, by the solver's ``_swap_search``, over the
+    lone-feasible edges whose weight lies inside ``weight_range``."""
+    sol = set(solution_edges)
+    assert instance.is_feasible(sol)
+    ids = [
+        j
+        for j in range(instance.num_edges)
+        if instance.feasible_alone[j] and weight_range.contains(instance.weights[j])
+    ]
+    found = solver._swap_search(
+        instance, sol, instance.vertices_of(sol), ids, rule, instance.matroid.is_independent
+    )
+    if found is None:
+        return None
+    add, rem, gain_num = found
+    return SwapMove(add=add, remove=rem, gain=Fraction(gain_num, instance.weight_denominator))
 
 
 def free_singles(weights):
@@ -49,7 +93,7 @@ def test_marker_ladder_halving():
     inst = free_singles([1, 1, 1, 1])
     scheme = compute_markers(inst, Fraction(1, 2), Fraction(1, 2), Fraction(0))
     assert scheme.levels == 4
-    assert scheme.markers == (
+    assert tuple(scheme.marker(j) for j in range(scheme.levels + 2)) == (
         Fraction(2),
         Fraction(1),
         Fraction(1, 2),
@@ -70,8 +114,8 @@ def test_shift_rescales_every_marker():
     base = compute_markers(inst, Fraction(1, 2), Fraction(1, 2), Fraction(0))
     shifted = compute_markers(inst, Fraction(1, 2), Fraction(1, 2), Fraction(1, 4))
     assert shifted.levels == base.levels
-    for a, b in zip(shifted.markers[:-1], base.markers[:-1]):
-        assert a == b * Fraction(3, 4)
+    for j in range(base.levels + 1):
+        assert shifted.marker(j) == base.marker(j) * Fraction(3, 4)
 
 
 def halving_scheme():
@@ -105,7 +149,7 @@ def test_intervals_partition_the_weight_range(w):
     scheme = halving_scheme()
     j = scheme.interval_of(w)
     hits = [
-        i for i in range(1, scheme.levels + 2) if scheme.interval(i).contains(w)
+        i for i in range(1, scheme.levels + 2) if interval(scheme, i).contains(w)
     ]
     assert hits == [j]
 
@@ -113,9 +157,112 @@ def test_intervals_partition_the_weight_range(w):
 def test_interval_domain_errors():
     scheme = halving_scheme()
     with pytest.raises(ValueError):
-        scheme.interval(0)
+        scheme.marker(-1)
     with pytest.raises(ValueError):
-        scheme.interval(scheme.levels + 2)
+        scheme.marker(scheme.levels + 2)
+    with pytest.raises(ValueError):
+        interval(scheme, 0)
+    with pytest.raises(ValueError):
+        interval(scheme, scheme.levels + 2)
+
+
+def reference_ladder(scheme):
+    """The whole ladder as explicit fractions, marker 0 to the zero sentinel."""
+    shrink = 1 - scheme.epsilon
+    first = scheme.max_feasible_weight * (1 - scheme.tau)
+    ladder = [first / shrink, first]
+    for _ in range(scheme.levels - 1):
+        ladder.append(ladder[-1] * shrink)
+    return ladder + [Fraction(0)]
+
+
+def reference_interval_of(ladder, w):
+    if w < 0 or w > ladder[0]:
+        return None
+    levels = len(ladder) - 2
+    for j in range(1, levels + 1):
+        if w > ladder[j]:
+            return j
+    return levels + 1
+
+
+def reference_upper_marker(ladder, w):
+    for m in reversed(ladder[:-1]):
+        if m >= w:
+            return m
+    return None
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(1, 99).map(lambda i: Fraction(i, 100)),
+    st.integers(0, 99),
+    st.fractions(min_value=Fraction(1, 1000), max_value=1000),
+    st.integers(1, 60),
+    st.data(),
+)
+def test_interval_of_and_upper_marker_match_a_linear_scan(epsilon, tau_percent, top, levels, data):
+    scheme = IntervalScheme(top, epsilon, DELTA, epsilon * Fraction(tau_percent, 100), levels)
+    ladder = reference_ladder(scheme)
+    assert [scheme.marker(j) for j in range(levels + 2)] == ladder
+    on_marker = st.integers(0, levels + 1).map(lambda j: ladder[j])
+    near_marker = st.tuples(on_marker, st.integers(-2, 2)).map(
+        lambda a: a[0] + Fraction(a[1], 10**9)
+    )
+    for w in [
+        Fraction(0),
+        ladder[0],
+        data.draw(on_marker),
+        data.draw(near_marker),
+        data.draw(st.fractions(min_value=0, max_value=ladder[0] * 2)),
+    ]:
+        expected = reference_interval_of(ladder, w)
+        if expected is None:
+            with pytest.raises(ValueError):
+                scheme.interval_of(w)
+        else:
+            assert scheme.interval_of(w) == expected
+        expected = reference_upper_marker(ladder, w)
+        if expected is None:
+            with pytest.raises(ValueError):
+                scheme.upper_marker(w)
+        else:
+            assert scheme.upper_marker(w) == expected
+
+
+@settings(max_examples=150)
+@given(
+    st.fractions(min_value=Fraction(1, 50), max_value=Fraction(99, 100)),
+    st.fractions(min_value=Fraction(1, 10**4), max_value=Fraction(99, 100)),
+    st.integers(1, 200),
+)
+def test_level_count_matches_the_stepwise_definition(epsilon, delta, num_edges):
+    shrink, power, steps = 1 - epsilon, Fraction(1), 0
+    while power > delta / num_edges:
+        power *= shrink
+        steps += 1
+    assert solver._level_count(epsilon, delta, num_edges, 10**6) == steps + 1
+    assert solver._level_count(epsilon, delta, num_edges, steps + 1) == steps + 1
+    with pytest.raises(LadderBudgetError):
+        solver._level_count(epsilon, delta, num_edges, steps)
+
+
+def test_edges_on_a_marker_fall_into_the_interval_below():
+    first = 1 - solver._draw_shift(EPS, 0)  # marker 1 when the heaviest weight is 1
+    inst = free_singles([1, first, first * (1 - EPS), first * (1 - EPS) ** 2])
+    _, trace = sliding_local_search(inst, EPS, DELTA, seed=0)
+    assert [(r.index, r.added) for r in trace.records] == [(1, (0,)), (2, (1,)), (3, (2,)), (4, (3,))]
+    assert verify_local_optimum(inst, trace)
+
+
+def test_tiny_epsilon_is_refused_within_a_second():
+    inst = generate("set-packing", n=7, m=6, k=3, seed=0)
+    start = time.perf_counter()
+    with pytest.raises(LadderBudgetError):
+        compute_markers(inst, Fraction(1, 10**9), DELTA, Fraction(0))
+    with pytest.raises(LadderBudgetError):
+        sliding_local_search(inst, Fraction(1, 10**9), DELTA, seed=0)
+    assert time.perf_counter() - start < 1
 
 
 def test_epsilon_domains():
@@ -138,10 +285,10 @@ def test_single_swap_replaces_lighter_edge():
         UniformMatroid(2, 1),
         1,
     )
-    interval = WeightInterval(upper=Fraction(5), lower=Fraction(1, 2))
-    move = find_improving_swap(inst, {0}, interval)
+    weight_range = WeightInterval(upper=Fraction(5), lower=Fraction(1, 2))
+    move = find_improving_swap(inst, {0}, weight_range)
     assert move == SwapMove(add=(1,), remove=(0,), gain=Fraction(1))
-    assert find_improving_swap(inst, {1}, interval) is None
+    assert find_improving_swap(inst, {1}, weight_range) is None
     improved, _ = sliding_local_search(inst, EPS, DELTA, seed=0)
     assert sorted(improved.edges) == [1]
     assert improved.weight == Fraction(2)
@@ -158,7 +305,7 @@ def test_exact_optimum_admits_no_swap_in_any_interval():
         for j in range(1, scheme.levels + 2):
             for rule in (FIRST_LEX, BEST_GAIN):
                 assert (
-                    find_improving_swap(inst, optimum.edges, scheme.interval(j), rule)
+                    find_improving_swap(inst, optimum.edges, interval(scheme, j), rule)
                     is None
                 )
 
@@ -247,19 +394,70 @@ def test_loaded_trace_has_the_scheme_compute_markers_builds():
     back = trace_from_json_obj(json.loads(dumps_canonical(trace_to_json_obj(trace))))
     expected = compute_markers(inst, EPS, DELTA, trace.tau)
     assert back.scheme == expected
-    assert back.scheme.markers == expected.markers
 
 
 def test_trace_files_with_stored_markers_still_load():
-    # Older files also store the ladder and each record's bounds.
+    # Keys that older files carried, the ladder and each record's bounds,
+    # are ignored.
     inst, trace = sample_run()
     obj = trace_to_json_obj(trace)
-    markers = trace.scheme.markers
-    obj["scheme"]["markers"] = [format_fraction(m) for m in markers]
+    scheme = trace.scheme
+    obj["scheme"]["markers"] = [format_fraction(scheme.marker(j)) for j in range(scheme.levels + 2)]
     for r in obj["records"]:
-        r["upper"] = format_fraction(markers[r["index"] - 1])
-        r["lower"] = format_fraction(markers[r["index"]])
+        r["upper"] = format_fraction(scheme.marker(r["index"] - 1))
+        r["lower"] = format_fraction(scheme.marker(r["index"]))
     assert trace_from_json_obj(obj) == trace
+
+
+def test_records_cover_exactly_the_occupied_intervals():
+    inst, trace = sample_run()
+    scheme = trace.scheme
+    occupied = sorted(
+        {scheme.interval_of(inst.weights[j]) for j in range(inst.num_edges) if inst.feasible_alone[j]}
+    )
+    assert [r.index for r in trace.records] == occupied
+    assert len(occupied) < scheme.levels + 1
+
+
+def test_dense_trace_files_are_refused():
+    # Files written before the occupied-interval layout hold one record per
+    # interval and name no layout.
+    _, trace = sample_run()
+    obj = trace_to_json_obj(trace)
+    del obj["record_layout"]
+    by_index = {r["index"]: r for r in obj["records"]}
+    empty = {"added": [], "swaps": [], "oracle_calls": 0}
+    obj["records"] = [
+        by_index.get(i, dict(empty, index=i)) for i in range(1, trace.scheme.levels + 2)
+    ]
+    with pytest.raises(FormatError):
+        trace_from_json_obj(obj)
+    obj["record_layout"] = "dense"
+    with pytest.raises(FormatError):
+        trace_from_json_obj(obj)
+
+
+def test_fine_epsilon_trace_on_48_edges_round_trips_and_verifies():
+    # 1,303 levels, of which about 40 hold an edge.
+    inst = generate("graphic-parity", n=16, m=48, k=3, seed=0)
+    _, trace = sliding_local_search(inst, Fraction(1, 100), DELTA, seed=1)
+    assert trace.scheme.levels == 1303
+    assert len(trace.records) < 60
+    back = trace_from_json_obj(json.loads(dumps_canonical(trace_to_json_obj(trace))))
+    assert back == trace
+    assert verify_local_optimum(inst, back)
+
+
+def test_small_epsilon_solve_stays_small():
+    inst = scale_weights(generate("set-packing", n=7, m=6, k=3, seed=0), Fraction(1, 10))
+    tracemalloc.start()
+    try:
+        _, trace = sliding_local_search(inst, Fraction(1, 1000), DELTA, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.scheme.levels > 10_000
+    assert peak < 5_000_000
 
 
 def test_huge_level_count_is_refused_before_building_a_ladder():
@@ -274,9 +472,10 @@ def test_huge_level_count_is_refused_before_building_a_ladder():
 
 def test_fine_epsilon_ladder_is_refused_before_building_it():
     # 201 empty records at an epsilon whose 1 - epsilon has about 6,600
-    # bits: marker j would have about j times as many, about 2e8 bits in all.
+    # bits: the deepest of 200 markers would have about 1.3e6 bits.
     levels = 200
     obj = {
+        "record_layout": "occupied",
         "instance_signature": "0" * 16,
         "epsilon": format_fraction(Fraction(1, 3) + Fraction(1, 10**1000)),
         "delta": "0.0001",
@@ -302,7 +501,7 @@ def test_fine_epsilon_ladder_is_refused_before_building_it():
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda obj: obj["records"].pop(),
+        lambda obj: obj["records"][-1].update(index=obj["scheme"]["levels"] + 2),
         lambda obj: obj.update(scheme=dict(obj["scheme"], levels=0), records=obj["records"][:1]),
         lambda obj: obj["scheme"].update(levels="26"),
         lambda obj: obj["records"][1].update(index=1),
@@ -311,9 +510,12 @@ def test_fine_epsilon_ladder_is_refused_before_building_it():
         lambda obj: obj.update(tau=None),
         lambda obj: obj.update(epsilon="1/2"),
         lambda obj: obj.update(delta="1"),
+        lambda obj: obj["records"][0].update(index=0),
+        lambda obj: obj["records"][0].update(index="1"),
+        lambda obj: obj["scheme"].update(levels=MAX_MARKER_BITS),
     ],
     ids=[
-        "records-short",
+        "index-past-tail",
         "levels-zero",
         "levels-text",
         "indices-out-of-order",
@@ -322,6 +524,9 @@ def test_fine_epsilon_ladder_is_refused_before_building_it():
         "tau-missing",
         "epsilon-too-wide",
         "delta-one",
+        "index-zero",
+        "index-text",
+        "deepest-marker-over-budget",
     ],
 )
 def test_inconsistent_scheme_is_a_format_error(edit):
@@ -477,18 +682,18 @@ def test_pruned_swap_search_returns_the_unpruned_move(monkeypatch, rule):
             scheme = compute_markers(inst, EPS, DELTA, EPS * rng.random() / 2)
         except DegenerateInstanceError:
             continue
-        intervals = [
+        weight_ranges = [
             # every edge, so weights differ widely; a random interval; the last one
-            WeightInterval(upper=scheme.markers[0], lower=Fraction(0), closed_lower=True),
-            scheme.interval(rng.randint(1, scheme.levels)),
-            scheme.interval(scheme.levels + 1),
+            WeightInterval(upper=scheme.marker(0), lower=Fraction(0), closed_lower=True),
+            interval(scheme, rng.randint(1, scheme.levels)),
+            interval(scheme, scheme.levels + 1),
         ]
         for start in (random_feasible(inst, rng), random_feasible(inst, rng)):
-            for interval in intervals:
-                pruned = find_improving_swap(inst, start, interval, rule)
+            for weight_range in weight_ranges:
+                pruned = find_improving_swap(inst, start, weight_range, rule)
                 with monkeypatch.context() as m:
                     m.setattr(solver, "_swap_search", reference_swap_search)
-                    assert find_improving_swap(inst, start, interval, rule) == pruned
+                    assert find_improving_swap(inst, start, weight_range, rule) == pruned
                 checked += pruned is not None
     assert checked > 50
 
