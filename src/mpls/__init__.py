@@ -13,17 +13,16 @@ from .exact import (
     brute_force_intersection,
     brute_force_optimum,
     verify_local_optimum,
-    verify_tail_bound,
 )
 from .exchange import (
     ConflictTrace,
     ExchangeCertificate,
     K4Witness,
     build_conflict_trace,
-    estimate_near_marker_probability,
     find_rota_exchange,
     k4_non_composability_witness,
     near_marker_bound,
+    near_marker_probability,
     refine_laminar,
     verify_conflict_trace,
     verify_k4_witness,
@@ -57,10 +56,8 @@ from .serialization import (
     ResultRecord,
     format_fraction,
     instance_signature,
-    load_instance,
     load_instance_doc,
     parse_fraction,
-    save_instance,
 )
 from .solver import (
     BEST_GAIN,

@@ -8,7 +8,6 @@ functions, so a reported success rate always means the same thing.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from typing import Any, Sequence
@@ -17,10 +16,10 @@ from . import generators
 from .exact import brute_force_optimum, verify_local_optimum
 from .exchange import (
     build_conflict_trace,
-    estimate_near_marker_probability,
     find_rota_exchange,
     k4_non_composability_witness,
     near_marker_bound,
+    near_marker_probability,
     refine_laminar,
     verify_conflict_trace,
     verify_k4_witness,
@@ -257,43 +256,31 @@ def near_marker_report(
     instance: ParityInstance,
     epsilon: Fraction,
     gamma: Fraction,
-    samples: int,
-    seed: int,
 ) -> dict[str, Any]:
-    """Sampled near-marker frequencies for the exact optimum's edges.
+    """Exact near-marker probabilities for the exact optimum's edges.
 
-    ``within_bound`` compares the raw frequency against the analytic
-    bound on the true probability; ``within_tolerance`` additionally
-    allows three standard deviations of sampling noise, which is the
-    check a pass/fail gate should use.
+    Each probability is compared with the analytic bound as it stands:
+    both are exact, so no tolerance is needed.
     """
     optimum = brute_force_optimum(instance).optimum
-    freqs = estimate_near_marker_probability(
-        instance, optimum, epsilon, gamma, samples, seed
-    )
+    probabilities = near_marker_probability(instance, optimum, epsilon, gamma)
     bound = near_marker_bound(epsilon, gamma)
-    slack = Fraction(3 * math.sqrt(float(bound) * float(1 - bound) / samples))
     edges = [
         {
             "edge": j,
             "weight": format_fraction(instance.weights[j]),
-            "frequency": format_fraction(freq),
-            "within_bound": freq <= bound,
-            "within_tolerance": freq <= bound + slack,
+            "probability": format_fraction(p),
+            "within_bound": p <= bound,
         }
-        for j, freq in sorted(freqs.items())
+        for j, p in sorted(probabilities.items())
     ]
     return {
         "campaign": "near-marker",
-        "samples": samples,
-        "seed": seed,
         "epsilon": format_fraction(Fraction(epsilon)),
         "gamma": format_fraction(Fraction(gamma)),
         "bound": format_fraction(bound),
-        "slack_3_sigma": format_fraction(slack),
         "edges": edges,
         "all_within_bound": all(e["within_bound"] for e in edges),
-        "all_within_tolerance": all(e["within_tolerance"] for e in edges),
     }
 
 

@@ -43,6 +43,7 @@ from .serialization import (
 from .solver import (
     FIRST_LEX,
     SWAP_RULES,
+    DegenerateInstanceError,
     LadderBudgetError,
     best_of_runs,
     greedy,
@@ -391,10 +392,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"--gamma {args.gamma} is not in [0, {top}] for --epsilon {args.epsilon}"
             )
         _, inst = _load_source(args)
-        report = campaigns.near_marker_report(
-            inst, args.epsilon, args.gamma, args.tau_samples, args.seed
-        )
-        bad = not report["all_within_tolerance"]
+        report = campaigns.near_marker_report(inst, args.epsilon, args.gamma)
+        bad = not report["all_within_bound"]
     else:
         report = campaigns.k4_report()
         bad = not report["verified"]
@@ -468,10 +467,9 @@ def build_parser() -> _Parser:
     p_trace.set_defaults(func=cmd_verify)
     p_bad = vsub.add_parser("badprob")
     _add_source_args(p_bad)
-    p_bad.add_argument("--seed", type=int, default=0)
+    p_bad.add_argument("--seed", type=int, default=0, help="generator seed")
     p_bad.add_argument("--epsilon", type=_unit, default=DEFAULT_EPSILON)
     p_bad.add_argument("--gamma", type=_fraction, default=DEFAULT_GAMMA)
-    p_bad.add_argument("--tau-samples", type=_at_least_one, default=2000)
     p_bad.add_argument("--out", default=None)
     p_bad.set_defaults(func=cmd_verify)
     p_k4 = vsub.add_parser("k4")
@@ -487,7 +485,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (
-        FormatError, InstanceError, LadderBudgetError, UsageError, generators.GeneratorError, OSError
+        FormatError,
+        InstanceError,
+        LadderBudgetError,
+        DegenerateInstanceError,
+        SizeLimitExceeded,
+        UsageError,
+        generators.GeneratorError,
+        OSError,
     ) as exc:
         print(f"mpls: error: {exc}", file=sys.stderr)
         return USAGE_EXIT

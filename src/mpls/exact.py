@@ -3,13 +3,11 @@
 Two independent brute-force routes (flat subset enumeration and weight
 branch-and-bound) compute the same canonical optimum: maximum weight,
 ties broken toward the lexicographically smallest sorted edge-id tuple.
-Size limits guard the exponential work; the environment variable
-``MPLS_EXACT_LIMIT`` can raise or lower the default cap.
+Size limits guard the exponential work.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -25,7 +23,6 @@ SUBSET_ENUM = "subset-enum"
 BRANCH_AND_BOUND = "branch-and-bound"
 
 DEFAULT_LIMITS = {SUBSET_ENUM: 14, BRANCH_AND_BOUND: 20}
-EXACT_LIMIT_ENV = "MPLS_EXACT_LIMIT"
 
 
 class SizeLimitExceeded(ValueError):
@@ -47,19 +44,6 @@ class ExactResult:
     optimum: Solution
     explored: int
     method: str
-
-
-def resolve_limit(method: str, limit: int | None = None) -> int:
-    """Explicit limit wins; otherwise the environment override; else default."""
-    if limit is not None:
-        return limit
-    env = os.environ.get(EXACT_LIMIT_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"{EXACT_LIMIT_ENV} must be an integer, got {env!r}") from exc
-    return DEFAULT_LIMITS[method]
 
 
 def _enumerate_optimum(instance) -> tuple[Solution, int]:
@@ -153,7 +137,7 @@ def brute_force_optimum(
     """
     if method not in DEFAULT_LIMITS:
         raise ValueError(f"unknown exact method {method!r}")
-    cap = resolve_limit(method, limit)
+    cap = DEFAULT_LIMITS[method] if limit is None else limit
     m = len(instance.edges)
     if m > cap:
         raise SizeLimitExceeded(m, cap, method)
@@ -292,22 +276,3 @@ def verify_local_optimum(instance: ParityInstance, trace: SolverTrace) -> bool:
                         if instance.matroid.is_independent(target):
                             return False
     return True
-
-
-def verify_tail_bound(
-    instance: ParityInstance,
-    scheme,
-    optimum: Solution,
-) -> bool:
-    """Check the discarded-tail inequality for an exact optimum.
-
-    Optimum edges lighter than the last positive marker must carry at
-    most a ``delta`` fraction of the optimum weight.  Exact arithmetic,
-    no tolerance.
-    """
-    last_marker = scheme.marker(scheme.levels)
-    tail = sum(
-        (instance.weights[j] for j in optimum.edges if instance.weights[j] < last_marker),
-        Fraction(0),
-    )
-    return tail <= scheme.delta * optimum.weight

@@ -13,15 +13,15 @@ checkable on concrete runs:
   optimum and produce a nested chain of blocked optimum vertices, one
   layer per occupied weight interval, that explains which optimum edges
   the solution displaced and where.
-* ``estimate_near_marker_probability``: sampled frequency of an optimum
-  edge landing within a relative ``gamma`` of the marker above it.
+* ``near_marker_probability``: exact probability, over the random
+  shift, of an optimum edge landing within a relative ``gamma`` of the
+  marker above it.
 * ``k4_non_composability_witness``: a small graphic instance showing two
   individually feasible swaps whose union is infeasible.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -437,7 +437,10 @@ def verify_conflict_trace(ct: ConflictTrace) -> list[str]:
         return ["layer intervals do not increase strictly inside 1..levels+1"]
 
     prefix: frozenset[int] = frozenset()
-    if not ct.extended_matroid.is_independent(ct.optimum_vertices):
+    # A layer that adds nothing repeats the query before it; ask it once.
+    asked = ct.optimum_vertices
+    independent = ct.extended_matroid.is_independent(asked)
+    if not independent:
         problems.append("padded optimum vertex set is not independent")
     for i in range(1, layers + 1):
         t_prev, t_cur = blocked[i - 1], blocked[i]
@@ -453,7 +456,10 @@ def verify_conflict_trace(ct: ConflictTrace) -> list[str]:
                 f"{len(ct.solution_vertex_sets[i - 1])} vertices"
             )
         prefix = prefix | ct.solution_vertex_sets[i - 1]
-        if not ct.extended_matroid.is_independent(prefix | (ct.optimum_vertices - t_cur)):
+        query = prefix | (ct.optimum_vertices - t_cur)
+        if query != asked:
+            asked, independent = query, ct.extended_matroid.is_independent(query)
+        if not independent:
             problems.append(f"interval {index}: prefix plus unblocked optimum is dependent")
 
     for r in ct.reports:
@@ -495,44 +501,53 @@ def verify_conflict_trace(ct: ConflictTrace) -> list[str]:
     return problems
 
 
-def estimate_near_marker_probability(
+def near_marker_probability(
     instance: ParityInstance,
     optimum: Solution,
     epsilon: Fraction,
     gamma: Fraction,
-    samples: int,
-    seed: int,
     delta: Fraction = Fraction(1, 10000),
 ) -> dict[int, Fraction]:
-    """Per-edge frequency of landing within ``gamma`` of the marker above.
+    """Per-edge probability of landing within ``gamma`` of the marker above.
 
-    For each sampled shift, an optimum edge is counted when its weight w
-    satisfies ``(1 + gamma) * w >= m`` for the smallest marker m at or
-    above w.  The bound ``gamma / (epsilon * (1 + gamma))`` caps the true
-    probability whenever ``gamma <= 1 / (1 - epsilon) - 1``; that range
-    is enforced here.
+    The shift tau is uniform on [0, epsilon).  An optimum edge of weight w
+    is near when the smallest marker at or above w is at most
+    ``(1 + gamma) * w``, that is when some marker lies in
+    ``[w, (1 + gamma) * w]``.  Marker i at tau is
+    ``base.marker(i) * (1 - tau)`` for the ladder ``base`` at tau 0, so it
+    lies there exactly for tau in
+    ``[1 - (1 + gamma) * w / base.marker(i), 1 - w / base.marker(i)]``.
+    Every edge of a feasible optimum is feasible alone, so w is at most
+    marker 1 and the deepest base marker d at or above w is at least 1.
+    Only markers d - 1 and d reach the range for tau below epsilon, and
+    for admissible gamma their two stretches share at most an end point,
+    so the probability is their length clipped to [0, epsilon), over
+    epsilon.  A zero weight gives empty stretches.
+
+    The probability is at most ``gamma / (epsilon * (1 + gamma))``
+    whenever ``gamma <= 1 / (1 - epsilon) - 1``; that range is enforced.
     """
     epsilon, gamma = Fraction(epsilon), Fraction(gamma)
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     if not 0 <= gamma <= 1 / (1 - epsilon) - 1:
         raise ValueError("gamma must lie in [0, 1/(1 - epsilon) - 1]")
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    if not instance.is_feasible(optimum.edges):
+        raise ExchangeInputError("claimed optimum is not feasible")
 
     base = compute_markers(instance, epsilon, delta, Fraction(0))
-    edge_ids = sorted(optimum.edges, key=lambda j: (instance.weights[j], j))
-    counts = {j: 0 for j in edge_ids}
-    rng = random.Random(seed)
-    one_plus_gamma = 1 + gamma
-    for _ in range(samples):
-        tau = epsilon * Fraction(rng.getrandbits(53), 1 << 53)
-        shrink_back = 1 - tau  # markers scale linearly with the shift
-        for j in edge_ids:
-            scaled = instance.weights[j] / shrink_back
-            if one_plus_gamma * scaled >= base.upper_marker(scaled):
-                counts[j] += 1
-    return {j: Fraction(c, samples) for j, c in counts.items()}
+    probabilities: dict[int, Fraction] = {}
+    for j in sorted(optimum.edges):
+        w = instance.weights[j]
+        d = base.interval_of(w) - 1
+        length = Fraction(0)
+        for i in (d - 1, d):
+            marker = base.marker(i)
+            low = max(1 - (1 + gamma) * w / marker, Fraction(0))
+            high = min(1 - w / marker, epsilon)
+            length += max(high - low, Fraction(0))
+        probabilities[j] = length / epsilon
+    return probabilities
 
 
 def near_marker_bound(epsilon: Fraction, gamma: Fraction) -> Fraction:

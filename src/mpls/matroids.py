@@ -64,10 +64,6 @@ class MatroidOracle:
         """Number of independence queries answered so far."""
         return self._calls
 
-    def reset_calls(self) -> None:
-        with self._lock:
-            self._calls = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(|ground|={len(self.ground)})"
 

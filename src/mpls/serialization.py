@@ -17,7 +17,7 @@ from math import lcm
 from pathlib import Path
 from typing import Any
 
-from .instance import InstanceError, ParityInstance, RawParityInstance, make_disjoint
+from .instance import ParityInstance, RawParityInstance, make_disjoint
 from .matroids import (
     ColoopExtensionMatroid,
     ContractedMatroid,
@@ -223,24 +223,12 @@ def dumps_canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def save_instance(doc: InstanceDoc, path: str | Path) -> None:
-    Path(path).write_text(dumps_canonical(doc.to_json_obj()), encoding="utf-8")
-
-
 def load_instance_doc(path: str | Path) -> InstanceDoc:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON in {path}: {exc}") from exc
     return InstanceDoc.from_json_obj(obj)
-
-
-def load_instance(path: str | Path) -> ParityInstance:
-    """Load and normalize; the instance a solver should consume."""
-    try:
-        return load_instance_doc(path).normalize()
-    except InstanceError as exc:
-        raise FormatError(f"invalid instance in {path}: {exc}") from exc
 
 
 _FILE_FAMILIES = (UniformMatroid, PartitionMatroid, GraphicMatroid, LinearMatroid, FreeMatroid)

@@ -157,13 +157,61 @@ def test_verify_k4(capsys):
 
 
 def test_verify_badprob(capsys):
-    code, out = run(
-        capsys,
-        ["verify", "badprob", *GEN_ARGS, "--tau-samples", "300", "--seed", "2"],
-    )
+    code, out = run(capsys, ["verify", "badprob", *GEN_ARGS, "--seed", "2"])
     assert code == 0
     rep = json.loads(out)
-    assert rep["all_within_tolerance"] is True
+    assert rep["all_within_bound"] is True
+    assert rep["edges"]
+
+
+def test_verify_badprob_is_exact_and_deterministic(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    argv = ["verify", "badprob", "--gen", "greedy-trap", "--k", "3", "--out"]
+    assert main(argv + [str(a)]) == 0
+    assert main(argv + [str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    rep = json.loads(a.read_text())
+    assert [parse_fraction(e["probability"]) for e in rep["edges"]] == [
+        Fraction(5257, 12910)
+    ] * 3
+    assert parse_fraction(rep["bound"]) == Fraction(7510000, 15818623)
+    assert rep["all_within_bound"] is True
+
+
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mpls: error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_badprob_on_an_oversized_instance_exits_one_with_one_error_line(capsys):
+    argv = ["verify", "badprob", "--gen", "set-packing", "--n", "30", "--m", "30", "--k", "3"]
+    assert main(argv) == 1
+    assert_one_error_line(capsys)
+
+
+def test_badprob_on_zero_weights_exits_one_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({
+        "edges": [{"verts": [0], "w": "0"}, {"verts": [1], "w": "0"}],
+        "k": 1,
+        "matroid": {"family": "free", "n": 2},
+        "name": "zero",
+        "vertices": 2,
+    }))
+    assert main(["verify", "badprob", str(path)]) == 1
+    assert_one_error_line(capsys)
+
+
+def test_oversized_instances_are_still_skipped_by_solve_and_bench(capsys):
+    big = ["--gen", "set-packing", "--n", "30", "--m", "30", "--k", "3"]
+    code, out = run(capsys, ["solve", *big, "--exact"])
+    assert code == 0
+    assert json.loads(out)["status"] == "skipped"
+    code, out = run(capsys, ["bench", *big, "--count", "1"])
+    assert code == 0
+    assert list(csv.DictReader(out.splitlines()))[0]["status"] == "skipped"
 
 
 def test_verify_rota_small(capsys):
@@ -204,7 +252,7 @@ def test_input_errors_exit_one(tmp_path, capsys):
         ["bench", *GEN_ARGS, "--count", "0"],
         ["gen", *GEN_ARGS, "--count", "-2"],
         ["verify", "trace", "--epsilon", "1/2"],
-        ["verify", "badprob", *GEN_ARGS, "--tau-samples", "0"],
+        ["verify", "badprob", *GEN_ARGS, "--tau-samples", "5"],
     ],
 )
 def test_out_of_range_flags_exit_one_with_one_error_line(capsys, argv):

@@ -8,16 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from mpls.exact import (
     BRANCH_AND_BOUND,
-    DEFAULT_LIMITS,
-    EXACT_LIMIT_ENV,
     SUBSET_ENUM,
     SizeLimitExceeded,
     TraceMismatch,
     brute_force_intersection,
     brute_force_optimum,
-    resolve_limit,
     verify_local_optimum,
-    verify_tail_bound,
 )
 from mpls.generators import generate, random_partition_matroids
 from mpls.instance import (
@@ -122,33 +118,16 @@ def wide_instance(m):
     )
 
 
-def test_size_limits(monkeypatch):
-    monkeypatch.delenv(EXACT_LIMIT_ENV, raising=False)
+def test_size_limits():
     inst = wide_instance(15)
     with pytest.raises(SizeLimitExceeded):
         brute_force_optimum(inst, method=SUBSET_ENUM)
     result = brute_force_optimum(inst, limit=15, method=SUBSET_ENUM)
     assert result.optimum.weight == Fraction(sum(range(1, 16)))
 
-    monkeypatch.setenv(EXACT_LIMIT_ENV, "16")
-    assert brute_force_optimum(inst, method=SUBSET_ENUM).optimum.weight == Fraction(120)
-
-    monkeypatch.setenv(EXACT_LIMIT_ENV, "10")
     with pytest.raises(SizeLimitExceeded):
-        brute_force_optimum(inst, method=BRANCH_AND_BOUND)
+        brute_force_optimum(inst, limit=10, method=BRANCH_AND_BOUND)
     assert brute_force_optimum(inst, limit=15).optimum.weight == Fraction(120)
-
-
-def test_resolve_limit_precedence(monkeypatch):
-    monkeypatch.delenv(EXACT_LIMIT_ENV, raising=False)
-    assert resolve_limit(SUBSET_ENUM) == DEFAULT_LIMITS[SUBSET_ENUM]
-    assert resolve_limit(SUBSET_ENUM, 5) == 5
-    monkeypatch.setenv(EXACT_LIMIT_ENV, "9")
-    assert resolve_limit(BRANCH_AND_BOUND) == 9
-    assert resolve_limit(BRANCH_AND_BOUND, 3) == 3
-    monkeypatch.setenv(EXACT_LIMIT_ENV, "many")
-    with pytest.raises(ValueError):
-        resolve_limit(SUBSET_ENUM)
 
 
 def test_intersection_enumeration_matches_parity_reduction():
@@ -220,12 +199,23 @@ def test_trace_for_a_different_matroid_is_refused():
         verify_local_optimum(one_block(2), trace)
 
 
+def tail_bound_holds(instance, scheme, optimum):
+    """Optimum edges lighter than the last positive marker carry at most a
+    ``delta`` share of the optimum weight; exact, no tolerance."""
+    last_marker = scheme.marker(scheme.levels)
+    tail = sum(
+        (instance.weights[j] for j in optimum.edges if instance.weights[j] < last_marker),
+        Fraction(0),
+    )
+    return tail <= scheme.delta * optimum.weight
+
+
 def test_tail_bound_holds_for_real_ladders():
     for inst in small_instances()[:12]:
         optimum = brute_force_optimum(inst).optimum
         for tau in (Fraction(0), Fraction(1, 8), Fraction(3, 10)):
             scheme = compute_markers(inst, EPS, DELTA, tau)
-            assert verify_tail_bound(inst, scheme, optimum)
+            assert tail_bound_holds(inst, scheme, optimum)
 
 
 def test_tail_bound_fails_for_truncated_ladder():
@@ -243,7 +233,7 @@ def test_tail_bound_fails_for_truncated_ladder():
         levels=1,
     )
     assert [doctored.marker(j) for j in range(3)] == [Fraction(2), Fraction(1), Fraction(0)]
-    assert not verify_tail_bound(inst, doctored, optimum)
+    assert not tail_bound_holds(inst, doctored, optimum)
 
 
 def genuine_trace():

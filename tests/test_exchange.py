@@ -2,8 +2,10 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpls.campaigns import (
+    _campaign_instance,
     k4_report,
     laminar_campaign,
     near_marker_report,
@@ -16,10 +18,10 @@ from mpls.exchange import (
     CLASS_DOUBLE,
     ExchangeBudgetError,
     ExchangeInputError,
-    estimate_near_marker_probability,
     find_rota_exchange,
     k4_non_composability_witness,
     near_marker_bound,
+    near_marker_probability,
     refine_laminar,
     verify_conflict_trace,
     verify_k4_witness,
@@ -28,7 +30,8 @@ from mpls.exchange import (
 from mpls.generators import generate
 from mpls.instance import ParityInstance, Solution
 from mpls.matroids import FreeMatroid, PartitionMatroid, UniformMatroid
-from mpls.solver import sliding_local_search
+from mpls.serialization import parse_fraction
+from mpls.solver import compute_markers, sliding_local_search
 
 EPS = Fraction("0.3873")
 DELTA = Fraction("0.0001")
@@ -144,6 +147,17 @@ def test_conflict_trace_verifier_catches_tampering():
     assert verify_conflict_trace(tampered) != []
 
 
+def test_conflict_trace_verifier_asks_an_empty_layer_nothing():
+    # Interval 2 adds no solution vertex and blocks nothing new, so its
+    # query is interval 1's; the verifier asks the optimum and interval 1.
+    _, _, ct = trap_conflict(0)
+    assert ct.solution_vertex_sets[1] == frozenset()
+    assert ct.blocked_sets[2] == ct.blocked_sets[1]
+    before = ct.extended_matroid.calls
+    assert verify_conflict_trace(ct) == []
+    assert ct.extended_matroid.calls - before == 2
+
+
 def test_trace_campaign_verifies_every_run():
     report = trace_campaign(runs=10, seed=5, epsilon=EPS, delta=DELTA, gamma=GAMMA)
     assert report["successes"] == 10
@@ -159,20 +173,85 @@ def test_near_marker_bound_value():
 
 def test_near_marker_frequencies_stay_under_bound():
     inst = generate("set-packing", n=8, m=7, k=3, seed=11)
-    report = near_marker_report(inst, EPS, GAMMA, samples=2000, seed=1)
+    report = near_marker_report(inst, EPS, GAMMA)
     assert report["all_within_bound"]
-    assert report["all_within_tolerance"]
     assert report["edges"]
+    bound = parse_fraction(report["bound"])
+    assert all(parse_fraction(e["probability"]) <= bound for e in report["edges"])
+
+
+def test_greedy_trap_probabilities_are_exact():
+    # Light edges of weight 7/10 under a heavy edge of weight 1: with
+    # 1 - epsilon = 6127/10000 the base markers are 10000/6127, 1,
+    # 6127/10000, ...
+    # Marker 1 lies in [7/10, (1 + gamma) 7/10] for tau up to 3/10, and
+    # marker 0 never does below epsilon, so the probability is
+    # (3/10 - (1 - (1 + gamma) 7/10)) / epsilon = 5257/12910.
+    inst = generate("greedy-trap", k=3)
+    optimum = brute_force_optimum(inst).optimum
+    probabilities = near_marker_probability(inst, optimum, EPS, GAMMA)
+    assert probabilities == {j: Fraction(5257, 12910) for j in (1, 2, 3)}
+    assert near_marker_bound(EPS, GAMMA) == Fraction(7510000, 15818623)
+
+
+def sampled_near_frequency(inst, weight, epsilon, gamma, shifts):
+    """The near-marker predicate at ``shifts`` midpoint shifts, as a fraction.
+
+    At shift tau the markers are the tau-0 ladder times ``1 - tau``, so the
+    edge is near when ``(1 + gamma) w / (1 - tau)`` reaches the tau-0
+    marker at or above ``w / (1 - tau)``.
+    """
+    base = compute_markers(inst, epsilon, DELTA, Fraction(0))
+    hits = 0
+    for k in range(shifts):
+        scaled = weight / (1 - epsilon * Fraction(2 * k + 1, 2 * shifts))
+        hits += (1 + gamma) * scaled >= base.upper_marker(scaled)
+    return Fraction(hits, shifts)
+
+
+CRITERION_9_CASES = [
+    ("set-packing", dict(n=8, m=7, k=3, seed=11)),
+    ("graphic-parity", dict(n=5, m=6, k=3, seed=3)),
+    ("k-mi-partition", dict(n=5, k=3, seed=2)),
+]
+
+
+@pytest.mark.parametrize("family, params", CRITERION_9_CASES)
+def test_exact_probability_matches_a_midpoint_scan(family, params):
+    shifts = 1000
+    inst = generate(family, **params)
+    optimum = brute_force_optimum(inst).optimum
+    for gamma in (GAMMA, 1 / (1 - EPS) - 1):
+        probabilities = near_marker_probability(inst, optimum, EPS, gamma)
+        assert set(probabilities) == set(optimum.edges)
+        for j, p in probabilities.items():
+            scanned = sampled_near_frequency(inst, inst.weights[j], EPS, gamma, shifts)
+            assert abs(p - scanned) <= Fraction(2, shifts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.fractions(0, 1, max_denominator=1000),
+    st.fractions(Fraction(1, 20), Fraction(49, 100), max_denominator=1000),
+)
+def test_exact_probability_never_exceeds_the_bound(index, share, epsilon):
+    inst = _campaign_instance(index, seed=3)
+    optimum = brute_force_optimum(inst).optimum
+    if optimum.weight == 0:
+        return
+    gamma = share * (1 / (1 - epsilon) - 1)
+    bound = near_marker_bound(epsilon, gamma)
+    probabilities = near_marker_probability(inst, optimum, epsilon, gamma)
+    assert all(0 <= p <= bound for p in probabilities.values())
 
 
 def test_gamma_zero_never_counts():
     inst = generate("set-packing", n=8, m=7, k=3, seed=11)
     optimum = brute_force_optimum(inst).optimum
-    freqs = estimate_near_marker_probability(
-        inst, optimum, EPS, Fraction(0), samples=500, seed=3
-    )
-    assert set(freqs) == set(optimum.edges)
-    assert all(f == 0 for f in freqs.values())
+    probabilities = near_marker_probability(inst, optimum, EPS, Fraction(0))
+    assert set(probabilities) == set(optimum.edges)
+    assert all(p == 0 for p in probabilities.values())
 
 
 def test_zero_weight_edge_is_never_near_a_marker():
@@ -184,10 +263,12 @@ def test_zero_weight_edge_is_never_near_a_marker():
         1,
     )
     claimed = Solution(frozenset([0, 1]), Fraction(1))
-    freqs = estimate_near_marker_probability(
-        inst, claimed, EPS, GAMMA, samples=200, seed=0
-    )
-    assert freqs[1] == 0
+    probabilities = near_marker_probability(inst, claimed, EPS, GAMMA)
+    assert probabilities[1] == 0
+    # Marker 1 sits below the top edge for every tau > 0; marker 0,
+    # (1 - tau) / (1 - epsilon), reaches (1 + gamma) w once
+    # tau >= 1 - (1 + gamma)(1 - epsilon).
+    assert probabilities[0] == GAMMA * (1 - EPS) / EPS
 
 
 def test_estimator_rejects_out_of_range_parameters():
@@ -195,11 +276,11 @@ def test_estimator_rejects_out_of_range_parameters():
     optimum = brute_force_optimum(inst).optimum
     too_big = 1 / (1 - EPS) - 1 + Fraction(1, 100)
     with pytest.raises(ValueError):
-        estimate_near_marker_probability(inst, optimum, EPS, too_big, 10, 0)
+        near_marker_probability(inst, optimum, EPS, too_big)
     with pytest.raises(ValueError):
-        estimate_near_marker_probability(inst, optimum, Fraction(1), GAMMA, 10, 0)
-    with pytest.raises(ValueError):
-        estimate_near_marker_probability(inst, optimum, EPS, GAMMA, 0, 0)
+        near_marker_probability(inst, optimum, Fraction(1), GAMMA)
+    with pytest.raises(ExchangeInputError):
+        near_marker_probability(inst, Solution(frozenset(range(inst.num_edges)), 0), EPS, GAMMA)
 
 
 def test_k4_witness_is_frozen_and_verifies():

@@ -57,9 +57,9 @@ def test_rejects_oversized_edge():
 
 def test_feasibility_is_one_oracle_call():
     inst = singles(3, [1, 2, 3], UniformMatroid(3, 2))
-    inst.matroid.reset_calls()
+    before = inst.matroid.calls
     assert inst.is_feasible({0, 1})
-    assert inst.matroid.calls == 1
+    assert inst.matroid.calls - before == 1
     assert not inst.is_feasible({0, 1, 2})
 
 

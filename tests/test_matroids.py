@@ -263,10 +263,10 @@ def test_combinators_answer_through_an_overridden_public_entry(build):
 def test_a_combinator_query_counts_only_at_the_outer_oracle():
     base = UniformMatroid(3, 2)
     copies = VertexCopyMatroid(base, {0: 0, 1: 0, 2: 1, 3: 2})
-    base.reset_calls()
+    before = base.calls
     assert copies.is_independent({0, 2})
     assert copies.calls == 1
-    assert base.calls == 0
+    assert base.calls == before
 
 
 def test_ground_set_error():
@@ -276,7 +276,6 @@ def test_ground_set_error():
 
 def test_call_counter_thread_safety():
     oracle = FreeMatroid(3)
-    oracle.reset_calls()
 
     def worker():
         for _ in range(200):
