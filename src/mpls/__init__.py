@@ -5,8 +5,7 @@ weighted matroid k-parity and weighted k-matroid intersection.
 """
 
 from .exact import (
-    BRANCH_AND_BOUND,
-    SUBSET_ENUM,
+    EXACT_LIMIT,
     ExactResult,
     SizeLimitExceeded,
     TraceMismatch,

@@ -25,12 +25,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from . import campaigns, generators
-from .exact import (
-    BRANCH_AND_BOUND,
-    SUBSET_ENUM,
-    SizeLimitExceeded,
-    brute_force_optimum,
-)
+from .exact import SizeLimitExceeded, brute_force_optimum
 from .instance import InstanceError, ParityInstance
 from .serialization import (
     FormatError,
@@ -170,7 +165,9 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=_epsilon, default=DEFAULT_EPSILON)
     p.add_argument("--delta", type=_unit, default=DEFAULT_DELTA)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--runs", type=_at_least_one, default=1, help="independent shift draws")
+    p.add_argument(
+        "--runs", type=_at_least_one, default=1, help="keep the best of N independent shift draws"
+    )
     p.add_argument("--swap-rule", choices=sorted(SWAP_RULES), default=FIRST_LEX)
     scale = p.add_mutually_exclusive_group()
     scale.add_argument(
@@ -242,7 +239,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     violation = False
     if args.exact:
         try:
-            result = brute_force_optimum(inst, limit=args.exact_limit)
+            result = brute_force_optimum(inst)
             optimum = result.optimum.weight
             ratio = campaigns.approx_ratio(achieved, optimum)
             floor = _ratio_floor(inst.arity, args.scale, args.scale_epsilon)
@@ -274,7 +271,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_exact(args: argparse.Namespace) -> int:
     name, inst = _load_source(args)
     try:
-        result = brute_force_optimum(inst, limit=args.exact_limit, method=args.method)
+        result = brute_force_optimum(inst)
     except SizeLimitExceeded as exc:
         obj: dict[str, Any] = {"instance": name, "status": "skipped", "reason": str(exc)}
         _emit(dumps_canonical(obj), args.out)
@@ -285,7 +282,6 @@ def cmd_exact(args: argparse.Namespace) -> int:
         "weight": format_fraction(result.optimum.weight),
         "edges": sorted(result.optimum.edges),
         "explored": result.explored,
-        "method": result.method,
     }
     _emit(dumps_canonical(obj), args.out)
     return 0
@@ -299,7 +295,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         inst = doc.normalize()
         work = scale_weights(inst, args.scale_epsilon) if args.scale else inst
         try:
-            optimum = brute_force_optimum(inst, limit=args.exact_limit).optimum.weight
+            optimum = brute_force_optimum(inst).optimum.weight
             status = "ok"
         except SizeLimitExceeded:
             optimum = None
@@ -417,13 +413,10 @@ def build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="run one algorithm on one instance")
     _add_source_args(p_solve)
     _add_solver_args(p_solve)
-    p_solve.add_argument(
-        "--algo", choices=("sliding", "best-of-runs", "greedy"), default="sliding"
-    )
+    p_solve.add_argument("--algo", choices=("sliding", "greedy"), default="sliding")
     p_solve.add_argument(
         "--exact", action="store_true", help="also compute the optimum and ratio"
     )
-    p_solve.add_argument("--exact-limit", type=int, default=None)
     p_solve.add_argument("--timings", action="store_true", help="include wall time in output")
     p_solve.add_argument("--trace-out", default=None, help="write the solver trace as JSON")
     p_solve.add_argument("--out", default=None)
@@ -432,10 +425,6 @@ def build_parser() -> _Parser:
     p_exact = sub.add_parser("exact", help="canonical brute-force optimum")
     _add_source_args(p_exact)
     p_exact.add_argument("--seed", type=int, default=0)
-    p_exact.add_argument(
-        "--method", choices=(SUBSET_ENUM, BRANCH_AND_BOUND), default=BRANCH_AND_BOUND
-    )
-    p_exact.add_argument("--exact-limit", type=int, default=None)
     p_exact.add_argument("--out", default=None)
     p_exact.set_defaults(func=cmd_exact)
 
@@ -444,7 +433,6 @@ def build_parser() -> _Parser:
     _add_solver_args(p_bench)
     p_bench.add_argument("--algo", choices=("sliding", "greedy"), default="sliding")
     p_bench.add_argument("--count", type=_at_least_one, default=5)
-    p_bench.add_argument("--exact-limit", type=int, default=None)
     p_bench.add_argument("--out", default=None)
     p_bench.set_defaults(func=cmd_bench)
 

@@ -1,9 +1,9 @@
 """Exact reference computations for small instances.
 
-Two independent brute-force routes (flat subset enumeration and weight
-branch-and-bound) compute the same canonical optimum: maximum weight,
-ties broken toward the lexicographically smallest sorted edge-id tuple.
-Size limits guard the exponential work.
+One exhaustive search, branch-and-bound in integer weights on the normal
+form, computes the canonical optimum: maximum weight, ties broken toward
+the lexicographically smallest sorted edge-id tuple.  ``EXACT_LIMIT``
+caps the exponential work.
 """
 
 from __future__ import annotations
@@ -11,28 +11,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import Sequence
 
-from .instance import ParityInstance, RawParityInstance, Solution
+from .instance import ParityInstance, Solution
 from .matroids import MatroidOracle
 from .serialization import instance_signature
 from .solver import MAX_MARKER_BITS, SolverTrace, marker_bits
 
-SUBSET_ENUM = "subset-enum"
-BRANCH_AND_BOUND = "branch-and-bound"
-
-DEFAULT_LIMITS = {SUBSET_ENUM: 14, BRANCH_AND_BOUND: 20}
+# Most edges (or intersection elements) an exhaustive search accepts.
+EXACT_LIMIT = 20
 
 
 class SizeLimitExceeded(ValueError):
-    """Instance too large for exhaustive search; carries the size report."""
-
-    def __init__(self, edges: int, limit: int, method: str):
-        super().__init__(f"{edges} edges exceeds the {method} limit of {limit}")
-        self.edges = edges
-        self.limit = limit
-        self.method = method
+    """Instance too large for exhaustive search."""
 
 
 class TraceMismatch(ValueError):
@@ -43,41 +34,13 @@ class TraceMismatch(ValueError):
 class ExactResult:
     optimum: Solution
     explored: int
-    method: str
 
 
-def _enumerate_optimum(instance) -> tuple[Solution, int]:
-    """Flat scan over all edge subsets; deliberately simple."""
-    edges, weights, matroid = instance.edges, instance.weights, instance.matroid
-    m = len(edges)
-    best_key: tuple[int, ...] | None = None
-    best_weight = Fraction(0)
-    explored = 0
-    for size in range(m + 1):
-        for combo in combinations(range(m), size):
-            explored += 1
-            used: set[int] = set()
-            ok = True
-            for j in combo:
-                e = edges[j]
-                if used & e:
-                    ok = False
-                    break
-                used |= e
-            if not ok or not matroid.is_independent(used):
-                continue
-            w = sum((weights[j] for j in combo), Fraction(0))
-            if w > best_weight or (w == best_weight and (best_key is None or combo < best_key)):
-                best_weight = w
-                best_key = combo
-    return Solution(frozenset(best_key or ()), best_weight), explored
+def brute_force_optimum(instance: ParityInstance) -> ExactResult:
+    """Canonical exact optimum, by depth-first include/exclude, heaviest edge first.
 
-
-def _branch_and_bound_optimum(instance) -> tuple[Solution, int]:
-    """Depth-first include/exclude, heaviest edge first, in integer weights.
-
-    Each weight is an integer numerator over the lcm of the weights'
-    denominators, so every sum and bound is an integer operation.  Edges
+    Weights are the instance's integer numerators over their common
+    denominator, so every sum and bound is an integer operation.  Edges
     are decided by decreasing weight, ties by id, and a subtree is cut
     when even all of its remaining weight could not reach the best found
     so far.  The cut is strict (``weight + suffix < best``), and every
@@ -85,12 +48,14 @@ def _branch_and_bound_optimum(instance) -> tuple[Solution, int]:
     set is still reached as a node; comparing the sorted id tuple of each
     node at least as heavy as the best therefore yields the same
     canonical optimum as any other visiting order.  Only ``explored``
-    depends on the order.
+    depends on the order.  Edges of the normal form are disjoint, so a
+    set is feasible exactly when its vertex union is independent.
     """
-    edges, weights, matroid = instance.edges, instance.weights, instance.matroid
+    edges, matroid = instance.edges, instance.matroid
     m = len(edges)
-    den = lcm(*(w.denominator for w in weights))
-    numerators = [w.numerator * (den // w.denominator) for w in weights]
+    if m > EXACT_LIMIT:
+        raise SizeLimitExceeded(f"{m} edges exceeds the exact limit of {EXACT_LIMIT}")
+    numerators = instance.weight_numerators
     order = sorted(range(m), key=lambda j: (-numerators[j], j))
     suffix = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
@@ -111,47 +76,21 @@ def _branch_and_bound_optimum(instance) -> tuple[Solution, int]:
         if i == m or weight + suffix[i] < best_weight:
             return
         j = order[i]
-        e = edges[j]
-        if not (used & e):
-            grown = used | e
-            if matroid.is_independent(grown):
-                chosen.append(j)
-                visit(i + 1, chosen, grown, weight + numerators[j])
-                chosen.pop()
+        grown = used | edges[j]
+        if matroid.is_independent(grown):
+            chosen.append(j)
+            visit(i + 1, chosen, grown, weight + numerators[j])
+            chosen.pop()
         visit(i + 1, chosen, used, weight)
 
     visit(0, [], frozenset(), 0)
-    return Solution(frozenset(best_key), Fraction(best_weight, den)), explored
-
-
-def brute_force_optimum(
-    instance: ParityInstance | RawParityInstance,
-    limit: int | None = None,
-    method: str = BRANCH_AND_BOUND,
-) -> ExactResult:
-    """Canonical exact optimum of a (possibly raw) parity instance.
-
-    Feasibility means pairwise vertex-disjoint edges with an independent
-    vertex union; for normalized instances the disjointness test is
-    vacuous but kept, so raw instances are handled by the same code.
-    """
-    if method not in DEFAULT_LIMITS:
-        raise ValueError(f"unknown exact method {method!r}")
-    cap = DEFAULT_LIMITS[method] if limit is None else limit
-    m = len(instance.edges)
-    if m > cap:
-        raise SizeLimitExceeded(m, cap, method)
-    if method == SUBSET_ENUM:
-        optimum, explored = _enumerate_optimum(instance)
-    else:
-        optimum, explored = _branch_and_bound_optimum(instance)
-    return ExactResult(optimum=optimum, explored=explored, method=method)
+    weight = Fraction(best_weight, instance.weight_denominator)
+    return ExactResult(optimum=Solution(frozenset(best_key), weight), explored=explored)
 
 
 def brute_force_intersection(
     matroids: Sequence[MatroidOracle],
     weights: Sequence[Fraction],
-    limit: int = 20,
 ) -> Solution:
     """Max-weight common independent set of several matroids, by enumeration.
 
@@ -159,8 +98,8 @@ def brute_force_intersection(
     the parity brute force applies.
     """
     n = len(weights)
-    if n > limit:
-        raise SizeLimitExceeded(n, limit, "intersection-enum")
+    if n > EXACT_LIMIT:
+        raise SizeLimitExceeded(f"{n} elements exceeds the exact limit of {EXACT_LIMIT}")
     best_key: tuple[int, ...] | None = None
     best_weight = Fraction(0)
     for size in range(n + 1):

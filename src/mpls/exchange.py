@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Iterable, Sequence
 
 from .instance import ParityInstance, Solution
@@ -119,7 +120,7 @@ def find_rota_exchange(
         raise ExchangeInputError("target must be at least as large as the source")
 
     target_sorted = sorted(target_set)
-    cost = sum(_binomial(len(target_sorted), len(p)) for p in parts)
+    cost = sum(comb(len(target_sorted), len(p)) for p in parts)
     if cost > search_budget:
         raise ExchangeBudgetError(f"candidate enumeration needs {cost} oracle calls")
 
@@ -155,15 +156,6 @@ def find_rota_exchange(
     )
     cert.verify()
     return cert
-
-
-def _binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(min(k, n - k)):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def refine_laminar(

@@ -15,11 +15,19 @@ from typing import Any, Callable
 
 from .instance import ParityInstance
 from .matroids import PartitionMatroid
-from .serialization import InstanceDoc, format_fraction
+from .serialization import MAX_VERTICES, InstanceDoc, format_fraction
 
 
 class GeneratorError(ValueError):
     """Unknown family or unusable parameters."""
+
+
+def _check_size(vertices: int, incidences: int) -> None:
+    """Refuse a document past ``MAX_VERTICES`` before any of it is built."""
+    if vertices > MAX_VERTICES or incidences > MAX_VERTICES:
+        raise GeneratorError(
+            f"the instance would exceed {MAX_VERTICES} vertices or vertex-edge incidences"
+        )
 
 
 def _random_weight(rng: random.Random) -> Fraction:
@@ -46,6 +54,7 @@ def greedy_trap_doc(k: int = 3, rho: Fraction = Fraction(3, 10)) -> InstanceDoc:
         raise GeneratorError("k must be positive")
     if not 0 <= rho < 1:
         raise GeneratorError("rho must lie in [0, 1)")
+    _check_size(k * (k + 1), k * (k + 1))
     heavy = list(range(k))
     edges: list[list[int]] = [heavy]
     weights: list[Fraction] = [Fraction(1)]
@@ -81,6 +90,7 @@ def set_packing_doc(n: int = 9, m: int = 8, k: int = 3, seed: int = 0) -> Instan
     """Weighted set packing: overlapping random k-sets, free matroid."""
     if n < k or k < 1 or m < 1:
         raise GeneratorError("need n >= k >= 1 and m >= 1")
+    _check_size(n, m * k)
     rng = random.Random(seed)
     edges = []
     weights = []
@@ -102,6 +112,7 @@ def graphic_parity_doc(n: int = 5, m: int = 6, k: int = 3, seed: int = 0) -> Ins
     """Random hyperedges over the edge set of a random multigraph."""
     if n < 2 or k < 1 or m < 1:
         raise GeneratorError("need n >= 2, k >= 1 and m >= 1")
+    _check_size(max(k, 2 * n), m * k)
     rng = random.Random(seed)
     ground = max(k, 2 * n)
     graph_edges = []
@@ -159,6 +170,7 @@ def k_mi_partition_doc(n: int = 6, k: int = 3, seed: int = 0) -> InstanceDoc:
     """
     if n < 1 or k < 1:
         raise GeneratorError("need n >= 1 and k >= 1")
+    _check_size(k * n, k * n)
     rng = random.Random(seed)
     matroids = random_partition_matroids(n, k, rng.getrandbits(32))
     blocks: list[list[int]] = []

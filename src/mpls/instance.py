@@ -81,22 +81,6 @@ class RawParityInstance:
             if not e <= vertices:
                 raise InstanceError(f"edge {j} uses unknown vertices")
 
-    def is_feasible(self, edge_ids: Iterable[int]) -> bool:
-        ids = frozenset(edge_ids)
-        if not ids <= frozenset(range(len(self.edges))):
-            raise InstanceError("unknown edge id in feasibility query")
-        used: set[int] = set()
-        for j in ids:
-            e = self.edges[j]
-            if used & e:
-                return False
-            used |= e
-        return self.matroid.is_independent(used)
-
-    def solution(self, edge_ids: Iterable[int]) -> Solution:
-        ids = frozenset(edge_ids)
-        return Solution(ids, sum((self.weights[j] for j in ids), Fraction(0)))
-
 
 @dataclass(frozen=True)
 class ParityInstance:

@@ -17,7 +17,13 @@ oracle directly, never those that reach it through a combinator.
 from __future__ import annotations
 
 import threading
+from math import isqrt
 from typing import AbstractSet, Iterable, Sequence
+
+
+# Largest modulus a linear matroid accepts; trial division up to its
+# square root then takes at most 255 steps.
+MAX_FIELD_PRIME = 2**16
 
 
 class GroundSetError(ValueError):
@@ -179,8 +185,10 @@ class LinearMatroid(MatroidOracle):
     __slots__ = ("prime", "columns", "_dim")
 
     def __init__(self, prime: int, columns: Sequence[Sequence[int]]):
-        if prime < 2 or any(prime % d == 0 for d in range(2, min(prime, 40))):
-            raise ValueError(f"{prime} is not a small prime")
+        if not 2 <= prime <= MAX_FIELD_PRIME or any(
+            prime % d == 0 for d in range(2, isqrt(prime) + 1)
+        ):
+            raise ValueError(f"{prime} is not a prime up to {MAX_FIELD_PRIME}")
         cols = tuple(tuple(int(x) % prime for x in c) for c in columns)
         if cols:
             dim = len(cols[0])

@@ -54,6 +54,20 @@ _EXPONENT = re.compile(r"[eE][+-]?([0-9_]+)")
 MAX_WEIGHT_BITS = 3000
 
 
+# Most vertices an instance may declare, and most vertex-edge incidences
+# a generator may build.  Free and uniform matroids and raw instances hold
+# a set of all their vertices, so an instance at the bound stays within
+# some tens of megabytes.
+MAX_VERTICES = 100_000
+
+
+def _vertex_count(value: Any, what: str) -> int:
+    count = int(value)
+    if count > MAX_VERTICES:
+        raise FormatError(f"{what} exceeds the bound of {MAX_VERTICES}")
+    return count
+
+
 def parse_fraction(text: str | int) -> Fraction:
     """Parse "3", "0.35", "7/10" or "1.5e-3" into an exact Fraction.
 
@@ -130,7 +144,7 @@ def matroid_from_descriptor(desc: dict[str, Any]) -> MatroidOracle:
     try:
         family = desc["family"]
         if family == "uniform":
-            return UniformMatroid(int(desc["n"]), int(desc["r"]))
+            return UniformMatroid(_vertex_count(desc["n"], "matroid n"), int(desc["r"]))
         if family == "partition":
             return PartitionMatroid(
                 [list(map(int, b)) for b in desc["blocks"]],
@@ -145,8 +159,8 @@ def matroid_from_descriptor(desc: dict[str, Any]) -> MatroidOracle:
                 int(desc["field_prime"]), [list(map(int, c)) for c in desc["columns"]]
             )
         if family == "free":
-            return FreeMatroid(int(desc["n"]))
-    except (KeyError, TypeError, ValueError) as exc:
+            return FreeMatroid(_vertex_count(desc["n"], "matroid n"))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad matroid descriptor: {exc}") from exc
     raise FormatError(f"unknown matroid family {family!r}")
 
@@ -185,13 +199,13 @@ class InstanceDoc:
             edges = obj["edges"]
             doc = cls(
                 arity=int(obj["k"]),
-                num_vertices=int(obj["vertices"]),
+                num_vertices=_vertex_count(obj["vertices"], "vertex count"),
                 edge_verts=[[int(v) for v in e["verts"]] for e in edges],
                 edge_weights=[parse_fraction(e["w"]) for e in edges],
                 matroid_desc=dict(obj["matroid"]),
                 name=str(obj.get("name", "instance")),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad instance document: {exc}") from exc
         common = 1
         for w in doc.edge_weights:
@@ -224,9 +238,11 @@ def dumps_canonical(obj: Any) -> str:
 
 
 def load_instance_doc(path: str | Path) -> InstanceDoc:
+    # Undecodable bytes, an integer past Python's digit limit and deep
+    # nesting each end ``read_text`` or ``json.loads`` with one of these.
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"invalid JSON in {path}: {exc}") from exc
     return InstanceDoc.from_json_obj(obj)
 

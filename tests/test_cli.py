@@ -73,7 +73,8 @@ def test_exact_on_greedy_trap(capsys):
     assert rec["status"] == "ok"
     assert rec["weight"] == "2.1"
     assert rec["edges"] == [1, 2, 3]
-    assert rec["method"] == "branch-and-bound"
+    assert rec["explored"] == 12
+    assert "method" not in rec
 
 
 def test_exact_skips_oversized_instances(capsys):
@@ -220,6 +221,66 @@ def test_verify_rota_small(capsys):
     assert json.loads(out)["successes"] == 10
 
 
+def doc_bytes(matroid, vertices=2):
+    return json.dumps({
+        "edges": [{"verts": [0], "w": "1"}, {"verts": [1], "w": "2"}],
+        "k": 1,
+        "matroid": matroid,
+        "name": "two-edges",
+        "vertices": vertices,
+    }).encode()
+
+
+def linear(modulus):
+    # 41 has no inverse modulo 41 * 43 or 41 * 41; 65537 is prime but past
+    # the bound that keeps the primality check cheap.
+    return {"family": "linear", "field_prime": modulus, "columns": [[41, 0], [1, 0]]}
+
+
+BAD_FILES = {
+    "modulus-1763": doc_bytes(linear(1763)),
+    "modulus-1681": doc_bytes(linear(1681)),
+    "modulus-65537": doc_bytes(linear(65537)),
+    "vertices-1e9": doc_bytes({"family": "free", "n": 10**9}, vertices=10**9),
+    "free-n-1e9": doc_bytes({"family": "free", "n": 10**9}),
+    "uniform-n-1e9": doc_bytes({"family": "uniform", "n": 10**9, "r": 1}),
+    "not-utf8": b"\xff\xfe{}",
+    "deep-nesting": b"[" * 100_000,
+    "long-integer": b'{"k": 1' + b"0" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("content", BAD_FILES.values(), ids=BAD_FILES.keys())
+@pytest.mark.parametrize("argv", [["exact"], ["solve", "--no-scale"]], ids=["exact", "no-scale"])
+def test_bad_instance_files_exit_one_with_one_error_line_within_a_second(
+    tmp_path, capsys, content, argv
+):
+    path = tmp_path / "inst.json"
+    path.write_bytes(content)
+    start = time.perf_counter()
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    assert time.perf_counter() - start < 1
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--gen", "greedy-trap", "--k", "100000"],
+        ["exact", "--gen", "greedy-trap", "--k", "100000"],
+        ["solve", "--gen", "set-packing", "--n", "9", "--m", "10000000", "--k", "3"],
+        ["exact", "--gen", "graphic-parity", "--n", "1000000", "--m", "3", "--k", "2"],
+        ["gen", "--gen", "k-mi-partition", "--n", "1000", "--k", "1000"],
+    ],
+    ids=["trap-gen", "trap-exact", "packing-m", "graphic-n", "k-mi"],
+)
+def test_huge_generator_sizes_exit_one_within_a_second(capsys, argv):
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1
+    assert_one_error_line(capsys)
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -253,6 +314,12 @@ def test_input_errors_exit_one(tmp_path, capsys):
         ["gen", *GEN_ARGS, "--count", "-2"],
         ["verify", "trace", "--epsilon", "1/2"],
         ["verify", "badprob", *GEN_ARGS, "--tau-samples", "5"],
+        # removed flags and choices
+        ["exact", *GEN_ARGS, "--method", "subset-enum"],
+        ["exact", *GEN_ARGS, "--exact-limit", "5"],
+        ["solve", *GEN_ARGS, "--exact", "--exact-limit", "5"],
+        ["bench", *GEN_ARGS, "--exact-limit", "5"],
+        ["solve", *GEN_ARGS, "--algo", "best-of-runs"],
     ],
 )
 def test_out_of_range_flags_exit_one_with_one_error_line(capsys, argv):

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mpls.exact import (
-    BRANCH_AND_BOUND,
-    SUBSET_ENUM,
+    EXACT_LIMIT,
     SizeLimitExceeded,
     TraceMismatch,
     brute_force_intersection,
@@ -19,6 +18,7 @@ from mpls.generators import generate, random_partition_matroids
 from mpls.instance import (
     ParityInstance,
     RawParityInstance,
+    Solution,
     from_matroid_intersection,
     make_disjoint,
 )
@@ -40,13 +40,41 @@ def small_instances():
     return out
 
 
+def flat_scan_optimum(instance):
+    """Reference optimum of a raw or normalized instance: a flat scan over
+    every edge subset, with its own disjointness test; deliberately simple.
+
+    Returns the canonical optimum and the number of subsets scanned.
+    """
+    edges, weights, matroid = instance.edges, instance.weights, instance.matroid
+    m = len(edges)
+    best_key: tuple[int, ...] | None = None
+    best_weight = Fraction(0)
+    explored = 0
+    for size in range(m + 1):
+        for combo in combinations(range(m), size):
+            explored += 1
+            used: set[int] = set()
+            ok = True
+            for j in combo:
+                e = edges[j]
+                if used & e:
+                    ok = False
+                    break
+                used |= e
+            if not ok or not matroid.is_independent(used):
+                continue
+            w = sum((weights[j] for j in combo), Fraction(0))
+            if w > best_weight or (w == best_weight and (best_key is None or combo < best_key)):
+                best_weight = w
+                best_key = combo
+    return Solution(frozenset(best_key or ()), best_weight), explored
+
+
 def test_enumeration_and_branch_and_bound_agree():
     for inst in small_instances():
-        slow = brute_force_optimum(inst, method=SUBSET_ENUM)
-        fast = brute_force_optimum(inst, method=BRANCH_AND_BOUND)
-        assert slow.optimum == fast.optimum
-        assert slow.method == SUBSET_ENUM
-        assert fast.method == BRANCH_AND_BOUND
+        slow, _ = flat_scan_optimum(inst)
+        assert brute_force_optimum(inst).optimum == slow
 
 
 def test_canonical_tie_break_prefers_lex_smallest_ids():
@@ -57,18 +85,18 @@ def test_canonical_tie_break_prefers_lex_smallest_ids():
         UniformMatroid(3, 1),
         1,
     )
-    for method in (SUBSET_ENUM, BRANCH_AND_BOUND):
-        result = brute_force_optimum(inst, method=method)
-        assert result.optimum.edges == frozenset([0])
-        assert result.optimum.weight == Fraction(5)
+    for optimum in (flat_scan_optimum(inst)[0], brute_force_optimum(inst).optimum):
+        assert optimum.edges == frozenset([0])
+        assert optimum.weight == Fraction(5)
 
 
 def test_subset_enumeration_visits_every_subset():
     inst = generate("set-packing", n=6, m=4, k=2, seed=0)
-    result = brute_force_optimum(inst, method=SUBSET_ENUM)
-    assert result.explored == 2 ** 4
-    pruned = brute_force_optimum(inst, method=BRANCH_AND_BOUND)
+    optimum, explored = flat_scan_optimum(inst)
+    assert explored == 2 ** 4
+    pruned = brute_force_optimum(inst)
     assert pruned.explored <= 2 ** 4
+    assert pruned.optimum == optimum
 
 
 @st.composite
@@ -93,16 +121,16 @@ def overlapping_instances(draw):
 @settings(max_examples=300, deadline=None)
 @given(overlapping_instances())
 def test_branch_and_bound_matches_subset_enumeration(raw):
-    for inst in (raw, make_disjoint(raw)):
-        fast = brute_force_optimum(inst, method=BRANCH_AND_BOUND)
-        slow = brute_force_optimum(inst, method=SUBSET_ENUM)
-        assert fast.optimum == slow.optimum
+    norm = make_disjoint(raw)
+    fast = brute_force_optimum(norm).optimum
+    assert flat_scan_optimum(raw)[0] == fast
+    assert flat_scan_optimum(norm)[0] == fast
 
 
 def test_branch_and_bound_visits_heaviest_edges_first():
     # Taking edges by id order instead explores 2,434 nodes here.
     inst = generate("k-mi-partition", n=18, k=3, seed=0)
-    result = brute_force_optimum(inst, method=BRANCH_AND_BOUND)
+    result = brute_force_optimum(inst)
     assert result.explored == 333
     assert sorted(result.optimum.edges) == [0, 1, 3, 4, 5, 6, 9, 12, 13, 14, 15, 16]
     assert result.optimum.weight == Fraction(71623, 100)
@@ -119,15 +147,15 @@ def wide_instance(m):
 
 
 def test_size_limits():
-    inst = wide_instance(15)
-    with pytest.raises(SizeLimitExceeded):
-        brute_force_optimum(inst, method=SUBSET_ENUM)
-    result = brute_force_optimum(inst, limit=15, method=SUBSET_ENUM)
-    assert result.optimum.weight == Fraction(sum(range(1, 16)))
+    assert EXACT_LIMIT == 20
+    with pytest.raises(SizeLimitExceeded, match="^21 edges exceeds the exact limit of 20$"):
+        brute_force_optimum(wide_instance(21))
+    result = brute_force_optimum(wide_instance(20))
+    assert result.optimum.weight == Fraction(210)
+    assert result.optimum.edges == frozenset(range(20))
 
-    with pytest.raises(SizeLimitExceeded):
-        brute_force_optimum(inst, limit=10, method=BRANCH_AND_BOUND)
-    assert brute_force_optimum(inst, limit=15).optimum.weight == Fraction(120)
+    with pytest.raises(SizeLimitExceeded, match="^21 elements exceeds the exact limit of 20$"):
+        brute_force_intersection([FreeMatroid(21)], [Fraction(1)] * 21)
 
 
 def test_intersection_enumeration_matches_parity_reduction():

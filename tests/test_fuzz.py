@@ -1,0 +1,163 @@
+"""Fuzzing the command line with mutated instance documents and flags.
+
+Every case must exit 0, or exit 1 with exactly one ``mpls: error:`` line
+on stderr: no traceback and no violation exit, whatever the input.  Sizes
+are drawn either small or far past ``MAX_VERTICES``, so no case builds
+much or runs for long.
+"""
+
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from mpls.cli import main
+from mpls.generators import build_doc
+
+# Stands for an integer too long for Python to parse; it is swapped into
+# the file text, since ``json.dumps`` cannot write such an integer either.
+LONG_INTEGER = "<long integer>"
+
+BASE_DOCS = [
+    build_doc("set-packing", n=6, m=5, k=3, seed=1).to_json_obj(),
+    build_doc("graphic-parity", n=4, m=5, k=2, seed=2).to_json_obj(),
+    build_doc("k-mi-partition", n=4, k=2, seed=3).to_json_obj(),
+    build_doc("greedy-trap", k=2).to_json_obj(),
+    {
+        "k": 2,
+        "vertices": 4,
+        "edges": [{"verts": [0, 1], "w": "3/2"}, {"verts": [2, 3], "w": "1"}],
+        # 41 and 43 have no inverse modulo the composite moduli drawn below.
+        "matroid": {"family": "linear", "field_prime": 3, "columns": [[41, 0], [0, 1], [1, 1], [43, 2]]},
+        "name": "linear",
+    },
+    {
+        "k": 1,
+        "vertices": 3,
+        "edges": [{"verts": [v], "w": str(v + 1)} for v in range(3)],
+        "matroid": {"family": "uniform", "n": 3, "r": 2},
+        "name": "uniform",
+    },
+]
+
+COUNTS = st.one_of(
+    st.integers(-3, 8),
+    st.sampled_from([100_001, 10**9, 10**18, -(10**9), LONG_INTEGER]),
+)
+WEIGHTS = st.sampled_from(
+    [
+        "1/3", "0.35", "-1", "1/0", "nan", "inf", "x", "", "1e400", "1e-1001", "1e-900",
+        f"1/{2**3001}", str(2**3001), f"{2**2999}/3", "0x10", "1_000",
+    ]
+)
+MODULI = st.sampled_from([1681, 1763, 4, 1, 0, -7, 65521, 65537, 2**61 - 1, 3])
+FAMILIES = st.sampled_from(["free", "uniform", "partition", "graphic", "linear", "cubic", "", None])
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    COUNTS,
+    WEIGHTS,
+    st.sampled_from([0.5, -1.5, 1e300, float("inf"), float("nan")]),
+    st.lists(st.integers(-2, 6), max_size=4),
+    st.lists(st.lists(st.integers(-1, 4), max_size=3), max_size=3),
+    st.dictionaries(st.sampled_from(["verts", "w", "family", "n"]), st.integers(-1, 3), max_size=2),
+)
+MATROID_KEYS = ["family", "n", "r", "field_prime", "columns", "blocks", "capacities", "vertices", "edges"]
+
+
+def mutate(data, doc):
+    """Apply one drawn mutation to ``doc`` in place; may return a new root."""
+    kind = data.draw(st.sampled_from(["top", "drop", "edge", "weight", "matroid", "root"]))
+    if kind == "root":
+        return data.draw(JUNK)
+    if not isinstance(doc, dict):
+        return doc
+    if kind == "top":
+        doc[data.draw(st.sampled_from(["k", "vertices", "edges", "matroid", "name"]))] = data.draw(
+            st.one_of(COUNTS, JUNK)
+        )
+    elif kind == "drop":
+        doc.pop(data.draw(st.sampled_from(["k", "vertices", "edges", "matroid", "name"])), None)
+    elif kind in ("edge", "weight"):
+        edges = doc.get("edges")
+        if isinstance(edges, list) and edges:
+            edge = edges[data.draw(st.integers(0, len(edges) - 1))]
+            if isinstance(edge, dict):
+                if kind == "weight":
+                    edge["w"] = data.draw(WEIGHTS)
+                else:
+                    edge[data.draw(st.sampled_from(["verts", "w"]))] = data.draw(JUNK)
+    else:
+        matroid = doc.get("matroid")
+        if isinstance(matroid, dict):
+            key = data.draw(st.sampled_from(MATROID_KEYS))
+            if key == "family":
+                matroid[key] = data.draw(FAMILIES)
+            elif key == "field_prime":
+                matroid[key] = data.draw(MODULI)
+            else:
+                matroid[key] = data.draw(JUNK)
+    return doc
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(argv):
+    code, out, err = run_main(argv)
+    if code == 0:
+        assert err == "", (argv, err)
+    else:
+        assert code == 1, (argv, code, err)
+        assert out == "", (argv, out)
+        assert err.startswith("mpls: error: ") and err.count("\n") == 1, (argv, err)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_exit_zero_or_one_with_one_error_line(data):
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(BASE_DOCS))))
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = mutate(data, doc)
+    text = json.dumps(doc).replace(json.dumps(LONG_INTEGER), "1" + "0" * 5000)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        path.write_text(text, encoding="utf-8")
+        assert_clean_exit(["exact", str(path)])
+        assert_clean_exit(["solve", str(path), "--no-scale"])
+
+
+SIZE_FLAGS = st.one_of(
+    st.integers(-3, 6).map(str),
+    st.sampled_from(["100001", "1000000", "1000000000", "1" + "0" * 5000, "1.5", "x", ""]),
+)
+RATIO_FLAGS = st.sampled_from(
+    ["0", "1/2", "0.5", "-0.1", "1", "2", "nan", "inf", "x", "", "1e-9", "1e-1000000000", "0.49", "1/3"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(["greedy-trap", "set-packing", "graphic-parity", "k-mi-partition"]),
+    sizes=st.dictionaries(st.sampled_from(["--k", "--n", "--m"]), SIZE_FLAGS),
+    ratios=st.dictionaries(st.sampled_from(["--epsilon", "--delta"]), RATIO_FLAGS),
+)
+def test_out_of_range_generator_and_solver_flags_exit_zero_or_one(family, sizes, ratios):
+    source = ["--gen", family]
+    for flag, value in sizes.items():
+        source += [flag, value]
+    solver = []
+    for flag, value in ratios.items():
+        solver += [flag, value]
+    assert_clean_exit(["exact", *source])
+    assert_clean_exit(["solve", *source, *solver, "--no-scale"])
