@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any
 
 from . import generators
 from .exact import brute_force_optimum, verify_local_optimum
@@ -36,6 +36,9 @@ from .serialization import format_fraction
 from .solver import sliding_local_search
 
 MATROID_FAMILIES = ("uniform", "partition", "graphic", "linear")
+# Largest ground set of a random campaign matroid; keeps the exhaustive
+# exchange searches small.
+MAX_ELEMENTS = 7
 
 
 def approx_ratio(achieved: Fraction, optimum: Fraction) -> Fraction:
@@ -45,13 +48,9 @@ def approx_ratio(achieved: Fraction, optimum: Fraction) -> Fraction:
     return Fraction(achieved, optimum)
 
 
-def random_small_matroid(
-    rng: random.Random,
-    max_elements: int = 7,
-    families: Sequence[str] = MATROID_FAMILIES,
-) -> MatroidOracle:
-    family = rng.choice(tuple(families))
-    n = rng.randint(1, max_elements)
+def random_small_matroid(rng: random.Random) -> MatroidOracle:
+    family = rng.choice(MATROID_FAMILIES)
+    n = rng.randint(1, MAX_ELEMENTS)
     if family == "uniform":
         return UniformMatroid(n, rng.randint(0, n))
     if family == "partition":
@@ -104,21 +103,21 @@ def _random_partition(s: frozenset[int], rng: random.Random) -> list[frozenset[i
 
 
 def _random_exchange_case(
-    rng: random.Random, max_elements: int
+    rng: random.Random,
 ) -> tuple[MatroidOracle, list[frozenset[int]], frozenset[int]]:
-    matroid = random_small_matroid(rng, max_elements)
+    matroid = random_small_matroid(rng)
     a = random_independent_set(matroid, rng)
     b = random_independent_set(matroid, rng)
     source, target = (a, b) if len(a) <= len(b) else (b, a)
     return matroid, _random_partition(source, rng), target
 
 
-def rota_campaign(cases: int, seed: int, max_elements: int = 7) -> dict[str, Any]:
+def rota_campaign(cases: int, seed: int) -> dict[str, Any]:
     """Exchange certificates must exist and verify on every random case."""
     rng = random.Random(seed)
     failures: list[dict[str, Any]] = []
     for case in range(cases):
-        matroid, parts, target = _random_exchange_case(rng, max_elements)
+        matroid, parts, target = _random_exchange_case(rng)
         cert = find_rota_exchange(matroid, parts, target)
         if cert is None:
             failures.append(
@@ -139,13 +138,13 @@ def rota_campaign(cases: int, seed: int, max_elements: int = 7) -> dict[str, Any
     }
 
 
-def laminar_campaign(cases: int, seed: int, max_elements: int = 7) -> dict[str, Any]:
+def laminar_campaign(cases: int, seed: int) -> dict[str, Any]:
     """Whole-set exchanges must refine into per-part pieces every time."""
     rng = random.Random(seed)
     failures: list[dict[str, Any]] = []
     refined = 0
     for case in range(cases):
-        matroid, parts, target = _random_exchange_case(rng, max_elements)
+        matroid, parts, target = _random_exchange_case(rng)
         source = frozenset().union(*parts) if parts else frozenset()
         whole = find_rota_exchange(matroid, [source] if source else [], target)
         if whole is None:

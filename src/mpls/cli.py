@@ -21,8 +21,8 @@ import random
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
-from typing import Any, Callable
+from itertools import chain
+from typing import Any, Callable, Iterable
 
 from . import campaigns, generators
 from .exact import SizeLimitExceeded, brute_force_optimum
@@ -100,11 +100,15 @@ _epsilon = _fraction_in(Fraction(0), Fraction(1, 2))  # the solver's range
 _unit = _fraction_in(Fraction(0), Fraction(1))
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(texts: str | Iterable[str], out: str | None) -> None:
+    """Write a text, or texts one by one as they are produced."""
+    if isinstance(texts, str):
+        texts = (texts,)
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            f.writelines(texts)
 
 
 def _add_family_args(p: argparse.ArgumentParser, required: bool) -> None:
@@ -189,13 +193,16 @@ def _ratio_floor(arity: int, scaled: bool, scale_epsilon: Fraction) -> Fraction:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    texts: list[str] = []
-    for i in range(args.count):
-        doc = generators.build_doc(args.gen, **_gen_kwargs(args, seed=args.seed + i))
-        texts.append(dumps_canonical(doc.to_json_obj()))
-        if not _family_seeded(args.gen):
-            break  # deterministic family: every copy would be identical
-    _emit("".join(texts), args.out)
+    # A deterministic family would give the same document for every seed.
+    count = args.count if _family_seeded(args.gen) else 1
+    texts = (
+        dumps_canonical(
+            generators.build_doc(args.gen, **_gen_kwargs(args, seed=args.seed + i)).to_json_obj()
+        )
+        for i in range(count)
+    )
+    first = next(texts)  # a bad flag fails here, before --out is created
+    _emit(chain((first,), texts), args.out)
     return 0
 
 
@@ -369,10 +376,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     what = args.what
     if what == "rota":
-        report = campaigns.rota_campaign(args.count, args.seed, args.max_elements)
+        report = campaigns.rota_campaign(args.count, args.seed)
         bad = bool(report["failures"])
     elif what == "laminar":
-        report = campaigns.laminar_campaign(args.count, args.seed, args.max_elements)
+        report = campaigns.laminar_campaign(args.count, args.seed)
         bad = bool(report["failures"])
     elif what == "trace":
         if args.gamma < 0:
@@ -442,7 +449,6 @@ def build_parser() -> _Parser:
         p = vsub.add_parser(name)
         p.add_argument("--count", type=_at_least_one, default=200)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-elements", type=int, default=7)
         p.add_argument("--out", default=None)
         p.set_defaults(func=cmd_verify)
     p_trace = vsub.add_parser("trace")

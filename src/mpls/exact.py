@@ -202,8 +202,6 @@ def verify_local_optimum(instance: ParityInstance, trace: SolverTrace) -> bool:
             for add in combinations(outside_sol, add_size):
                 add_w = sum((weights[j] for j in add), Fraction(0))
                 add_verts = instance.vertices_of(add)
-                if len(add_verts) < sum(len(instance.edges[j]) for j in add):
-                    continue  # overlapping additions can never be applied
                 for rem_size in range(0, min(2 * instance.arity, len(in_sol)) + 1):
                     if lightest[rem_size] >= add_w:
                         break  # every removal set of this size or larger loses too much

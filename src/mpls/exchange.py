@@ -29,7 +29,13 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .instance import ParityInstance, Solution
-from .matroids import ColoopExtensionMatroid, ContractedMatroid, GraphicMatroid, MatroidOracle
+from .matroids import (
+    ContractedMatroid,
+    DirectSumMatroid,
+    FreeMatroid,
+    GraphicMatroid,
+    MatroidOracle,
+)
 from .serialization import instance_signature
 from .solver import IntervalScheme, SolverTrace, SwapMove, compute_markers, indices_in_order
 
@@ -37,6 +43,9 @@ CLASS_SINGLE = "single"
 CLASS_DOUBLE = "double"
 CLASS_BLOCKED_EARLIER = "blocked-earlier"
 CLASS_UNBLOCKED = "unblocked-zero-weight"
+
+# Most candidate pieces an exchange search may ask the oracle about.
+SEARCH_BUDGET = 200_000
 
 
 class ExchangeInputError(ValueError):
@@ -94,7 +103,6 @@ def find_rota_exchange(
     matroid: MatroidOracle,
     parts: Sequence[Iterable[int]],
     target: Iterable[int],
-    search_budget: int = 200_000,
 ) -> ExchangeCertificate | None:
     """Exhaustive search for an exchange certificate.
 
@@ -103,7 +111,8 @@ def find_rota_exchange(
     are enumerated up front (a piece is admissible when the part fits
     into the target minus that piece), then a backtracking pass picks
     pairwise disjoint pieces.  Returns None only if no certificate
-    exists at all.
+    exists at all; raises ``ExchangeBudgetError`` when the enumeration
+    would take more than ``SEARCH_BUDGET`` oracle calls.
     """
     parts = tuple(frozenset(p) for p in parts)
     target_set = frozenset(target)
@@ -121,7 +130,7 @@ def find_rota_exchange(
 
     target_sorted = sorted(target_set)
     cost = sum(comb(len(target_sorted), len(p)) for p in parts)
-    if cost > search_budget:
+    if cost > SEARCH_BUDGET:
         raise ExchangeBudgetError(f"candidate enumeration needs {cost} oracle calls")
 
     admissible: list[list[frozenset[int]]] = []
@@ -339,8 +348,8 @@ def build_conflict_trace(
         optimum_vertices |= dummy
         next_vertex += instance.arity
     if next_vertex > instance.num_vertices:
-        extended = ColoopExtensionMatroid(
-            instance.matroid, range(instance.num_vertices, next_vertex)
+        extended = DirectSumMatroid(
+            [instance.matroid, FreeMatroid(next_vertex - instance.num_vertices)]
         )
     else:
         extended = instance.matroid

@@ -24,12 +24,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Sequence
 
-from .matroids import (
-    DisjointUnionMatroid,
-    MatroidOracle,
-    RelabeledMatroid,
-    VertexCopyMatroid,
-)
+from .matroids import DirectSumMatroid, MatroidOracle, VertexCopyMatroid
 
 
 class InstanceError(ValueError):
@@ -218,7 +213,7 @@ def from_matroid_intersection(
 
     The k matroids must share the ground set ``0..n-1``.  Element v becomes
     a hyperedge over its k labeled copies (copy i of v gets id i*n + v);
-    the parity matroid is the disjoint union of the relabeled inputs.
+    the parity matroid is the direct sum of the inputs.
     Common independent sets correspond to feasible edge sets of equal
     weight, so optima transfer exactly.
     """
@@ -230,15 +225,11 @@ def from_matroid_intersection(
         if m.ground != ground:
             raise InstanceError(f"matroid {i} is not on the shared ground set 0..{n - 1}")
     k = len(matroids)
-    relabeled = [
-        RelabeledMatroid(m, {v: i * n + v for v in range(n)}) for i, m in enumerate(matroids)
-    ]
-    union = DisjointUnionMatroid(relabeled)
     edges = tuple(frozenset(i * n + v for i in range(k)) for v in range(n))
     return ParityInstance(
         num_vertices=k * n,
         edges=edges,
         weights=_check_weights(weights, n),
-        matroid=union,
+        matroid=DirectSumMatroid(matroids),
         arity=k,
     )

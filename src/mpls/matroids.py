@@ -3,9 +3,8 @@
 Every matroid here is presented as a black box answering "is this subset
 independent?".  The families are free, uniform, partition, graphic and
 linear over a small prime field.  The combinators are contraction,
-disjoint union, relabeling, vertex copies and coloop extension; each
-wraps a base oracle instead of copying it, and is immutable after
-construction.
+direct sum and vertex copies; each wraps its base oracles instead of
+copying them, and is immutable after construction.
 
 ``is_independent`` is the one public entry: it validates the query,
 turns it into a frozenset and bumps a thread-safe counter, once per
@@ -245,54 +244,37 @@ class ContractedMatroid(MatroidOracle):
         return self.base._independent(subset | self.away)
 
 
-class DisjointUnionMatroid(MatroidOracle):
-    """Union of matroids living on pairwise disjoint ground sets.
+class DirectSumMatroid(MatroidOracle):
+    """Direct sum of matroids, each on its own ground set ``0..n_i-1``.
 
-    A set is independent iff its intersection with each part's ground set
-    is independent there.  This deliberately does not implement matroid
-    union over a shared ground set.
+    Element v of part i gets the id ``offsets[i] + v``, the offsets being
+    the running sums of the part sizes.  A set is independent iff its
+    slice in each part is independent there; only the parts it meets are
+    asked.  A ``FreeMatroid`` part adds coloops: fresh elements
+    independent of everything.
     """
 
-    __slots__ = ("parts", "_owner")
+    __slots__ = ("parts", "_where")
 
     def __init__(self, parts: Sequence[MatroidOracle]):
-        owner: dict[int, int] = {}
+        where: list[tuple[int, int]] = []  # id -> (part, element of that part)
         for i, part in enumerate(parts):
-            for v in part.ground:
-                if v in owner:
-                    raise GroundSetError(
-                        f"element {v} appears in two parts; grounds must be disjoint"
-                    )
-                owner[v] = i
-        super().__init__(owner)
+            n = len(part.ground)
+            if part.ground != frozenset(range(n)):
+                raise GroundSetError(f"part {i} is not on the ground set 0..{n - 1}")
+            where.extend((i, v) for v in range(n))
+        super().__init__(range(len(where)))
         self.parts = tuple(parts)
-        self._owner = owner
+        self._where = tuple(where)
 
     def _independent(self, subset: AbstractSet[int]) -> bool:
+        where = self._where
         split: dict[int, set[int]] = {}
-        for v in subset:
-            split.setdefault(self._owner[v], set()).add(v)
-        return all(self.parts[i]._independent(s) for i, s in split.items())
-
-
-class RelabeledMatroid(MatroidOracle):
-    """Base matroid with ground elements renamed through a bijection."""
-
-    __slots__ = ("base", "_back")
-
-    def __init__(self, base: MatroidOracle, mapping: dict[int, int]):
-        if frozenset(mapping) != base.ground:
-            raise GroundSetError("mapping must cover exactly the base ground set")
-        back = {new: old for old, new in mapping.items()}
-        if len(back) != len(mapping):
-            raise ValueError("mapping must be a bijection")
-        super().__init__(back)
-        self.base = base
-        self._back = back
-
-    def _independent(self, subset: AbstractSet[int]) -> bool:
-        back = self._back
-        return self.base._independent({back[v] for v in subset})
+        for x in subset:
+            i, v = where[x]
+            split.setdefault(i, set()).add(v)
+        parts = self.parts
+        return all(parts[i]._independent(s) for i, s in split.items())
 
 
 class VertexCopyMatroid(MatroidOracle):
@@ -323,21 +305,3 @@ class VertexCopyMatroid(MatroidOracle):
                 return False
             seen.add(o)
         return self.base._independent(seen)
-
-
-class ColoopExtensionMatroid(MatroidOracle):
-    """Base matroid plus fresh elements that are independent of everything."""
-
-    __slots__ = ("base", "extras")
-
-    def __init__(self, base: MatroidOracle, extras: Iterable[int]):
-        extras = frozenset(extras)
-        if extras & base.ground:
-            raise GroundSetError("coloop ids must be fresh")
-        super().__init__(base.ground | extras)
-        self.base = base
-        self.extras = extras
-
-    def _independent(self, subset: AbstractSet[int]) -> bool:
-        return self.base._independent(subset - self.extras)
-

@@ -19,15 +19,13 @@ from typing import Any
 
 from .instance import ParityInstance, RawParityInstance, make_disjoint
 from .matroids import (
-    ColoopExtensionMatroid,
     ContractedMatroid,
-    DisjointUnionMatroid,
+    DirectSumMatroid,
     FreeMatroid,
     GraphicMatroid,
     LinearMatroid,
     MatroidOracle,
     PartitionMatroid,
-    RelabeledMatroid,
     UniformMatroid,
     VertexCopyMatroid,
 )
@@ -253,24 +251,21 @@ _FILE_FAMILIES = (UniformMatroid, PartitionMatroid, GraphicMatroid, LinearMatroi
 def _matroid_payload(oracle: MatroidOracle) -> Any:
     """JSON-ready content of an oracle, for signatures.
 
-    File families give their descriptor; the combinators give their base
-    oracle's payload plus their own map or element set.  An oracle class
-    this module does not know contributes only its class name.
+    File families give their descriptor; a direct sum gives its parts'
+    payloads, and the other combinators their base oracle's payload plus
+    their own map or element set.  An oracle class this module does not
+    know contributes only its class name.
     """
     if isinstance(oracle, _FILE_FAMILIES):
         return matroid_to_descriptor(oracle)
     payload: dict[str, Any] = {"oracle": type(oracle).__name__}
-    if isinstance(oracle, DisjointUnionMatroid):
+    if isinstance(oracle, DirectSumMatroid):
         payload["parts"] = [_matroid_payload(p) for p in oracle.parts]
         return payload
     if isinstance(oracle, VertexCopyMatroid):
         payload["copy_to_original"] = sorted(oracle.copy_to_original.items())
-    elif isinstance(oracle, RelabeledMatroid):
-        payload["mapping"] = sorted((old, new) for new, old in oracle._back.items())
     elif isinstance(oracle, ContractedMatroid):
         payload["away"] = sorted(oracle.away)
-    elif isinstance(oracle, ColoopExtensionMatroid):
-        payload["extras"] = sorted(oracle.extras)
     else:
         return type(oracle).__name__
     payload["base"] = _matroid_payload(oracle.base)

@@ -1,6 +1,7 @@
 import csv
 import json
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,42 @@ def test_gen_count_writes_distinct_documents(capsys):
     docs = [json.loads(line) for line in out.splitlines()]
     assert len(docs) == 3
     assert len({d["name"] for d in docs}) == 3
+
+
+def test_gen_count_writes_each_seed_in_turn(tmp_path, capsys):
+    singles = ""
+    for seed in (5, 6, 7):
+        code, out = run(capsys, ["gen", *GEN_ARGS, "--seed", str(seed)])
+        assert code == 0
+        singles += out
+    code, out = run(capsys, ["gen", *GEN_ARGS, "--seed", "5", "--count", "3"])
+    assert code == 0
+    assert out == singles
+    path = tmp_path / "three.json"
+    assert main(["gen", *GEN_ARGS, "--seed", "5", "--count", "3", "--out", str(path)]) == 0
+    assert path.read_text(encoding="utf-8") == singles
+
+
+def test_gen_flag_error_creates_no_file(tmp_path, capsys):
+    path = tmp_path / "never.json"
+    assert main(["gen", "--gen", "set-packing", "--k", "0", "--out", str(path)]) == 1
+    assert not path.exists()
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_gen_memory_does_not_grow_with_count(tmp_path):
+    # Each document is written as soon as it is built, so ten times the
+    # documents must not take ten times the memory.
+    argv = ["gen", "--gen", "set-packing", "--n", "60", "--m", "40", "--k", "3"]
+    peaks = {}
+    for count in (50, 500):
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--count", str(count), "--out", str(tmp_path / "docs.json")]) == 0
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[500] < 1.5 * peaks[50]
 
 
 def test_gen_collapses_unseeded_families(capsys):
@@ -320,6 +357,8 @@ def test_input_errors_exit_one(tmp_path, capsys):
         ["solve", *GEN_ARGS, "--exact", "--exact-limit", "5"],
         ["bench", *GEN_ARGS, "--exact-limit", "5"],
         ["solve", *GEN_ARGS, "--algo", "best-of-runs"],
+        ["verify", "rota", "--max-elements", "0"],
+        ["verify", "laminar", "--max-elements", "0"],
     ],
 )
 def test_out_of_range_flags_exit_one_with_one_error_line(capsys, argv):

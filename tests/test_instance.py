@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpls.instance import (
     InstanceError,
@@ -11,6 +12,7 @@ from mpls.instance import (
     make_disjoint,
 )
 from mpls.exact import brute_force_intersection, brute_force_optimum
+from mpls.generators import random_partition_matroids
 from mpls.matroids import (
     FreeMatroid,
     PartitionMatroid,
@@ -182,6 +184,17 @@ def test_intersection_of_two_partitions_is_bipartite_matching():
     inst = from_matroid_intersection([m_left, m_right], weights)
     assert inst.arity == 2
     assert brute_force_optimum(inst).optimum.weight == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_intersection_feasibility_is_common_independence(n, k, seed):
+    matroids = random_partition_matroids(n, k, seed)
+    inst = from_matroid_intersection(matroids, [Fraction(1)] * n)
+    for size in range(n + 1):
+        for subset in combinations(range(n), size):
+            expected = all(m.is_independent(subset) for m in matroids)
+            assert inst.is_feasible(subset) == expected
 
 
 def test_intersection_edges_use_labelled_copies():

@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mpls.matroids import (
-    ColoopExtensionMatroid,
     ContractedMatroid,
     DependentContractionError,
-    DisjointUnionMatroid,
+    DirectSumMatroid,
     FreeMatroid,
     GraphicMatroid,
     GroundSetError,
     LinearMatroid,
     MatroidOracle,
     PartitionMatroid,
-    RelabeledMatroid,
     UniformMatroid,
     VertexCopyMatroid,
 )
@@ -91,11 +89,11 @@ def test_families_satisfy_axioms(oracle):
 def test_combinators_satisfy_axioms():
     base = GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     check_matroid_axioms(ContractedMatroid(base, [0]))
-    shifted = RelabeledMatroid(UniformMatroid(3, 2), {0: 10, 1: 11, 2: 12})
-    check_matroid_axioms(DisjointUnionMatroid([UniformMatroid(2, 1), shifted]))
-    check_matroid_axioms(RelabeledMatroid(base, {i: i + 10 for i in range(5)}))
+    check_matroid_axioms(DirectSumMatroid([UniformMatroid(2, 1), UniformMatroid(3, 2)]))
+    equal_parts = [UniformMatroid(3, 1), PartitionMatroid([[0, 1], [2]], [1, 1])]
+    check_matroid_axioms(DirectSumMatroid(equal_parts))
     check_matroid_axioms(VertexCopyMatroid(base, {c: c % 5 for c in range(7)}))
-    check_matroid_axioms(ColoopExtensionMatroid(UniformMatroid(2, 1), [5, 6]))
+    check_matroid_axioms(DirectSumMatroid([base, FreeMatroid(2)]))
 
 
 class _TwoWorlds(MatroidOracle):
@@ -191,35 +189,32 @@ def test_contract_rejects_dependent_set():
 def test_coloops_then_contract_compose():
     # The stack a conflict trace builds: coloops added, then a prefix contracted.
     base = GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    small = ContractedMatroid(ColoopExtensionMatroid(base, [7, 8]), [0, 7])
-    assert sorted(small.ground) == [1, 2, 3, 4, 8]
+    small = ContractedMatroid(DirectSumMatroid([base, FreeMatroid(2)]), [0, 5])
+    assert sorted(small.ground) == [1, 2, 3, 4, 6]
     check_matroid_axioms(small)
 
 
-def test_disjoint_union_splits_by_part():
-    shifted = RelabeledMatroid(UniformMatroid(2, 1), {0: 10, 1: 11})
-    union = DisjointUnionMatroid([UniformMatroid(2, 1), shifted])
-    assert sorted(union.ground) == [0, 1, 10, 11]
-    assert union.is_independent({0, 10})
-    assert not union.is_independent({0, 1})
-    assert not union.is_independent({10, 11})
+def test_direct_sum_splits_by_part():
+    # Part i's element v is offsets[i] + v: here 0..1, 2..4 and 5..6.
+    total = DirectSumMatroid([UniformMatroid(2, 1), UniformMatroid(3, 1), UniformMatroid(2, 2)])
+    assert sorted(total.ground) == list(range(7))
+    assert total.is_independent({0, 4, 5, 6})
+    assert not total.is_independent({0, 1})
+    assert not total.is_independent({2, 4})
+    assert DirectSumMatroid([]).ground == frozenset()
 
 
-def test_disjoint_union_rejects_shared_ground():
+def test_direct_sum_rejects_a_part_off_zero_based_ground():
+    off = ContractedMatroid(UniformMatroid(3, 2), [0])  # ground {1, 2}
     with pytest.raises(GroundSetError):
-        DisjointUnionMatroid([UniformMatroid(2, 1), UniformMatroid(2, 2)])
-
-
-def test_relabel_requires_bijection():
-    with pytest.raises(ValueError):
-        RelabeledMatroid(UniformMatroid(2, 1), {0: 7, 1: 7})
+        DirectSumMatroid([UniformMatroid(2, 1), off])
 
 
 def test_coloops_are_always_addable():
-    oracle = ColoopExtensionMatroid(UniformMatroid(2, 1), [9, 10])
+    oracle = DirectSumMatroid([UniformMatroid(2, 1), FreeMatroid(2)])
     for s in ({0}, {1}, set()):
-        assert oracle.is_independent(s | {9, 10})
-    assert not oracle.is_independent({0, 1, 9})
+        assert oracle.is_independent(s | {2, 3})
+    assert not oracle.is_independent({0, 1, 2})
 
 
 class _PublicOnly(MatroidOracle):
@@ -237,13 +232,13 @@ class _PublicOnly(MatroidOracle):
 
 COMBINATORS = {
     "contracted": lambda m: ContractedMatroid(m, [0]),
-    "disjoint-union": lambda m: DisjointUnionMatroid(
-        [m, RelabeledMatroid(UniformMatroid(2, 1), {0: 10, 1: 11})]
-    ),
-    "relabeled": lambda m: RelabeledMatroid(m, {v: v + 10 for v in m.ground}),
+    "direct-sum": lambda m: DirectSumMatroid([m, UniformMatroid(2, 1)]),
+    "direct-sum-equal-parts": lambda m: DirectSumMatroid([UniformMatroid(5, 3), m]),
     "vertex-copy": lambda m: VertexCopyMatroid(m, {c: c % 5 for c in range(7)}),
-    "coloops": lambda m: ColoopExtensionMatroid(m, [7, 8]),
-    "coloops-contracted": lambda m: ContractedMatroid(ColoopExtensionMatroid(m, [7]), [0, 7]),
+    "coloops": lambda m: DirectSumMatroid([m, FreeMatroid(2)]),
+    "coloops-contracted": lambda m: ContractedMatroid(
+        DirectSumMatroid([m, FreeMatroid(1)]), [0, 5]
+    ),
 }
 
 
