@@ -52,7 +52,6 @@ from .matroids import (
 from .serialization import (
     FormatError,
     InstanceDoc,
-    ResultRecord,
     format_fraction,
     instance_signature,
     load_instance_doc,

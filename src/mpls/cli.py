@@ -29,13 +29,13 @@ from .exact import SizeLimitExceeded, brute_force_optimum
 from .instance import InstanceError, ParityInstance
 from .serialization import (
     FormatError,
-    ResultRecord,
     dumps_canonical,
     format_fraction,
     load_instance_doc,
     parse_fraction,
 )
 from .solver import (
+    DEFAULT_DELTA,
     FIRST_LEX,
     SWAP_RULES,
     DegenerateInstanceError,
@@ -51,9 +51,10 @@ USAGE_EXIT = 1
 VIOLATION_EXIT = 2
 
 DEFAULT_EPSILON = Fraction("0.3873")
-DEFAULT_DELTA = Fraction("0.0001")
 DEFAULT_GAMMA = Fraction("0.2253")
 DEFAULT_SCALE_EPSILON = Fraction(1, 10)
+# Most shift draws one ``--runs`` may ask for; memory grows with each run.
+MAX_RUNS = 10_000
 
 
 class UsageError(ValueError):
@@ -61,7 +62,14 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Bad usage exits 1 with one ``mpls: error:`` line; 2 is kept for violations."""
+    """Bad usage exits 1 with one ``mpls: error:`` line; 2 is kept for violations.
+
+    Flags are spelled in full, so a removed flag such as ``--scale`` is
+    refused rather than read as a prefix of ``--scale-epsilon``.
+    """
+
+    def __init__(self, **kwargs: Any) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message: str) -> Any:
         self.exit(USAGE_EXIT, f"mpls: error: {message}\n")
@@ -93,6 +101,13 @@ def _at_least_one(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text} is less than 1")
+    return value
+
+
+def _runs(text: str) -> int:
+    value = _at_least_one(text)
+    if value > MAX_RUNS:
+        raise argparse.ArgumentTypeError(f"{text} is more than {MAX_RUNS}")
     return value
 
 
@@ -139,13 +154,7 @@ def _gen_kwargs(args: argparse.Namespace, seed: int | None = None) -> dict[str, 
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
-    accepted = set(inspect.signature(generators.FAMILIES[args.gen]).parameters)
-    unknown = sorted(set(params) - accepted)
-    if unknown:
-        raise generators.GeneratorError(
-            f"family {args.gen!r} does not take: {', '.join(unknown)}"
-        )
-    if "seed" in accepted:
+    if _family_seeded(args.gen):
         params["seed"] = args.seed if seed is None else seed
     return params
 
@@ -170,18 +179,15 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=_unit, default=DEFAULT_DELTA)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--runs", type=_at_least_one, default=1, help="keep the best of N independent shift draws"
+        "--runs", type=_runs, default=1, help="keep the best of N independent shift draws"
     )
     p.add_argument("--swap-rule", choices=sorted(SWAP_RULES), default=FIRST_LEX)
-    scale = p.add_mutually_exclusive_group()
-    scale.add_argument(
-        "--scale",
+    p.add_argument(
+        "--no-scale",
         dest="scale",
-        action="store_true",
-        default=True,
-        help="round weights onto an integer grid before solving (default)",
+        action="store_false",
+        help="solve on the exact weights instead of rounding them onto an integer grid",
     )
-    scale.add_argument("--no-scale", dest="scale", action="store_false")
     p.add_argument("--scale-epsilon", type=_unit, default=DEFAULT_SCALE_EPSILON)
 
 
@@ -190,6 +196,18 @@ def _ratio_floor(arity: int, scaled: bool, scale_epsilon: Fraction) -> Fraction:
     if scaled:
         floor *= 1 - scale_epsilon
     return floor
+
+
+def _optimum_weight(inst: ParityInstance) -> Fraction | None:
+    """The exact optimum weight, or None for an instance past ``EXACT_LIMIT``."""
+    try:
+        return brute_force_optimum(inst).optimum.weight
+    except SizeLimitExceeded:
+        return None
+
+
+def _fraction_or_none(value: Fraction | None) -> str | None:
+    return None if value is None else format_fraction(value)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -223,6 +241,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         calls = work.matroid.calls - before
         seed_used = None
     elif algo == "best-of-runs":
+        # Make the cached per-edge feasibility lookups, which traces leave
+        # out of their counts, before reading the counter.
+        work.feasible_alone
         before = work.matroid.calls
         chosen = best_of_runs(
             work, args.epsilon, args.delta, args.runs, args.seed, args.swap_rule
@@ -240,39 +261,35 @@ def cmd_solve(args: argparse.Namespace) -> int:
     wall = time.perf_counter() - start
 
     achieved = sum((inst.weights[j] for j in chosen.edges), Fraction(0))
-    optimum = None
-    ratio = None
+    optimum = ratio = None
     status = "ok"
-    violation = False
     if args.exact:
-        try:
-            result = brute_force_optimum(inst)
-            optimum = result.optimum.weight
-            ratio = campaigns.approx_ratio(achieved, optimum)
-            floor = _ratio_floor(inst.arity, args.scale, args.scale_epsilon)
-            if ratio < floor:
-                status = "ratio-violation"
-                violation = True
-        except SizeLimitExceeded:
+        optimum = _optimum_weight(inst)
+        if optimum is None:
             status = "skipped"
+        else:
+            ratio = campaigns.approx_ratio(achieved, optimum)
+            if ratio < _ratio_floor(inst.arity, args.scale, args.scale_epsilon):
+                status = "ratio-violation"
 
-    record = ResultRecord(
-        instance=name,
-        algo=algo,
-        seed=seed_used,
-        tau=tau,
-        weight=achieved,
-        optimum=optimum,
-        ratio=ratio,
-        oracle_calls=calls,
-        swaps=swaps,
-        status=status,
-        wall_time_s=wall,
-    )
-    _emit(dumps_canonical(record.to_json_obj(with_timing=args.timings)), args.out)
+    obj: dict[str, Any] = {
+        "instance": name,
+        "algo": algo,
+        "seed": seed_used,
+        "tau": _fraction_or_none(tau),
+        "weight": format_fraction(achieved),
+        "optimum": _fraction_or_none(optimum),
+        "ratio": _fraction_or_none(ratio),
+        "oracle_calls": calls,
+        "swaps": swaps,
+        "status": status,
+    }
+    if args.timings:
+        obj["wall_time_s"] = wall
+    _emit(dumps_canonical(obj), args.out)
     if args.trace_out and trace is not None:
         _emit(dumps_canonical(trace_to_json_obj(trace)), args.trace_out)
-    return VIOLATION_EXIT if violation else 0
+    return VIOLATION_EXIT if status == "ratio-violation" else 0
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
@@ -301,12 +318,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         doc = generators.build_doc(args.gen, **_gen_kwargs(args, seed=args.seed + i))
         inst = doc.normalize()
         work = scale_weights(inst, args.scale_epsilon) if args.scale else inst
-        try:
-            optimum = brute_force_optimum(inst).optimum.weight
-            status = "ok"
-        except SizeLimitExceeded:
-            optimum = None
-            status = "skipped"
+        optimum = _optimum_weight(inst)
+        status = "skipped" if optimum is None else "ok"
 
         runs = 1 if args.algo == "greedy" else args.runs
         rng = random.Random(f"bench:{args.seed}:{i}")
@@ -351,22 +364,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             break
 
     buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf,
-        fieldnames=[
-            "instance",
-            "algo",
-            "runs",
-            "status",
-            "mean_ratio",
-            "min_ratio",
-            "max_ratio",
-            "floor_k",
-            "floor_910",
-            "floor_2ln2",
-        ],
-        lineterminator="\n",
-    )
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     _emit(buf.getvalue(), args.out)

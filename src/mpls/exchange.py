@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 from typing import Iterable, Sequence
 
@@ -37,7 +37,14 @@ from .matroids import (
     MatroidOracle,
 )
 from .serialization import instance_signature
-from .solver import IntervalScheme, SolverTrace, SwapMove, compute_markers, indices_in_order
+from .solver import (
+    DEFAULT_DELTA,
+    IntervalScheme,
+    SolverTrace,
+    SwapMove,
+    compute_markers,
+    indices_in_order,
+)
 
 CLASS_SINGLE = "single"
 CLASS_DOUBLE = "double"
@@ -331,6 +338,14 @@ def build_conflict_trace(
     intervals = tuple(r.index for r in trace.records)
     if not indices_in_order(intervals, scheme.levels):
         raise ExchangeInputError("record indices must increase strictly inside 1..levels+1")
+    added = [j for r in trace.records for j in r.added]
+    if not all(0 <= j < instance.num_edges for j in added):
+        raise ExchangeInputError(f"trace adds an edge id outside 0..{instance.num_edges - 1}")
+    if len(set(added)) != len(added):
+        raise ExchangeInputError("trace adds an edge more than once")
+    heaviest = max(compress(instance.weight_numerators, instance.feasible_alone), default=0)
+    if heaviest == 0 or scheme.max_feasible_weight * instance.weight_denominator != heaviest:
+        raise ExchangeInputError("trace scheme's heaviest weight is not the instance's")
 
     solution_vertex_sets = tuple(
         instance.vertices_of(r.added) for r in trace.records
@@ -507,7 +522,6 @@ def near_marker_probability(
     optimum: Solution,
     epsilon: Fraction,
     gamma: Fraction,
-    delta: Fraction = Fraction(1, 10000),
 ) -> dict[int, Fraction]:
     """Per-edge probability of landing within ``gamma`` of the marker above.
 
@@ -536,7 +550,7 @@ def near_marker_probability(
     if not instance.is_feasible(optimum.edges):
         raise ExchangeInputError("claimed optimum is not feasible")
 
-    base = compute_markers(instance, epsilon, delta, Fraction(0))
+    base = compute_markers(instance, epsilon, DEFAULT_DELTA, Fraction(0))
     probabilities: dict[int, Fraction] = {}
     for j in sorted(optimum.edges):
         w = instance.weights[j]

@@ -1,4 +1,4 @@
-"""Lossless file formats: instances, results, and exact rational strings.
+"""Lossless file formats the program reads back: instances and exact rational strings.
 
 Rationals are serialized as strings, never floats.  Weights whose
 denominator divides a power of ten round-trip as plain decimal strings
@@ -291,42 +291,3 @@ def instance_signature(instance: ParityInstance) -> str:
         digest = hashlib.sha256(dumps_canonical(payload).encode("utf-8")).hexdigest()
         signature = instance.__dict__["_signature"] = digest[:16]
     return signature
-
-
-@dataclass
-class ResultRecord:
-    """One solver (or exact) run, serialized as a JSON line.
-
-    Wall time is measured but excluded from serialization by default so
-    identical runs produce byte-identical output files; pass
-    ``with_timing=True`` to include it.
-    """
-
-    instance: str
-    algo: str
-    seed: int | None
-    tau: Fraction | None
-    weight: Fraction
-    optimum: Fraction | None
-    ratio: Fraction | None
-    oracle_calls: int | None
-    swaps: int | None
-    status: str = "ok"
-    wall_time_s: float | None = None
-
-    def to_json_obj(self, with_timing: bool = False) -> dict[str, Any]:
-        obj: dict[str, Any] = {
-            "instance": self.instance,
-            "algo": self.algo,
-            "seed": self.seed,
-            "tau": None if self.tau is None else format_fraction(self.tau),
-            "weight": format_fraction(self.weight),
-            "optimum": None if self.optimum is None else format_fraction(self.optimum),
-            "ratio": None if self.ratio is None else format_fraction(self.ratio),
-            "oracle_calls": self.oracle_calls,
-            "swaps": self.swaps,
-            "status": self.status,
-        }
-        if with_timing:
-            obj["wall_time_s"] = self.wall_time_s
-        return obj

@@ -33,6 +33,8 @@ from .serialization import FormatError, format_fraction, instance_signature, par
 FIRST_LEX = "first-lex"
 BEST_GAIN = "best-gain"
 SWAP_RULES = (FIRST_LEX, BEST_GAIN)
+# Relative weight left below the deepest marker; sets the level count.
+DEFAULT_DELTA = Fraction("0.0001")
 
 
 class DegenerateInstanceError(ValueError):

@@ -1,16 +1,17 @@
 import csv
 import json
+import random
 import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from mpls.cli import main
+from mpls.cli import DEFAULT_DELTA, DEFAULT_EPSILON, main
 from mpls.exact import verify_local_optimum
 from mpls.generators import generate
 from mpls.serialization import parse_fraction
-from mpls.solver import trace_from_json_obj
+from mpls.solver import sliding_local_search, trace_from_json_obj
 
 GEN_ARGS = ["--gen", "set-packing", "--n", "7", "--m", "6", "--k", "3"]
 
@@ -136,6 +137,20 @@ def test_multiple_runs_switch_to_best_of(capsys):
     rec = json.loads(out)
     assert rec["algo"] == "best-of-runs"
     assert rec["status"] == "ok"
+
+
+def test_best_of_runs_counts_only_the_runs_own_queries(capsys):
+    # The count is the sum of the runs' traces, whose seeds best_of_runs
+    # derives from --seed; per-edge feasibility lookups are not in it.
+    code, out = run(capsys, ["solve", *GEN_ARGS, "--no-scale", "--seed", "3", "--runs", "3"])
+    assert code == 0
+    inst = generate("set-packing", n=7, m=6, k=3, seed=3)
+    derive = random.Random(3)
+    traces = [
+        sliding_local_search(inst, DEFAULT_EPSILON, DEFAULT_DELTA, derive.getrandbits(63))[1]
+        for _ in range(3)
+    ]
+    assert json.loads(out)["oracle_calls"] == sum(t.oracle_calls for t in traces)
 
 
 def test_bench_csv_shape(tmp_path):
@@ -359,6 +374,10 @@ def test_input_errors_exit_one(tmp_path, capsys):
         ["solve", *GEN_ARGS, "--algo", "best-of-runs"],
         ["verify", "rota", "--max-elements", "0"],
         ["verify", "laminar", "--max-elements", "0"],
+        ["solve", *GEN_ARGS, "--runs", "10001"],
+        ["bench", *GEN_ARGS, "--runs", "10001"],
+        ["solve", *GEN_ARGS, "--scale"],
+        ["solve", *GEN_ARGS, "--scale", "1/10"],
     ],
 )
 def test_out_of_range_flags_exit_one_with_one_error_line(capsys, argv):

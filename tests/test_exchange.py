@@ -146,6 +146,25 @@ def test_conflict_trace_verifier_catches_tampering():
     assert verify_conflict_trace(tampered) != []
 
 
+@pytest.mark.parametrize("forgery", ["id-99", "id-minus-1", "id-twice", "light-scheme"])
+def test_conflict_trace_refuses_forged_edge_ids_and_scheme(forgery):
+    # The run of shift seed 0 adds edge 0 alone, in its first record.
+    inst = generate("greedy-trap", k=3, rho=Fraction(3, 10))
+    _, trace = sliding_local_search(inst, EPS, DELTA, 0)
+    first, *rest = trace.records
+    if forgery == "light-scheme":
+        # Below the light optimum edges, which then lie above every marker.
+        scheme = dataclasses.replace(trace.scheme, max_feasible_weight=Fraction(1, 2))
+        trace = dataclasses.replace(trace, scheme=scheme)
+    else:
+        extra = {"id-99": 99, "id-minus-1": -1, "id-twice": first.added[0]}[forgery]
+        first = dataclasses.replace(first, added=first.added + (extra,))
+        trace = dataclasses.replace(trace, records=(first, *rest))
+    optimum = brute_force_optimum(inst).optimum
+    with pytest.raises(ExchangeInputError):
+        build_conflict_trace(inst, trace, optimum, GAMMA)
+
+
 def test_conflict_trace_verifier_asks_an_empty_layer_nothing():
     # Interval 2 adds no solution vertex and blocks nothing new, so its
     # query is interval 1's; the verifier asks the optimum and interval 1.

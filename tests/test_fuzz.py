@@ -1,9 +1,12 @@
-"""Fuzzing the command line with mutated instance documents and flags.
+"""Fuzzing the command line with mutated instance documents and flags,
+and the trace loader, verifier and conflict trace with mutated traces.
 
-Every case must exit 0, or exit 1 with exactly one ``mpls: error:`` line
-on stderr: no traceback and no violation exit, whatever the input.  Sizes
-are drawn either small or far past ``MAX_VERTICES``, so no case builds
-much or runs for long.
+Every command line case must exit 0, or exit 1 with exactly one
+``mpls: error:`` line on stderr: no traceback and no violation exit,
+whatever the input.  Sizes are drawn either small or far past
+``MAX_VERTICES``, so no case builds much or runs for long.  A mutated
+trace is loaded or refused with ``FormatError``; a loaded one is judged
+or refused only with the errors each function declares.
 """
 
 import io
@@ -14,8 +17,12 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from mpls.cli import main
-from mpls.generators import build_doc
+from mpls.cli import DEFAULT_DELTA, DEFAULT_EPSILON, DEFAULT_GAMMA, main
+from mpls.exact import TraceMismatch, brute_force_optimum, verify_local_optimum
+from mpls.exchange import ConflictTraceError, ExchangeInputError, build_conflict_trace
+from mpls.generators import build_doc, generate
+from mpls.serialization import FormatError, format_fraction
+from mpls.solver import SolverTrace, sliding_local_search, trace_from_json_obj, trace_to_json_obj
 
 # Stands for an integer too long for Python to parse; it is swapped into
 # the file text, since ``json.dumps`` cannot write such an integer either.
@@ -161,3 +168,120 @@ def test_out_of_range_generator_and_solver_flags_exit_zero_or_one(family, sizes,
         solver += [flag, value]
     assert_clean_exit(["exact", *source])
     assert_clean_exit(["solve", *source, *solver, "--no-scale"])
+
+
+VERIFY_COUNTS = st.one_of(
+    st.integers(-2, 40).map(str),
+    st.sampled_from(["1.5", "x", "", "0x10", "1" + "0" * 5000]),
+)
+SEEDS = st.one_of(
+    st.integers(-(10**9), 10**9).map(str),
+    st.sampled_from(
+        [str(2**64), "-" + str(2**64), "1" + "0" * 4000, "1" + "0" * 5000, "1.5", "x", ""]
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    what=st.sampled_from(["rota", "laminar", "trace", "badprob"]),
+    count=VERIFY_COUNTS,
+    seed=SEEDS,
+)
+def test_verify_count_and_seed_flags_exit_zero_or_one(what, count, seed):
+    if what == "badprob":  # it takes a generator seed and no count
+        source = ["--gen", "set-packing", "--n", "7", "--m", "6"]
+        assert_clean_exit(["verify", what, *source, "--seed", seed])
+    else:
+        assert_clean_exit(["verify", what, "--count", count, "--seed", seed])
+
+
+def _trace_case(family, **params):
+    inst = generate(family, **params)
+    _, trace = sliding_local_search(inst, DEFAULT_EPSILON, DEFAULT_DELTA, 0)
+    return inst, trace_to_json_obj(trace), brute_force_optimum(inst).optimum
+
+
+TRACE_CASES = [
+    _trace_case("set-packing", n=9, m=8, k=2, seed=5),
+    _trace_case("graphic-parity", n=6, m=9, k=2, seed=2),
+    _trace_case("k-mi-partition", n=6, k=3, seed=2),
+]
+TRACE_KEYS = [
+    "instance_signature", "epsilon", "delta", "seed", "tau", "rule", "scheme",
+    "record_layout", "records", "final_edges", "final_weight", "oracle_calls",
+]
+RECORD_KEYS = ["index", "added", "swaps", "oracle_calls"]
+EDGE_IDS = st.one_of(st.integers(-2, 9), st.sampled_from([99, 10**6, -(10**9)]))
+TRACE_VALUES = st.one_of(
+    JUNK,
+    WEIGHTS,
+    st.lists(EDGE_IDS, max_size=4),
+    st.sampled_from(["0.3873", "0.0001", "0", "1/3", "0.49", "first-lex", "best-gain", "occupied"]),
+)
+
+
+def mutate_trace(data, obj, weights):
+    """Apply one drawn mutation to a trace object in place; may return a new root."""
+    kind = data.draw(
+        st.sampled_from(["top", "drop", "scheme", "record", "added", "records", "root"])
+    )
+    if kind == "root":
+        return data.draw(JUNK)
+    if not isinstance(obj, dict):
+        return obj
+    if kind == "top":
+        obj[data.draw(st.sampled_from(TRACE_KEYS))] = data.draw(TRACE_VALUES)
+    elif kind == "drop":
+        obj.pop(data.draw(st.sampled_from(TRACE_KEYS)), None)
+    elif kind == "scheme":
+        if isinstance(obj.get("scheme"), dict):
+            key = data.draw(st.sampled_from(["max_feasible_weight", "levels"]))
+            obj["scheme"][key] = data.draw(
+                st.one_of(st.sampled_from(weights), st.integers(-2, 30), COUNTS, TRACE_VALUES)
+            )
+    else:
+        records = obj.get("records")
+        if not isinstance(records, list) or not records:
+            return obj
+        i = data.draw(st.integers(0, len(records) - 1))
+        record = records[i]
+        if kind == "records":
+            move = data.draw(st.sampled_from(["drop", "repeat", "swap"]))
+            if move == "drop":
+                del records[i]
+            elif move == "repeat":
+                records.insert(i, json.loads(json.dumps(record)))
+            else:
+                records[i], records[-1] = records[-1], records[i]
+        elif isinstance(record, dict):
+            if kind == "record":
+                record[data.draw(st.sampled_from(RECORD_KEYS))] = data.draw(
+                    st.one_of(st.integers(-2, 30), TRACE_VALUES)
+                )
+            elif isinstance(record.get("added"), list):
+                record["added"].append(data.draw(EDGE_IDS))
+    return obj
+
+
+@settings(max_examples=800, deadline=None)
+@given(data=st.data())
+def test_mutated_traces_load_verify_and_explain_or_raise_declared_errors(data):
+    inst, genuine, optimum = data.draw(st.sampled_from(TRACE_CASES))
+    obj = json.loads(json.dumps(genuine))
+    weights = [format_fraction(w) for w in inst.weights]
+    for _ in range(data.draw(st.integers(1, 3))):
+        obj = mutate_trace(data, obj, weights)
+    try:
+        trace = trace_from_json_obj(obj)
+    except FormatError:
+        return
+    assert isinstance(trace, SolverTrace)
+    try:
+        assert isinstance(verify_local_optimum(inst, trace), bool)
+    except TraceMismatch:
+        pass
+    try:
+        build_conflict_trace(inst, trace, optimum, DEFAULT_GAMMA)
+    except (ExchangeInputError, ConflictTraceError):
+        pass

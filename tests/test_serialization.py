@@ -11,7 +11,6 @@ from mpls.serialization import (
     MAX_WEIGHT_BITS,
     FormatError,
     InstanceDoc,
-    ResultRecord,
     dumps_canonical,
     format_fraction,
     instance_signature,
@@ -166,24 +165,3 @@ def test_weight_size_budget(weights, refused):
             InstanceDoc.from_json_obj(obj)
     else:
         InstanceDoc.from_json_obj(obj)
-
-
-def test_result_record_hides_timing_by_default():
-    rec = ResultRecord(
-        instance="demo",
-        algo="sliding",
-        seed=3,
-        tau=Fraction(1, 8),
-        weight=Fraction(21, 10),
-        optimum=Fraction(21, 10),
-        ratio=Fraction(1),
-        oracle_calls=120,
-        swaps=4,
-        wall_time_s=0.25,
-    )
-    obj = rec.to_json_obj()
-    assert "wall_time_s" not in obj
-    assert obj["tau"] == "0.125"
-    assert obj["ratio"] == "1"
-    timed = rec.to_json_obj(with_timing=True)
-    assert timed["wall_time_s"] == 0.25
