@@ -9,8 +9,10 @@ from .exact import (
     ExactResult,
     SizeLimitExceeded,
     TraceMismatch,
+    TraceRefuted,
     brute_force_intersection,
     brute_force_optimum,
+    check_trace,
     verify_local_optimum,
 )
 from .exchange import (

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import generators
-from .exact import brute_force_optimum, verify_local_optimum
+from .exact import TraceRefuted, brute_force_optimum, check_trace, verify_local_optimum
 from .exchange import (
     build_conflict_trace,
     find_rota_exchange,
@@ -202,10 +202,11 @@ def trace_campaign(
 ) -> dict[str, Any]:
     """Build and verify a conflict trace for every non-degenerate run.
 
-    Each run solves a fresh small instance, checks local optimality of
-    the trace, computes the exact optimum, builds the conflict trace and
-    re-verifies all of its invariants, and finally checks that the
-    singly-blocked optimum weight never exceeds the solution weight.
+    Each run solves a fresh small instance, checks that the trace belongs
+    to it (a failure names the check) and is locally optimal, computes
+    the exact optimum, builds the conflict trace and re-verifies all of
+    its invariants, and finally checks that the singly-blocked optimum
+    weight never exceeds the solution weight.
     """
     failures: list[dict[str, Any]] = []
     completed = 0
@@ -223,8 +224,13 @@ def trace_campaign(
             degenerate += 1
             continue
         problems: list[str] = []
-        if not verify_local_optimum(instance, trace):
-            problems.append("trace is not locally optimal")
+        try:
+            check_trace(instance, trace)
+        except TraceRefuted as exc:
+            problems.append(f"trace fails its check: {exc}")
+        else:
+            if not verify_local_optimum(instance, trace):
+                problems.append("trace is not locally optimal")
         optimum = brute_force_optimum(instance)
         if not problems:
             ct = build_conflict_trace(instance, trace, optimum.optimum, gamma)

@@ -115,14 +115,21 @@ def brute_force_intersection(
     return Solution(frozenset(best_key or ()), best_weight)
 
 
-def verify_local_optimum(instance: ParityInstance, trace: SolverTrace) -> bool:
-    """Check a trace against the instance, then re-check its local optimality.
+class TraceRefuted(ValueError):
+    """The trace contradicts its instance; the message names the failed check."""
 
-    Nothing in the trace that the instance determines is trusted.  The
-    trace is refuted (False) unless all of these hold:
+
+def check_trace(instance: ParityInstance, trace: SolverTrace) -> dict[int, int]:
+    """Check that a trace belongs to its instance; map each lone-feasible edge to its interval.
+
+    Nothing in the trace that the instance determines is trusted.  Raises
+    ``TraceMismatch`` when the signature is another instance's, and
+    ``TraceRefuted``, its message starting with the check's name, unless
+    all of these hold:
 
     * a degenerate trace (no scheme) belongs to an instance with no
       positive lone-feasible weight, and has no records and no edges;
+      its map is empty;
     * the scheme's epsilon, delta and tau are the trace's and lie in the
       solver's ranges, its heaviest feasible weight is the instance's,
       its deepest marker stays within ``MAX_MARKER_BITS``, and its level
@@ -135,61 +142,75 @@ def verify_local_optimum(instance: ParityInstance, trace: SolverTrace) -> bool:
       and is added once; the added edges are ``final_edges`` and weigh
       ``final_weight``; and every prefix that grew is feasible, one query
       per such interval.
-
-    Then it replays the per-interval prefix solutions and enumerates
-    every candidate swap from scratch, with none of the solver's pruning,
-    using fraction arithmetic directly.  The only cut is by size: once
-    the lightest removal set of a size weighs at least the addition, no
-    set of that size or larger can improve, since weights are
-    nonnegative.  Returns False as soon as one improving swap is found.
     """
     if trace.instance_signature != instance_signature(instance):
         raise TraceMismatch("trace was produced for a different instance")
-    weights = instance.weights
+    weights, numerators = instance.weights, instance.weight_numerators
+    den = instance.weight_denominator
     lone = [j for j in range(instance.num_edges) if instance.feasible_alone[j]]
-    heaviest = max((weights[j] for j in lone), default=Fraction(0))
+    heaviest = Fraction(max((numerators[j] for j in lone), default=0), den)
     scheme = trace.scheme
     if scheme is None:
         # A degenerate run searched nothing, so it must have nothing to show.
-        return heaviest == 0 and not trace.records and not trace.final_edges and (
-            trace.final_weight == 0
-        )
+        if heaviest or trace.records or trace.final_edges or trace.final_weight:
+            raise TraceRefuted("degenerate trace: the instance or the run is not degenerate")
+        return {}
 
     epsilon, delta, tau, levels = scheme.epsilon, scheme.delta, scheme.tau, scheme.levels
     if (epsilon, delta, tau) != (trace.epsilon, trace.delta, trace.tau):
-        return False
+        raise TraceRefuted("parameters: the scheme's epsilon, delta and tau are not the trace's")
     if not (0 < epsilon < Fraction(1, 2) and 0 < delta < 1 and 0 <= tau < epsilon):
-        return False
+        raise TraceRefuted("parameter ranges: epsilon, delta or tau is out of range")
     if heaviest == 0 or scheme.max_feasible_weight != heaviest:
-        return False
+        raise TraceRefuted("heaviest weight: not the instance's positive lone-feasible one")
     if levels < 1 or marker_bits(epsilon, tau, heaviest, levels) > MAX_MARKER_BITS:
-        return False
+        raise TraceRefuted(f"level count: {levels} is below 1 or over the marker budget")
     shrink, tail = 1 - epsilon, delta / instance.num_edges
     if not shrink ** (levels - 1) <= tail < shrink ** (levels - 2):
-        return False
+        raise TraceRefuted(f"level count: {levels} is not the instance's")
     # Every lone-feasible weight is at most the top marker, since tau < epsilon.
     own = {j: scheme.interval_of(weights[j]) for j in lone}
-    inside: dict[int, list[int]] = {}
-    for j, i in own.items():
-        inside.setdefault(i, []).append(j)
     records = trace.records
-    if [r.index for r in records] != sorted(inside):
-        return False
+    if [r.index for r in records] != sorted(set(own.values())):
+        raise TraceRefuted("record indices: not the occupied intervals")
     seen: set[int] = set()
     for record in records:
         for j in record.added:
             if j in seen or own.get(j) != record.index:
-                return False
+                raise TraceRefuted(f"added edges: {j!r} twice or outside interval {record.index}")
             seen.add(j)
         if record.added and not instance.is_feasible(seen):
-            return False
+            raise TraceRefuted(f"prefix feasibility: the prefix of interval {record.index}")
     if trace.final_edges != tuple(sorted(seen)):
+        raise TraceRefuted("final edges: not the added edges")
+    if trace.final_weight != Fraction(sum(numerators[j] for j in seen), den):
+        raise TraceRefuted("final weight: not the added edges' weight")
+    return own
+
+
+def verify_local_optimum(instance: ParityInstance, trace: SolverTrace) -> bool:
+    """Check a trace against the instance, then re-check its local optimality.
+
+    The trace is refuted (False) unless ``check_trace`` accepts it; a
+    trace of another instance raises ``TraceMismatch``.  Then it replays
+    the per-interval prefix solutions and enumerates every candidate swap
+    from scratch, with none of the solver's pruning, using fraction
+    arithmetic directly.  The only cut is by size: once the lightest
+    removal set of a size weighs at least the addition, no set of that
+    size or larger can improve, since weights are nonnegative.  Returns
+    False as soon as one improving swap is found.
+    """
+    try:
+        own = check_trace(instance, trace)
+    except TraceRefuted:
         return False
-    if trace.final_weight != sum((weights[j] for j in seen), Fraction(0)):
-        return False
+    weights = instance.weights
+    inside: dict[int, list[int]] = {}
+    for j, i in own.items():
+        inside.setdefault(i, []).append(j)
 
     prefix: set[int] = set()
-    for record in records:
+    for record in trace.records:
         prefix.update(record.added)
         outside_sol = [j for j in inside[record.index] if j not in prefix]
         in_sol = [j for j in inside[record.index] if j in prefix]

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
+from .exact import TraceMismatch, TraceRefuted, check_trace
 from .instance import ParityInstance, Solution
 from .matroids import (
     ContractedMatroid,
@@ -36,7 +37,8 @@ from .matroids import (
     GraphicMatroid,
     MatroidOracle,
 )
-from .serialization import instance_signature
+# Not used here; kept importable because the benchmark's tracer rebinds it.
+from .serialization import instance_signature  # noqa: F401
 from .solver import (
     DEFAULT_DELTA,
     IntervalScheme,
@@ -328,24 +330,16 @@ def build_conflict_trace(
     gamma = Fraction(gamma)
     if gamma < 0:
         raise ExchangeInputError("gamma must be nonnegative")
-    if trace.instance_signature != instance_signature(instance):
-        raise ExchangeInputError("trace belongs to a different instance")
+    try:
+        own = check_trace(instance, trace)
+    except (TraceMismatch, TraceRefuted) as exc:
+        raise ExchangeInputError(f"trace does not belong to the instance: {exc}") from exc
     if trace.scheme is None:
         raise ExchangeInputError("degenerate trace has no interval structure")
     if not instance.is_feasible(optimum.edges):
         raise ExchangeInputError("claimed optimum is not feasible")
     scheme = trace.scheme
     intervals = tuple(r.index for r in trace.records)
-    if not indices_in_order(intervals, scheme.levels):
-        raise ExchangeInputError("record indices must increase strictly inside 1..levels+1")
-    added = [j for r in trace.records for j in r.added]
-    if not all(0 <= j < instance.num_edges for j in added):
-        raise ExchangeInputError(f"trace adds an edge id outside 0..{instance.num_edges - 1}")
-    if len(set(added)) != len(added):
-        raise ExchangeInputError("trace adds an edge more than once")
-    heaviest = max(compress(instance.weight_numerators, instance.feasible_alone), default=0)
-    if heaviest == 0 or scheme.max_feasible_weight * instance.weight_denominator != heaviest:
-        raise ExchangeInputError("trace scheme's heaviest weight is not the instance's")
 
     solution_vertex_sets = tuple(
         instance.vertices_of(r.added) for r in trace.records
@@ -385,7 +379,8 @@ def build_conflict_trace(
 
     reports: list[OptimumEdgeReport] = []
     for idx, (orig, verts, weight) in enumerate(padded):
-        own = scheme.interval_of(weight)
+        # Optimum edges are feasible alone; dummies weigh 0, in the closed interval.
+        interval = scheme.levels + 1 if orig is None else own[orig]
         first = None
         conflict = 0
         for i in range(1, len(blocked)):
@@ -396,16 +391,16 @@ def build_conflict_trace(
                 break
         if first is None:
             cls = CLASS_UNBLOCKED
-        elif first == own:
+        elif first == interval:
             cls = CLASS_SINGLE if conflict == 1 else CLASS_DOUBLE
-        elif first < own:
+        elif first < interval:
             cls = CLASS_BLOCKED_EARLIER
         else:
             raise ConflictTraceError(
                 f"optimum edge {orig} blocked after its own interval; "
                 "was the trace verified locally optimal?"
             )
-        marker = scheme.upper_marker(weight)
+        marker = scheme.marker(interval - 1)
         near = None
         if cls == CLASS_BLOCKED_EARLIER:
             near = (1 + gamma) * weight >= marker
@@ -415,7 +410,7 @@ def build_conflict_trace(
                 original_edge=orig,
                 vertices=verts,
                 weight=weight,
-                own_interval=own,
+                own_interval=interval,
                 first_blocked=first,
                 conflict_size=conflict,
                 cls=cls,

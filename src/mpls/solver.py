@@ -24,6 +24,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, combinations
 from typing import Any, Callable, Iterable, Sequence
 
@@ -80,7 +81,9 @@ class IntervalScheme:
     No marker is stored.  ``interval_of`` and ``upper_marker`` locate a
     weight by bisection on exact integer powers of ``1 - epsilon``,
     comparing by cross-multiplication, so a query costs O(log levels)
-    integer products and no ladder is ever built.
+    integer products and no ladder is ever built.  The integers and the
+    powers they bisect on are computed once per scheme; they are not
+    fields, so equality, hashing and the trace JSON ignore them.
     """
 
     max_feasible_weight: Fraction
@@ -89,6 +92,7 @@ class IntervalScheme:
     tau: Fraction
     levels: int
 
+    @cached_property
     def _integers(self) -> tuple[int, int, int, int]:
         """``(a, b, p, q)``: marker 1 is ``a/b``, unreduced, and ``1 - epsilon`` is ``p/q``."""
         top, tau, eps = self.max_feasible_weight, self.tau, self.epsilon
@@ -105,10 +109,20 @@ class IntervalScheme:
             raise ValueError(f"marker index {j} out of range 0..{self.levels + 1}")
         if j > self.levels:
             return Fraction(0)
-        a, b, p, q = self._integers()
+        a, b, p, q = self._integers
         if j == 0:
             return Fraction(a * q, b * p)
         return Fraction(a * p ** (j - 1), b * q ** (j - 1))
+
+    @cached_property
+    def _squares(self) -> tuple[tuple[int, int], ...]:
+        """``(p^(2^i), q^(2^i))`` for i = 0, 1, ... while ``2^i < levels``, and at least i = 0."""
+        _, _, p, q = self._integers
+        squares = [(p, q)]
+        while 1 << len(squares) < self.levels:
+            p, q = p * p, q * q
+            squares.append((p, q))
+        return tuple(squares)
 
     def _deepest_at_or_above(self, w: Fraction) -> int:
         """Largest j in 1..levels with ``marker(j) >= w``, or 0 if there is none.
@@ -120,16 +134,12 @@ class IntervalScheme:
         search is kept apart from the solver's sweep (``_gallop``), so the
         verifier places edges by its own arithmetic.
         """
-        a, b, p, q = self._integers()
+        a, b, _, _ = self._integers
         high = a * w.denominator
         low = w.numerator * b
         if high < low:
             return 0
-        levels = self.levels
-        squares = [(p, q)]
-        while 1 << len(squares) < levels:
-            p, q = p * p, q * q
-            squares.append((p, q))
+        levels, squares = self.levels, self._squares
         s = 0
         for i in range(len(squares) - 1, -1, -1):
             if s + (1 << i) < levels:
@@ -468,6 +478,38 @@ def _draw_shift(epsilon: Fraction, seed: int) -> Fraction:
     return epsilon * Fraction(rng.getrandbits(53), 1 << 53)
 
 
+def _place_edges(instance: ParityInstance, scheme: IntervalScheme) -> dict[int, list[int]]:
+    """The lone-feasible edges of each occupied interval, in increasing index order.
+
+    The edges are placed heaviest first, in one sweep down the ladder.
+    With a/b the first marker and p/q = 1 - epsilon, weight wn/den lies
+    at or below marker(level) iff wn * b * q^(level-1) <= a * den *
+    p^(level-1); the sweep keeps that pair of powers and gallops it down
+    to each edge's interval.
+    """
+    wn = instance.weight_numerators
+    levels = scheme.levels
+    a, b, p, q = scheme._integers
+    top, squares = a * instance.weight_denominator, [(p, q)]
+    level, num, den = 1, 1, 1  # num/den = (1 - epsilon)^(level - 1)
+    occupied: dict[int, list[int]] = {}
+    for j in sorted(
+        (j for j in range(instance.num_edges) if instance.feasible_alone[j]),
+        key=lambda j: (-wn[j], j),
+    ):
+        w = wn[j] * b
+        if level <= levels and w * den <= top * num:
+            if w == 0:
+                level = levels + 1
+            else:
+                last, num, den = _gallop(
+                    squares, level - 1, num, den, levels - 1, lambda n, d: w * d <= top * n
+                )
+                level, num, den = last + 2, num * p, den * q
+        occupied.setdefault(level, []).append(j)
+    return occupied
+
+
 def sliding_local_search(
     instance: ParityInstance,
     epsilon: Fraction,
@@ -494,47 +536,8 @@ def sliding_local_search(
     try:
         scheme = compute_markers(instance, epsilon, delta, tau)
     except DegenerateInstanceError:
-        empty = instance.solution(())
-        trace = SolverTrace(
-            instance_signature=signature,
-            epsilon=epsilon,
-            delta=delta,
-            seed=seed,
-            tau=tau,
-            rule=rule,
-            scheme=None,
-            records=(),
-            final_edges=(),
-            final_weight=empty.weight,
-            oracle_calls=0,
-        )
-        return empty, trace
-
-    # Place the lone-feasible edges, heaviest first, in one sweep down the
-    # ladder.  With a/b the first marker and p/q = 1 - epsilon, weight
-    # wn/den lies at or below marker(level) iff
-    # wn * b * q^(level-1) <= a * den * p^(level-1); the sweep keeps that
-    # pair of powers and gallops it down to each edge's interval.
-    wn = instance.weight_numerators
-    levels = scheme.levels
-    a, b, p, q = scheme._integers()
-    top, squares = a * instance.weight_denominator, [(p, q)]
-    level, num, den = 1, 1, 1  # num/den = (1 - epsilon)^(level - 1)
-    occupied: dict[int, list[int]] = {}
-    for j in sorted(
-        (j for j in range(instance.num_edges) if instance.feasible_alone[j]),
-        key=lambda j: (-wn[j], j),
-    ):
-        w = wn[j] * b
-        if level <= levels and w * den <= top * num:
-            if w == 0:
-                level = levels + 1
-            else:
-                last, num, den = _gallop(
-                    squares, level - 1, num, den, levels - 1, lambda n, d: w * d <= top * n
-                )
-                level, num, den = last + 2, num * p, den * q
-        occupied.setdefault(level, []).append(j)
+        scheme = None
+    occupied = {} if scheme is None else _place_edges(instance, scheme)
 
     counter = [0]
     matroid = instance.matroid
@@ -724,6 +727,12 @@ def _edge_ids(values: Any) -> tuple[int, ...]:
     return ids
 
 
+def _count(value: Any) -> int:
+    if type(value) is not int or value < 0:
+        raise FormatError(f"oracle_calls must be a nonnegative integer, got {value!r}")
+    return value
+
+
 def trace_from_json_obj(obj: dict[str, Any]) -> SolverTrace:
     """Rebuild a trace from its JSON object; a malformed one raises FormatError.
 
@@ -733,7 +742,9 @@ def trace_from_json_obj(obj: dict[str, Any]) -> SolverTrace:
     document must name the occupied-interval record layout, its record
     indices must increase strictly inside 1..levels+1, epsilon, delta and
     tau must lie in the solver's ranges, and the deepest marker, bounded
-    by ``marker_bits``, must stay within ``MAX_MARKER_BITS``.
+    by ``marker_bits``, must stay within ``MAX_MARKER_BITS``.  The rule
+    must be one of ``SWAP_RULES``, the seed an integer and every
+    ``oracle_calls`` a nonnegative integer.
     """
     try:
         if "record_layout" not in obj or obj["record_layout"] != RECORD_LAYOUT:
@@ -749,7 +760,7 @@ def trace_from_json_obj(obj: dict[str, Any]) -> SolverTrace:
                 index=r["index"],
                 added=_edge_ids(r["added"]),
                 swaps=tuple(_swap_from_obj(s) for s in r["swaps"]),
-                oracle_calls=r["oracle_calls"],
+                oracle_calls=_count(r["oracle_calls"]),
             )
             for r in obj["records"]
         )
@@ -776,6 +787,10 @@ def trace_from_json_obj(obj: dict[str, Any]) -> SolverTrace:
                 tau=tau,
                 levels=levels,
             )
+        if obj["rule"] not in SWAP_RULES:
+            raise FormatError(f"rule must be one of {', '.join(SWAP_RULES)}, got {obj['rule']!r}")
+        if type(obj["seed"]) is not int:
+            raise FormatError(f"seed must be an integer, got {obj['seed']!r}")
         return SolverTrace(
             instance_signature=obj["instance_signature"],
             epsilon=epsilon,
@@ -787,7 +802,7 @@ def trace_from_json_obj(obj: dict[str, Any]) -> SolverTrace:
             records=records,
             final_edges=_edge_ids(obj["final_edges"]),
             final_weight=parse_fraction(obj["final_weight"]),
-            oracle_calls=obj["oracle_calls"],
+            oracle_calls=_count(obj["oracle_calls"]),
         )
     except FormatError:
         raise

@@ -10,8 +10,10 @@ from mpls.exact import (
     EXACT_LIMIT,
     SizeLimitExceeded,
     TraceMismatch,
+    TraceRefuted,
     brute_force_intersection,
     brute_force_optimum,
+    check_trace,
     verify_local_optimum,
 )
 from mpls.generators import generate, random_partition_matroids
@@ -283,6 +285,14 @@ def test_genuine_trace_has_only_occupied_records():
     assert trace.scheme.levels == 24
 
 
+def test_check_trace_maps_each_lone_feasible_edge_to_its_interval():
+    inst, trace = genuine_trace()
+    own = check_trace(inst, trace)
+    lone = [j for j in range(inst.num_edges) if inst.feasible_alone[j]]
+    assert own == {j: trace.scheme.interval_of(inst.weights[j]) for j in lone}
+    assert sorted(set(own.values())) == [r.index for r in trace.records]
+
+
 def without_record(trace, i):
     return dataclasses.replace(trace, records=trace.records[:i] + trace.records[i + 1 :])
 
@@ -310,21 +320,29 @@ def test_trace_without_an_occupied_record_or_with_an_extra_one_is_refuted(forge)
 
 
 @pytest.mark.parametrize(
-    "forge",
+    "forge, check",
     [
-        lambda t: dataclasses.replace(t, records=(), final_edges=(), final_weight=Fraction(0)),
-        lambda t: dataclasses.replace(t, final_edges=tuple(range(6))),
-        lambda t: with_added(t, 0, tuple(range(6))),
-        lambda t: dataclasses.replace(
-            t, scheme=None, records=(), final_edges=(), final_weight=Fraction(0)
+        (
+            lambda t: dataclasses.replace(t, records=(), final_edges=(), final_weight=Fraction(0)),
+            "record indices",
+        ),
+        (lambda t: dataclasses.replace(t, final_edges=tuple(range(6))), "final edges"),
+        (lambda t: with_added(t, 0, tuple(range(6))), "added edges"),
+        (
+            lambda t: dataclasses.replace(
+                t, scheme=None, records=(), final_edges=(), final_weight=Fraction(0)
+            ),
+            "degenerate trace",
         ),
     ],
     ids=["no-records", "all-final-edges", "all-added-first", "claims-degenerate"],
 )
-def test_forged_trace_is_refuted(forge):
+def test_forged_trace_is_refuted(forge, check):
     inst, trace = genuine_trace()
     assert verify_local_optimum(inst, trace)
     assert not verify_local_optimum(inst, forge(trace))
+    with pytest.raises(TraceRefuted, match=f"^{check}:"):
+        check_trace(inst, forge(trace))
 
 
 def true_local_optimum(inst, trace):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mpls import campaigns
 from mpls.campaigns import (
     _campaign_instance,
     k4_report,
@@ -13,7 +14,7 @@ from mpls.campaigns import (
     trace_campaign,
 )
 from mpls.cli import DEFAULT_DELTA, DEFAULT_EPSILON, DEFAULT_GAMMA
-from mpls.exact import brute_force_optimum
+from mpls.exact import brute_force_optimum, verify_local_optimum
 from mpls.exchange import (
     CLASS_BLOCKED_EARLIER,
     CLASS_DOUBLE,
@@ -146,23 +147,46 @@ def test_conflict_trace_verifier_catches_tampering():
     assert verify_conflict_trace(tampered) != []
 
 
-@pytest.mark.parametrize("forgery", ["id-99", "id-minus-1", "id-twice", "light-scheme"])
+# Each forgery, with the check of exact.check_trace that refuses it.
+FORGERIES = {
+    "id-99": "added edges",
+    "id-minus-1": "added edges",
+    "id-twice": "added edges",
+    "light-scheme": "heaviest weight",
+    "tau-zero": "record indices",
+    "levels-plus-40": "level count",
+}
+
+
+@pytest.mark.parametrize("forgery", list(FORGERIES))
 def test_conflict_trace_refuses_forged_edge_ids_and_scheme(forgery):
-    # The run of shift seed 0 adds edge 0 alone, in its first record.
-    inst = generate("greedy-trap", k=3, rho=Fraction(3, 10))
-    _, trace = sliding_local_search(inst, EPS, DELTA, 0)
-    first, *rest = trace.records
-    if forgery == "light-scheme":
-        # Below the light optimum edges, which then lie above every marker.
-        scheme = dataclasses.replace(trace.scheme, max_feasible_weight=Fraction(1, 2))
-        trace = dataclasses.replace(trace, scheme=scheme)
+    if forgery in ("tau-zero", "levels-plus-40"):
+        # A ladder the run never used, at the CLI defaults and shift seed 0.
+        inst = generate("set-packing", n=9, m=8, k=2, seed=5)
+        _, trace = sliding_local_search(inst, DEFAULT_EPSILON, DEFAULT_DELTA, 0)
+        if forgery == "tau-zero":
+            scheme = dataclasses.replace(trace.scheme, tau=Fraction(0))
+            trace = dataclasses.replace(trace, tau=Fraction(0), scheme=scheme)
+        else:
+            scheme = dataclasses.replace(trace.scheme, levels=trace.scheme.levels + 40)
+            trace = dataclasses.replace(trace, scheme=scheme)
     else:
-        extra = {"id-99": 99, "id-minus-1": -1, "id-twice": first.added[0]}[forgery]
-        first = dataclasses.replace(first, added=first.added + (extra,))
-        trace = dataclasses.replace(trace, records=(first, *rest))
+        # The run of shift seed 0 adds edge 0 alone, in its first record.
+        inst = generate("greedy-trap", k=3, rho=Fraction(3, 10))
+        _, trace = sliding_local_search(inst, EPS, DELTA, 0)
+        first, *rest = trace.records
+        if forgery == "light-scheme":
+            # Below the light optimum edges, which then lie above every marker.
+            scheme = dataclasses.replace(trace.scheme, max_feasible_weight=Fraction(1, 2))
+            trace = dataclasses.replace(trace, scheme=scheme)
+        else:
+            extra = {"id-99": 99, "id-minus-1": -1, "id-twice": first.added[0]}[forgery]
+            first = dataclasses.replace(first, added=first.added + (extra,))
+            trace = dataclasses.replace(trace, records=(first, *rest))
     optimum = brute_force_optimum(inst).optimum
-    with pytest.raises(ExchangeInputError):
+    with pytest.raises(ExchangeInputError, match=FORGERIES[forgery]):
         build_conflict_trace(inst, trace, optimum, GAMMA)
+    assert not verify_local_optimum(inst, trace)
 
 
 def test_conflict_trace_verifier_asks_an_empty_layer_nothing():
@@ -196,6 +220,26 @@ def test_trace_campaign_verifies_every_run():
     report = trace_campaign(runs=10, seed=5, epsilon=EPS, delta=DELTA, gamma=GAMMA)
     assert report["successes"] == 10
     assert report["failures"] == []
+
+
+def test_trace_campaign_names_the_check_a_forged_trace_fails(monkeypatch):
+    forged_levels = []
+
+    def forged_run(*args, **kwargs):
+        solution, trace = sliding_local_search(*args, **kwargs)
+        if trace.scheme is None:
+            return solution, trace
+        scheme = dataclasses.replace(trace.scheme, levels=trace.scheme.levels + 40)
+        forged_levels.append(scheme.levels)
+        return solution, dataclasses.replace(trace, scheme=scheme)
+
+    monkeypatch.setattr(campaigns, "sliding_local_search", forged_run)
+    report = trace_campaign(runs=2, seed=5, epsilon=EPS, delta=DELTA, gamma=GAMMA)
+    assert report["successes"] == 0
+    assert [f["problems"] for f in report["failures"]] == [
+        [f"trace fails its check: level count: {levels} is not the instance's"]
+        for levels in forged_levels
+    ]
 
 
 def test_near_marker_bound_value():

@@ -6,7 +6,8 @@ Every command line case must exit 0, or exit 1 with exactly one
 whatever the input.  Sizes are drawn either small or far past
 ``MAX_VERTICES``, so no case builds much or runs for long.  A mutated
 trace is loaded or refused with ``FormatError``; a loaded one is judged
-or refused only with the errors each function declares.
+or refused only with the errors each function declares, and the
+conflict trace refuses it exactly when ``check_trace`` does.
 """
 
 import io
@@ -18,7 +19,13 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from mpls.cli import DEFAULT_DELTA, DEFAULT_EPSILON, DEFAULT_GAMMA, main
-from mpls.exact import TraceMismatch, brute_force_optimum, verify_local_optimum
+from mpls.exact import (
+    TraceMismatch,
+    TraceRefuted,
+    brute_force_optimum,
+    check_trace,
+    verify_local_optimum,
+)
 from mpls.exchange import ConflictTraceError, ExchangeInputError, build_conflict_trace
 from mpls.generators import build_doc, generate
 from mpls.serialization import FormatError, format_fraction
@@ -282,6 +289,15 @@ def test_mutated_traces_load_verify_and_explain_or_raise_declared_errors(data):
     except TraceMismatch:
         pass
     try:
+        check_trace(inst, trace)
+        refuted = False
+    except (TraceMismatch, TraceRefuted):
+        refuted = True
+    try:
         build_conflict_trace(inst, trace, optimum, DEFAULT_GAMMA)
-    except (ExchangeInputError, ConflictTraceError):
-        pass
+        refused = False
+    except ExchangeInputError:
+        refused = True
+    except ConflictTraceError:
+        refused = False
+    assert refused == refuted

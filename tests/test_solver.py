@@ -513,6 +513,11 @@ def test_fine_epsilon_ladder_is_refused_before_building_it():
         lambda obj: obj["records"][0].update(index=0),
         lambda obj: obj["records"][0].update(index="1"),
         lambda obj: obj["scheme"].update(levels=MAX_MARKER_BITS),
+        lambda obj: obj.update(rule="nonsense"),
+        lambda obj: obj.update(seed="4"),
+        lambda obj: obj.update(oracle_calls=-7),
+        lambda obj: obj["records"][0].update(oracle_calls=-7),
+        lambda obj: obj["records"][0].update(oracle_calls=True),
     ],
     ids=[
         "index-past-tail",
@@ -527,6 +532,11 @@ def test_fine_epsilon_ladder_is_refused_before_building_it():
         "index-zero",
         "index-text",
         "deepest-marker-over-budget",
+        "rule-unknown",
+        "seed-text",
+        "oracle-calls-negative",
+        "record-oracle-calls-negative",
+        "record-oracle-calls-bool",
     ],
 )
 def test_inconsistent_scheme_is_a_format_error(edit):
