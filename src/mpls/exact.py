@@ -139,7 +139,11 @@ def check_trace(instance: ParityInstance, trace: SolverTrace) -> dict[int, int]:
     * the record indices are exactly the occupied intervals, those that
       hold a lone-feasible edge by ``interval_of``, in increasing order;
       every added edge is feasible alone, lies in its record's interval
-      and is added once; the added edges are ``final_edges`` and weigh
+      and is added once; each record's swaps, replayed from nothing,
+      end at exactly its added edges, each adding one or two distinct
+      edges of the interval that are not held and removing at most
+      ``2 * arity`` distinct held ones, for the positive gain its edges
+      give (set and integer arithmetic, no query); the added edges weigh
       ``final_weight``; and every prefix that grew is feasible, one query
       per such interval.
     """
@@ -152,7 +156,7 @@ def check_trace(instance: ParityInstance, trace: SolverTrace) -> dict[int, int]:
     scheme = trace.scheme
     if scheme is None:
         # A degenerate run searched nothing, so it must have nothing to show.
-        if heaviest or trace.records or trace.final_edges or trace.final_weight:
+        if heaviest or trace.records or trace.final_weight:
             raise TraceRefuted("degenerate trace: the instance or the run is not degenerate")
         return {}
 
@@ -179,10 +183,26 @@ def check_trace(instance: ParityInstance, trace: SolverTrace) -> dict[int, int]:
             if j in seen or own.get(j) != record.index:
                 raise TraceRefuted(f"added edges: {j!r} twice or outside interval {record.index}")
             seen.add(j)
+        held: set[int] = set()  # the record's swaps, replayed from nothing
+        for move in record.swaps:
+            add, remove = set(move.add), set(move.remove)
+            if not (
+                0 < len(add) == len(move.add) <= 2
+                and all(own.get(j) == record.index for j in add)
+                and not add & held
+                and len(remove) == len(move.remove) <= 2 * instance.arity
+                and remove <= held
+            ):
+                raise TraceRefuted(f"swaps: {move} does not fit interval {record.index}")
+            # The claimed gain must be gain / den; cross-multiplying builds no Fraction.
+            gain = sum(numerators[j] for j in add) - sum(numerators[j] for j in remove)
+            if gain <= 0 or gain * move.gain.denominator != move.gain.numerator * den:
+                raise TraceRefuted(f"swaps: {move} does not gain what its edges give")
+            held = (held - remove) | add
+        if held != set(record.added):
+            raise TraceRefuted(f"swaps: interval {record.index} does not end at its added edges")
         if record.added and not instance.is_feasible(seen):
             raise TraceRefuted(f"prefix feasibility: the prefix of interval {record.index}")
-    if trace.final_edges != tuple(sorted(seen)):
-        raise TraceRefuted("final edges: not the added edges")
     if trace.final_weight != Fraction(sum(numerators[j] for j in seen), den):
         raise TraceRefuted("final weight: not the added edges' weight")
     return own

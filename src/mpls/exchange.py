@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
@@ -246,18 +247,34 @@ class OptimumEdgeReport:
     near_marker: bool | None
 
 
+def _first_block(
+    vertices: frozenset[int],
+    blocked_sets: Sequence[frozenset[int]],
+    intervals: Sequence[int],
+) -> tuple[int | None, int]:
+    """The interval whose blocked set first meets ``vertices``, and how many
+    of them it holds; ``(None, 0)`` when none does."""
+    for index, blocked in zip(intervals, blocked_sets[1:]):
+        hit = vertices & blocked
+        if hit:
+            return index, len(hit)
+    return None, 0
+
+
 @dataclass(frozen=True)
 class ConflictTrace:
-    """Nested blocked-vertex chain plus a per-optimum-edge classification.
+    """Nested blocked-vertex chain; each optimum edge's classification follows from it.
 
     Layer i belongs to interval ``intervals[i - 1]``, the i-th occupied
     interval of the run; ``blocked_sets[0]`` is empty.  ``blocked_sets[i]``
     grows by exactly the number of solution vertices accepted in that
     interval, stays inside the (dummy-padded) optimum vertex set, and
     leaves the remainder of the optimum compatible with the solution
-    prefix.  Every positive-weight optimum edge is blocked no later than
-    its own interval: inside it with one contact (single), inside it with
-    several (double), or already in an earlier interval.
+    prefix.  ``edges`` is the padded optimum, each entry its original id
+    (None for a dummy), vertices, weight and own interval.  Every
+    positive-weight optimum edge is blocked no later than its own
+    interval: inside it with one contact (single), inside it with several
+    (double), or already in an earlier interval.
     """
 
     gamma: Fraction
@@ -267,7 +284,32 @@ class ConflictTrace:
     intervals: tuple[int, ...]
     solution_vertex_sets: tuple[frozenset[int], ...]
     blocked_sets: tuple[frozenset[int], ...]
-    reports: tuple[OptimumEdgeReport, ...]
+    edges: tuple[tuple[int | None, frozenset[int], Fraction, int], ...]
+
+    @cached_property
+    def reports(self) -> tuple[OptimumEdgeReport, ...]:
+        """Each padded optimum edge, classified by where the chain first blocks it;
+        ``ConflictTraceError`` if that is after its own interval."""
+        reports: list[OptimumEdgeReport] = []
+        for idx, (orig, verts, weight, own) in enumerate(self.edges):
+            first, conflict = _first_block(verts, self.blocked_sets, self.intervals)
+            if first is None:
+                cls = CLASS_UNBLOCKED
+            elif first == own:
+                cls = CLASS_SINGLE if conflict == 1 else CLASS_DOUBLE
+            elif first < own:
+                cls = CLASS_BLOCKED_EARLIER
+            else:
+                raise ConflictTraceError(
+                    f"optimum edge {orig} blocked after its own interval; "
+                    "was the trace verified locally optimal?"
+                )
+            marker = self.scheme.marker(own - 1)
+            near = (1 + self.gamma) * weight >= marker if cls == CLASS_BLOCKED_EARLIER else None
+            reports.append(
+                OptimumEdgeReport(idx, orig, verts, weight, own, first, conflict, cls, marker, near)
+            )
+        return tuple(reports)
 
     def singles_weight(self) -> Fraction:
         return sum(
@@ -324,8 +366,10 @@ def build_conflict_trace(
     exchange inside the remaining optimum vertices is carved out for the
     newly accepted solution vertices; vertices shared between solution
     and optimum are forced into their own interval's layer so shared
-    edges are blocked on time.  The final classification tags every
-    (padded) optimum edge by where and how hard it was blocked.
+    edges are blocked on time.  The classification of every (padded)
+    optimum edge, ``ConflictTrace.reports``, follows from that chain; it
+    is worked out before returning, so an edge blocked after its own
+    interval raises ``ConflictTraceError`` here.
     """
     gamma = Fraction(gamma)
     if gamma < 0:
@@ -346,14 +390,15 @@ def build_conflict_trace(
     )
     solution_vertices = frozenset().union(*solution_vertex_sets)
 
-    padded: list[tuple[int | None, frozenset[int], Fraction]] = [
-        (j, instance.edges[j], instance.weights[j]) for j in sorted(optimum.edges)
+    # Optimum edges are feasible alone; dummies weigh 0, in the closed interval.
+    edges: list[tuple[int | None, frozenset[int], Fraction, int]] = [
+        (j, instance.edges[j], instance.weights[j], own[j]) for j in sorted(optimum.edges)
     ]
     optimum_vertices = set(instance.vertices_of(optimum.edges))
     next_vertex = instance.num_vertices
     while len(optimum_vertices) < len(solution_vertices):
         dummy = frozenset(range(next_vertex, next_vertex + instance.arity))
-        padded.append((None, dummy, Fraction(0)))
+        edges.append((None, dummy, Fraction(0), scheme.levels + 1))
         optimum_vertices |= dummy
         next_vertex += instance.arity
     if next_vertex > instance.num_vertices:
@@ -377,49 +422,7 @@ def build_conflict_trace(
         blocked.append(blocked[-1] | layer)
         prefix = prefix | level_verts
 
-    reports: list[OptimumEdgeReport] = []
-    for idx, (orig, verts, weight) in enumerate(padded):
-        # Optimum edges are feasible alone; dummies weigh 0, in the closed interval.
-        interval = scheme.levels + 1 if orig is None else own[orig]
-        first = None
-        conflict = 0
-        for i in range(1, len(blocked)):
-            hit = verts & blocked[i]
-            if hit:
-                first = intervals[i - 1]
-                conflict = len(hit)
-                break
-        if first is None:
-            cls = CLASS_UNBLOCKED
-        elif first == interval:
-            cls = CLASS_SINGLE if conflict == 1 else CLASS_DOUBLE
-        elif first < interval:
-            cls = CLASS_BLOCKED_EARLIER
-        else:
-            raise ConflictTraceError(
-                f"optimum edge {orig} blocked after its own interval; "
-                "was the trace verified locally optimal?"
-            )
-        marker = scheme.marker(interval - 1)
-        near = None
-        if cls == CLASS_BLOCKED_EARLIER:
-            near = (1 + gamma) * weight >= marker
-        reports.append(
-            OptimumEdgeReport(
-                edge=idx,
-                original_edge=orig,
-                vertices=verts,
-                weight=weight,
-                own_interval=interval,
-                first_blocked=first,
-                conflict_size=conflict,
-                cls=cls,
-                upper_marker=marker,
-                near_marker=near,
-            )
-        )
-
-    return ConflictTrace(
+    ct = ConflictTrace(
         gamma=gamma,
         scheme=scheme,
         extended_matroid=extended,
@@ -427,8 +430,10 @@ def build_conflict_trace(
         intervals=intervals,
         solution_vertex_sets=solution_vertex_sets,
         blocked_sets=tuple(blocked),
-        reports=tuple(reports),
+        edges=tuple(edges),
     )
+    ct.reports  # classify now, so a late-blocked edge raises here
+    return ct
 
 
 def verify_conflict_trace(ct: ConflictTrace) -> list[str]:
@@ -436,7 +441,9 @@ def verify_conflict_trace(ct: ConflictTrace) -> list[str]:
 
     Returns a list of human-readable problems; empty means the trace is
     sound.  Uses only oracle calls and the stored sets, never the
-    construction internals.
+    construction internals.  Per optimum edge it checks only what the
+    classification does not derive: the own interval is its weight's,
+    and a positive weight is blocked no later than that interval.
     """
     problems: list[str] = []
     blocked = ct.blocked_sets
@@ -473,42 +480,14 @@ def verify_conflict_trace(ct: ConflictTrace) -> list[str]:
         if not independent:
             problems.append(f"interval {index}: prefix plus unblocked optimum is dependent")
 
-    for r in ct.reports:
-        expected_first = None
-        expected_conflict = 0
-        for i in range(1, layers + 1):
-            hit = r.vertices & blocked[i]
-            if hit:
-                expected_first = intervals[i - 1]
-                expected_conflict = len(hit)
-                break
-        if (expected_first, expected_conflict) != (r.first_blocked, r.conflict_size):
-            problems.append(f"edge report {r.edge}: blocking data does not match the sets")
-            continue
-        if r.weight > 0:
-            if r.first_blocked is None or r.first_blocked > r.own_interval:
-                problems.append(
-                    f"edge report {r.edge}: positive weight but not blocked by interval "
-                    f"{r.own_interval}"
-                )
-        if r.first_blocked is None:
-            expected_cls = CLASS_UNBLOCKED
-        elif r.first_blocked == r.own_interval:
-            expected_cls = CLASS_SINGLE if r.conflict_size == 1 else CLASS_DOUBLE
-        elif r.first_blocked < r.own_interval:
-            expected_cls = CLASS_BLOCKED_EARLIER
-        else:
-            expected_cls = "impossible"
-        if r.cls != expected_cls:
-            problems.append(f"edge report {r.edge}: class {r.cls}, expected {expected_cls}")
-        if r.cls == CLASS_BLOCKED_EARLIER:
-            expected_near = (1 + ct.gamma) * r.weight >= r.upper_marker
-            if r.near_marker != expected_near:
-                problems.append(f"edge report {r.edge}: near-marker flag wrong")
-        elif r.near_marker is not None:
-            problems.append(f"edge report {r.edge}: spurious near-marker flag")
-        if ct.scheme.upper_marker(r.weight) != r.upper_marker:
-            problems.append(f"edge report {r.edge}: stored marker mismatch")
+    for idx, (_, verts, weight, own) in enumerate(ct.edges):
+        if ct.scheme.interval_of(weight) != own:
+            problems.append(f"optimum edge {idx}: own interval {own} is not its weight's")
+        first, _ = _first_block(verts, blocked, intervals)
+        if weight > 0 and (first is None or first > own):
+            problems.append(
+                f"optimum edge {idx}: positive weight but not blocked by interval {own}"
+            )
     return problems
 
 

@@ -78,12 +78,12 @@ class IntervalScheme:
     final interval ``levels + 1`` is closed at zero.  A weight equal to a
     marker belongs to the interval below that marker.
 
-    No marker is stored.  ``interval_of`` and ``upper_marker`` locate a
-    weight by bisection on exact integer powers of ``1 - epsilon``,
-    comparing by cross-multiplication, so a query costs O(log levels)
-    integer products and no ladder is ever built.  The integers and the
-    powers they bisect on are computed once per scheme; they are not
-    fields, so equality, hashing and the trace JSON ignore them.
+    No marker is stored.  ``interval_of`` locates a weight by bisection
+    on exact integer powers of ``1 - epsilon``, comparing by
+    cross-multiplication, so a query costs O(log levels) integer products
+    and no ladder is ever built.  The integers and the powers they bisect
+    on are computed once per scheme; they are not fields, so equality,
+    hashing and the trace JSON ignore them.
     """
 
     max_feasible_weight: Fraction
@@ -155,15 +155,6 @@ class IntervalScheme:
         if w.numerator < 0 or (j == 0 and w > self.marker(0)):
             raise ValueError(f"weight {w} outside the marker range")
         return j + 1
-
-    def upper_marker(self, w: Fraction) -> Fraction:
-        """Smallest positive marker at or above ``w``."""
-        w = w if isinstance(w, Fraction) else Fraction(w)
-        j = self._deepest_at_or_above(w)
-        marker = self.marker(j)
-        if j == 0 and marker < w:
-            raise ValueError(f"weight {w} above the top marker")
-        return marker
 
 
 def _gallop(
@@ -284,14 +275,14 @@ class SolverTrace:
     ``records`` holds one record per occupied interval, in increasing
     index order; an interval without a lone-feasible edge has none.
 
-    ``oracle_calls`` counts independence queries issued by the search
-    itself (swap tests and post-swap feasibility asserts); instance-level
-    cached lookups such as per-edge feasibility are excluded so the count
-    is identical no matter how often the instance was used before.  Tests
-    the search can decide without a query are not issued: a pair
-    containing a single addition that stayed infeasible with every
-    interval edge of the solution removed, and, under ``best-gain``, an
-    addition that cannot beat the best gain found so far.
+    ``oracle_calls``, the records' sum, counts independence queries issued
+    by the search itself (swap tests and post-swap feasibility asserts);
+    instance-level cached lookups such as per-edge feasibility are
+    excluded so the count is identical no matter how often the instance
+    was used before.  Tests the search can decide without a query are not
+    issued: a pair containing a single addition that stayed infeasible
+    with every interval edge of the solution removed, and, under
+    ``best-gain``, an addition that cannot beat the best gain found so far.
     """
 
     instance_signature: str
@@ -302,9 +293,17 @@ class SolverTrace:
     rule: str
     scheme: IntervalScheme | None
     records: tuple[IntervalRecord, ...]
-    final_edges: tuple[int, ...]
     final_weight: Fraction
-    oracle_calls: int
+
+    @property
+    def final_edges(self) -> tuple[int, ...]:
+        """The edges the records add, sorted."""
+        return tuple(sorted({j for r in self.records for j in r.added}))
+
+    @property
+    def oracle_calls(self) -> int:
+        """The queries of all records."""
+        return sum(r.oracle_calls for r in self.records)
 
 
 def _light_combinations(
@@ -572,9 +571,7 @@ def sliding_local_search(
         rule=rule,
         scheme=scheme,
         records=tuple(records),
-        final_edges=tuple(sorted(sol_set)),
         final_weight=solution.weight,
-        oracle_calls=counter[0],
     )
     return solution, trace
 
@@ -673,7 +670,9 @@ def _swap_to_obj(move: SwapMove) -> dict[str, Any]:
 
 def _swap_from_obj(obj: dict[str, Any]) -> SwapMove:
     return SwapMove(
-        add=tuple(obj["add"]), remove=tuple(obj["remove"]), gain=parse_fraction(obj["gain"])
+        add=_edge_ids(obj["add"]),
+        remove=_edge_ids(obj["remove"]),
+        gain=parse_fraction(obj["gain"]),
     )
 
 
@@ -709,9 +708,7 @@ def trace_to_json_obj(trace: SolverTrace) -> dict[str, Any]:
             }
             for r in trace.records
         ],
-        "final_edges": list(trace.final_edges),
         "final_weight": format_fraction(trace.final_weight),
-        "oracle_calls": trace.oracle_calls,
     }
 
 
@@ -737,14 +734,17 @@ def trace_from_json_obj(obj: dict[str, Any]) -> SolverTrace:
     """Rebuild a trace from its JSON object; a malformed one raises FormatError.
 
     The scheme keeps epsilon, delta, tau, the heaviest feasible weight
-    and ``levels``, and no marker is computed here; the ``markers`` and
-    per-record ``upper``/``lower`` keys of older files are ignored.  The
-    document must name the occupied-interval record layout, its record
-    indices must increase strictly inside 1..levels+1, epsilon, delta and
-    tau must lie in the solver's ranges, and the deepest marker, bounded
-    by ``marker_bits``, must stay within ``MAX_MARKER_BITS``.  The rule
-    must be one of ``SWAP_RULES``, the seed an integer and every
-    ``oracle_calls`` a nonnegative integer.
+    and ``levels``, and no marker is computed here.  The ``markers``,
+    ``final_edges`` and ``oracle_calls`` keys and the per-record
+    ``upper``/``lower`` keys of older files are ignored, since the trace
+    derives them.  The document must name the occupied-interval record
+    layout, its record indices must increase strictly inside
+    1..levels+1, epsilon, delta and tau must lie in the solver's ranges,
+    and the deepest marker, bounded by ``marker_bits``, must stay within
+    ``MAX_MARKER_BITS``.  The rule
+    must be one of ``SWAP_RULES``, the seed an integer, every record's
+    ``oracle_calls`` a nonnegative integer and every edge id, added or
+    swapped, an integer.
     """
     try:
         if "record_layout" not in obj or obj["record_layout"] != RECORD_LAYOUT:
@@ -800,9 +800,7 @@ def trace_from_json_obj(obj: dict[str, Any]) -> SolverTrace:
             rule=obj["rule"],
             scheme=scheme,
             records=records,
-            final_edges=_edge_ids(obj["final_edges"]),
             final_weight=parse_fraction(obj["final_weight"]),
-            oracle_calls=_count(obj["oracle_calls"]),
         )
     except FormatError:
         raise

@@ -25,7 +25,13 @@ from mpls.instance import (
     make_disjoint,
 )
 from mpls.matroids import FreeMatroid, PartitionMatroid, UniformMatroid
-from mpls.solver import IntervalRecord, IntervalScheme, compute_markers, sliding_local_search
+from mpls.solver import (
+    IntervalRecord,
+    IntervalScheme,
+    SwapMove,
+    compute_markers,
+    sliding_local_search,
+)
 
 EPS = Fraction("0.3873")
 DELTA = Fraction("0.0001")
@@ -192,16 +198,17 @@ def test_tampered_trace_is_rejected():
     records = []
     for record in trace.records:
         if 3 in record.added:
+            # Drop edge 3 and the swap that added it, so the trace passes
+            # check_trace and only the replay of the search can object.
+            assert record.swaps[-1].add == (3,)
             record = dataclasses.replace(
-                record, added=tuple(j for j in record.added if j != 3)
+                record, added=tuple(j for j in record.added if j != 3), swaps=record.swaps[:-1]
             )
         records.append(record)
     tampered = dataclasses.replace(
-        trace,
-        records=tuple(records),
-        final_edges=tuple(j for j in trace.final_edges if j != 3),
-        final_weight=trace.final_weight - Fraction(7, 10),
+        trace, records=tuple(records), final_weight=trace.final_weight - Fraction(7, 10)
     )
+    assert check_trace(inst, tampered)
     assert not verify_local_optimum(inst, tampered)
 
 
@@ -319,30 +326,63 @@ def test_trace_without_an_occupied_record_or_with_an_extra_one_is_refuted(forge)
     assert not verify_local_optimum(inst, forge(trace))
 
 
+def with_swaps(inst, trace, i, *moves):
+    """Record i's swaps replaced by ``moves``, each ``(add, remove)`` or ``(add, remove, gain)``."""
+    swaps = []
+    for add, remove, *gain in moves:
+        given = sum(inst.weights[j] for j in add) - sum(inst.weights[j] for j in remove)
+        swaps.append(SwapMove(add, remove, gain[0] if gain else given))
+    records = list(trace.records)
+    records[i] = dataclasses.replace(records[i], swaps=tuple(swaps))
+    return dataclasses.replace(trace, records=tuple(records))
+
+
 @pytest.mark.parametrize(
     "forge, check",
     [
         (
-            lambda t: dataclasses.replace(t, records=(), final_edges=(), final_weight=Fraction(0)),
+            lambda inst, t: dataclasses.replace(t, records=(), final_weight=Fraction(0)),
             "record indices",
         ),
-        (lambda t: dataclasses.replace(t, final_edges=tuple(range(6))), "final edges"),
-        (lambda t: with_added(t, 0, tuple(range(6))), "added edges"),
+        (lambda inst, t: with_added(t, 0, tuple(range(6))), "added edges"),
         (
-            lambda t: dataclasses.replace(
-                t, scheme=None, records=(), final_edges=(), final_weight=Fraction(0)
+            lambda inst, t: dataclasses.replace(
+                t, scheme=None, records=(), final_weight=Fraction(0)
             ),
             "degenerate trace",
         ),
+        # Interval 1 holds edge 4 alone; interval 3 holds edges 3 and 5 and adds 5.
+        (lambda inst, t: with_swaps(inst, t, 0), "swaps"),
+        (lambda inst, t: with_swaps(inst, t, 0, ((4,), ()), ((4,), ())), "swaps"),
+        (lambda inst, t: with_swaps(inst, t, 0, ((4, 4), ())), "swaps"),
+        (lambda inst, t: with_swaps(inst, t, 0, ((4, 5, 3), ())), "swaps"),
+        (lambda inst, t: with_swaps(inst, t, 0, ((5,), ())), "swaps"),
+        (lambda inst, t: with_swaps(inst, t, 0, ((4,), (5,))), "swaps"),
+        (lambda inst, t: with_swaps(inst, t, 0, ((4,), (), Fraction(1))), "swaps"),
+        (lambda inst, t: with_swaps(inst, t, 1, ((5,), ()), ((3,), (5,)), ((5,), (3,))), "swaps"),
+        (lambda inst, t: with_swaps(inst, t, 1, ((3,), ()), ((5,), (3,)), ((3,), ())), "swaps"),
     ],
-    ids=["no-records", "all-final-edges", "all-added-first", "claims-degenerate"],
+    ids=[
+        "no-records",
+        "all-added-first",
+        "claims-degenerate",
+        "no-swaps",
+        "swap-adds-a-held-edge",
+        "swap-adds-an-edge-twice",
+        "swap-adds-three-edges",
+        "swap-adds-outside-its-interval",
+        "swap-removes-an-edge-not-held",
+        "swap-claims-a-wrong-gain",
+        "swap-loses-weight",
+        "swaps-end-past-the-added-edges",
+    ],
 )
 def test_forged_trace_is_refuted(forge, check):
     inst, trace = genuine_trace()
     assert verify_local_optimum(inst, trace)
-    assert not verify_local_optimum(inst, forge(trace))
+    assert not verify_local_optimum(inst, forge(inst, trace))
     with pytest.raises(TraceRefuted, match=f"^{check}:"):
-        check_trace(inst, forge(trace))
+        check_trace(inst, forge(inst, trace))
 
 
 def true_local_optimum(inst, trace):
@@ -410,32 +450,38 @@ def relevel(trace, levels):
     return dataclasses.replace(rescheme(trace, levels=levels), records=records)
 
 
+def singly_added(inst, record, added):
+    """``record`` with ``added``, each edge brought in by a swap of its own."""
+    swaps = tuple(SwapMove((j,), (), inst.weights[j]) for j in added if j < inst.num_edges)
+    return dataclasses.replace(record, added=added, swaps=swaps)
+
+
 def toggle(inst, trace, j):
     """Drop edge j from the records, or add it to its own interval's record.
 
-    Either way ``final_edges`` and ``final_weight`` follow the records, so
-    only the deeper checks can refute the result.
+    Either way the edited record's swaps replay to its added edges and
+    ``final_weight`` follows the records, so only the deeper checks can
+    refute the result.
     """
     if not trace.records:
         return trace
-    if any(j in r.added for r in trace.records):
+    records = list(trace.records)
+    if any(j in r.added for r in records):
         records = [
-            dataclasses.replace(r, added=tuple(e for e in r.added if e != j))
-            for r in trace.records
+            singly_added(inst, r, tuple(e for e in r.added if e != j)) if j in r.added else r
+            for r in records
         ]
     else:
         try:
             own = trace.scheme.interval_of(inst.weights[j])
         except ValueError:
             own = None
-        i = next((i for i, r in enumerate(trace.records) if r.index == own), 0)
-        records = list(trace.records)
-        records[i] = dataclasses.replace(records[i], added=tuple(sorted(records[i].added + (j,))))
+        i = next((i for i, r in enumerate(records) if r.index == own), 0)
+        records[i] = singly_added(inst, records[i], tuple(sorted(records[i].added + (j,))))
     final = sorted({j for r in records for j in r.added if 0 <= j < inst.num_edges})
     return dataclasses.replace(
         trace,
         records=tuple(records),
-        final_edges=tuple(final),
         final_weight=sum((inst.weights[j] for j in final), Fraction(0)),
     )
 
@@ -448,7 +494,6 @@ def mutation(inst, trace):
     grid = st.integers(-1000, 2000).map(lambda i: EPS * Fraction(i, 1000))  # [-eps, 2 eps]
     kinds = [
         st.integers(0, inst.num_edges - 1).map(lambda j: toggle(inst, trace, j)),
-        ids.map(lambda e: dataclasses.replace(trace, final_edges=e)),
         st.fractions(0, 300).map(lambda w: dataclasses.replace(trace, final_weight=w)),
         grid.map(lambda tau: rescheme(trace, tau=tau)),
         grid.map(lambda tau: dataclasses.replace(trace, tau=tau)),
@@ -457,9 +502,7 @@ def mutation(inst, trace):
         st.permutations(trace.records).map(
             lambda rs: dataclasses.replace(trace, records=tuple(rs))
         ),
-        st.just(
-            dataclasses.replace(trace, scheme=None, records=(), final_edges=(), final_weight=0)
-        ),
+        st.just(dataclasses.replace(trace, scheme=None, records=(), final_weight=0)),
     ]
     if trace.records:
         kinds.append(st.tuples(record, ids).map(lambda a: with_added(trace, *a)))

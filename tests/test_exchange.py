@@ -14,7 +14,7 @@ from mpls.campaigns import (
     trace_campaign,
 )
 from mpls.cli import DEFAULT_DELTA, DEFAULT_EPSILON, DEFAULT_GAMMA
-from mpls.exact import brute_force_optimum, verify_local_optimum
+from mpls.exact import TraceRefuted, brute_force_optimum, check_trace, verify_local_optimum
 from mpls.exchange import (
     CLASS_BLOCKED_EARLIER,
     CLASS_DOUBLE,
@@ -33,7 +33,7 @@ from mpls.generators import generate
 from mpls.instance import ParityInstance, Solution
 from mpls.matroids import FreeMatroid, PartitionMatroid, UniformMatroid
 from mpls.serialization import parse_fraction
-from mpls.solver import compute_markers, sliding_local_search
+from mpls.solver import SwapMove, compute_markers, sliding_local_search
 
 EPS = Fraction("0.3873")
 DELTA = Fraction("0.0001")
@@ -145,6 +145,11 @@ def test_conflict_trace_verifier_catches_tampering():
     shrunk[-1] = shrunk[-1] - {min(shrunk[-1])}
     tampered = dataclasses.replace(ct, blocked_sets=tuple(shrunk))
     assert verify_conflict_trace(tampered) != []
+    orig, verts, weight, own = ct.edges[0]
+    edges = ((orig, verts, weight, own + 1), *ct.edges[1:])
+    assert verify_conflict_trace(dataclasses.replace(ct, edges=edges)) == [
+        f"optimum edge 0: own interval {own + 1} is not its weight's"
+    ]
 
 
 # Each forgery, with the check of exact.check_trace that refuses it.
@@ -155,21 +160,26 @@ FORGERIES = {
     "light-scheme": "heaviest weight",
     "tau-zero": "record indices",
     "levels-plus-40": "level count",
+    "forged-swap": "swaps",
 }
 
 
 @pytest.mark.parametrize("forgery", list(FORGERIES))
 def test_conflict_trace_refuses_forged_edge_ids_and_scheme(forgery):
-    if forgery in ("tau-zero", "levels-plus-40"):
-        # A ladder the run never used, at the CLI defaults and shift seed 0.
+    if forgery in ("tau-zero", "levels-plus-40", "forged-swap"):
+        # A ladder or a swap the run never used, at the CLI defaults and shift seed 0.
         inst = generate("set-packing", n=9, m=8, k=2, seed=5)
         _, trace = sliding_local_search(inst, DEFAULT_EPSILON, DEFAULT_DELTA, 0)
         if forgery == "tau-zero":
             scheme = dataclasses.replace(trace.scheme, tau=Fraction(0))
             trace = dataclasses.replace(trace, tau=Fraction(0), scheme=scheme)
-        else:
+        elif forgery == "levels-plus-40":
             scheme = dataclasses.replace(trace.scheme, levels=trace.scheme.levels + 40)
             trace = dataclasses.replace(trace, scheme=scheme)
+        else:
+            first, *rest = trace.records
+            first = dataclasses.replace(first, swaps=(SwapMove((99,), (-1,), Fraction(-5)),))
+            trace = dataclasses.replace(trace, records=(first, *rest))
     else:
         # The run of shift seed 0 adds edge 0 alone, in its first record.
         inst = generate("greedy-trap", k=3, rho=Fraction(3, 10))
@@ -186,6 +196,8 @@ def test_conflict_trace_refuses_forged_edge_ids_and_scheme(forgery):
     optimum = brute_force_optimum(inst).optimum
     with pytest.raises(ExchangeInputError, match=FORGERIES[forgery]):
         build_conflict_trace(inst, trace, optimum, GAMMA)
+    with pytest.raises(TraceRefuted, match=f"^{FORGERIES[forgery]}:"):
+        check_trace(inst, trace)
     assert not verify_local_optimum(inst, trace)
 
 
@@ -283,7 +295,7 @@ def sampled_near_frequency(inst, weight, epsilon, gamma, shifts):
     hits = 0
     for k in range(shifts):
         scaled = weight / (1 - epsilon * Fraction(2 * k + 1, 2 * shifts))
-        hits += (1 + gamma) * scaled >= base.upper_marker(scaled)
+        hits += (1 + gamma) * scaled >= base.marker(base.interval_of(scaled) - 1)
     return Fraction(hits, shifts)
 
 

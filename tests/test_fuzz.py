@@ -216,7 +216,7 @@ TRACE_CASES = [
 ]
 TRACE_KEYS = [
     "instance_signature", "epsilon", "delta", "seed", "tau", "rule", "scheme",
-    "record_layout", "records", "final_edges", "final_weight", "oracle_calls",
+    "record_layout", "records", "final_weight",
 ]
 RECORD_KEYS = ["index", "added", "swaps", "oracle_calls"]
 EDGE_IDS = st.one_of(st.integers(-2, 9), st.sampled_from([99, 10**6, -(10**9)]))
@@ -231,7 +231,7 @@ TRACE_VALUES = st.one_of(
 def mutate_trace(data, obj, weights):
     """Apply one drawn mutation to a trace object in place; may return a new root."""
     kind = data.draw(
-        st.sampled_from(["top", "drop", "scheme", "record", "added", "records", "root"])
+        st.sampled_from(["top", "drop", "scheme", "record", "added", "swap", "records", "root"])
     )
     if kind == "root":
         return data.draw(JUNK)
@@ -266,8 +266,18 @@ def mutate_trace(data, obj, weights):
                 record[data.draw(st.sampled_from(RECORD_KEYS))] = data.draw(
                     st.one_of(st.integers(-2, 30), TRACE_VALUES)
                 )
-            elif isinstance(record.get("added"), list):
-                record["added"].append(data.draw(EDGE_IDS))
+            elif kind == "added":
+                if isinstance(record.get("added"), list):
+                    record["added"].append(data.draw(EDGE_IDS))
+            elif isinstance(record.get("swaps"), list) and record["swaps"]:
+                swap = data.draw(st.sampled_from(record["swaps"]))
+                if isinstance(swap, dict):
+                    key = data.draw(st.sampled_from(["add", "remove", "gain"]))
+                    if key == "gain":
+                        values = st.one_of(st.sampled_from(weights), WEIGHTS, JUNK)
+                    else:
+                        values = st.one_of(st.lists(EDGE_IDS, min_size=1, max_size=3), JUNK)
+                    swap[key] = data.draw(values)
     return obj
 
 

@@ -135,13 +135,18 @@ def test_marker_weights_fall_below_their_marker():
         scheme.interval_of(Fraction(3))
 
 
+def upper_marker(scheme, w):
+    """The marker above the interval of ``w``."""
+    return scheme.marker(scheme.interval_of(w) - 1)
+
+
 def test_upper_marker_skips_zero_sentinel():
     scheme = halving_scheme()
-    assert scheme.upper_marker(Fraction(0)) == Fraction(1, 8)
-    assert scheme.upper_marker(Fraction(1, 16)) == Fraction(1, 8)
-    assert scheme.upper_marker(Fraction(3, 2)) == Fraction(2)
+    assert upper_marker(scheme, Fraction(0)) == Fraction(1, 8)
+    assert upper_marker(scheme, Fraction(1, 16)) == Fraction(1, 8)
+    assert upper_marker(scheme, Fraction(3, 2)) == Fraction(2)
     with pytest.raises(ValueError):
-        scheme.upper_marker(Fraction(3))
+        upper_marker(scheme, Fraction(3))
 
 
 @given(st.fractions(min_value=0, max_value=2))
@@ -187,6 +192,8 @@ def reference_interval_of(ladder, w):
 
 
 def reference_upper_marker(ladder, w):
+    if w < 0:
+        return None  # weights are nonnegative, so no interval holds w
     for m in reversed(ladder[:-1]):
         if m >= w:
             return m
@@ -225,9 +232,9 @@ def test_interval_of_and_upper_marker_match_a_linear_scan(epsilon, tau_percent, 
         expected = reference_upper_marker(ladder, w)
         if expected is None:
             with pytest.raises(ValueError):
-                scheme.upper_marker(w)
+                upper_marker(scheme, w)
         else:
-            assert scheme.upper_marker(w) == expected
+            assert upper_marker(scheme, w) == expected
 
 
 @settings(max_examples=150)
@@ -371,11 +378,13 @@ def test_trace_serialization_round_trip():
     inst = generate("set-packing", n=7, m=6, k=3, seed=1)
     _, trace = sliding_local_search(inst, EPS, DELTA, seed=4)
     obj = trace_to_json_obj(trace)
+    # The final edges and the query total follow from the records.
+    assert "final_edges" not in obj and "oracle_calls" not in obj
     assert trace_from_json_obj(obj) == trace
     assert trace_to_json_obj(trace_from_json_obj(obj)) == obj
 
 
-@pytest.mark.parametrize("field", ["epsilon", "scheme", "records", "oracle_calls"])
+@pytest.mark.parametrize("field", ["epsilon", "scheme", "records"])
 def test_trace_missing_a_field_is_a_format_error(field):
     inst = generate("set-packing", n=7, m=6, k=3, seed=1)
     obj = trace_to_json_obj(sliding_local_search(inst, EPS, DELTA, seed=4)[1])
@@ -396,6 +405,18 @@ def test_loaded_trace_has_the_scheme_compute_markers_builds():
     assert back.scheme == expected
 
 
+# `mpls solve --gen greedy-trap --k 3 --no-scale --trace-out`, as written
+# while traces still stored their final edges and query total.
+STORED_TOTALS_TRACE = (
+    '{"delta":"0.0001","epsilon":"0.3873","final_edges":[0],"final_weight":"1",'
+    '"instance_signature":"2ae22326ea45d9f4","oracle_calls":5,"record_layout":"occupied",'
+    '"records":[{"added":[0],"index":1,"oracle_calls":2,"swaps":[{"add":[0],"gain":"1",'
+    '"remove":[]}]},{"added":[],"index":2,"oracle_calls":3,"swaps":[]}],"rule":"first-lex",'
+    '"scheme":{"levels":23,"max_feasible_weight":"1"},"seed":0,'
+    '"tau":"0.149205484936038568621885502807344892062246799468994140625"}'
+)
+
+
 def test_trace_files_with_stored_markers_still_load():
     # Keys that older files carried, the ladder and each record's bounds,
     # are ignored.
@@ -407,6 +428,13 @@ def test_trace_files_with_stored_markers_still_load():
         r["upper"] = format_fraction(scheme.marker(r["index"] - 1))
         r["lower"] = format_fraction(scheme.marker(r["index"]))
     assert trace_from_json_obj(obj) == trace
+    # So are the stored final edges and query total, which the trace derives.
+    inst = generate("greedy-trap", k=3)
+    _, trace = sliding_local_search(inst, EPS, DELTA, seed=0)
+    back = trace_from_json_obj(json.loads(STORED_TOTALS_TRACE))
+    assert back == trace
+    assert (back.final_edges, back.oracle_calls) == ((0,), 5)
+    assert verify_local_optimum(inst, back)
 
 
 def test_records_cover_exactly_the_occupied_intervals():
@@ -486,9 +514,7 @@ def test_fine_epsilon_ladder_is_refused_before_building_it():
         "records": [
             {"index": i, "added": [], "swaps": [], "oracle_calls": 0} for i in range(1, levels + 2)
         ],
-        "final_edges": [],
         "final_weight": "0",
-        "oracle_calls": 0,
     }
     text = dumps_canonical(obj)
     assert len(text) < 13_000
@@ -515,7 +541,6 @@ def test_fine_epsilon_ladder_is_refused_before_building_it():
         lambda obj: obj["scheme"].update(levels=MAX_MARKER_BITS),
         lambda obj: obj.update(rule="nonsense"),
         lambda obj: obj.update(seed="4"),
-        lambda obj: obj.update(oracle_calls=-7),
         lambda obj: obj["records"][0].update(oracle_calls=-7),
         lambda obj: obj["records"][0].update(oracle_calls=True),
     ],
@@ -534,7 +559,6 @@ def test_fine_epsilon_ladder_is_refused_before_building_it():
         "deepest-marker-over-budget",
         "rule-unknown",
         "seed-text",
-        "oracle-calls-negative",
         "record-oracle-calls-negative",
         "record-oracle-calls-bool",
     ],
@@ -547,10 +571,12 @@ def test_inconsistent_scheme_is_a_format_error(edit):
 
 
 def test_non_integer_edge_ids_are_a_format_error():
-    obj = trace_to_json_obj(sample_run()[1])
-    obj["final_edges"] = ["0"]
-    with pytest.raises(FormatError):
-        trace_from_json_obj(obj)
+    # Swap ids are checked like added ones; the swap replay relies on it.
+    for key, ids in (("add", [[1]]), ("remove", ["0"])):
+        obj = trace_to_json_obj(sample_run()[1])
+        obj["records"][0]["swaps"][0][key] = ids
+        with pytest.raises(FormatError, match="edge ids must be integers"):
+            trace_from_json_obj(obj)
 
 
 def test_same_seed_gives_identical_traces():
