@@ -70,9 +70,12 @@ def parse_fraction(text: str | int) -> Fraction:
     """Parse "3", "0.35", "7/10" or "1.5e-3" into an exact Fraction.
 
     A decimal exponent beyond ``MAX_EXPONENT`` in magnitude is refused
-    before any digit is expanded.
+    before any digit is expanded.  Text must be ASCII: ``Fraction`` also
+    reads other Unicode digits, which the exponent bound would not see.
     """
     if isinstance(text, str):
+        if not text.isascii():
+            raise FormatError(f"not an ASCII rational: {text[:40]!r}")
         match = _EXPONENT.search(text)
         if match is not None:
             digits = match.group(1).replace("_", "").lstrip("0")

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations
+from math import floor
 from typing import Any, Callable, Iterable, Sequence
 
 from .instance import ParityInstance, Solution
@@ -40,10 +41,6 @@ DEFAULT_DELTA = Fraction("0.0001")
 
 class DegenerateInstanceError(ValueError):
     """No individually feasible edge with positive weight exists."""
-
-
-class LocalSearchError(RuntimeError):
-    """An applied swap broke feasibility; indicates an internal bug."""
 
 
 # The solver and the trace loader refuse a ladder whose deepest marker,
@@ -276,12 +273,13 @@ class SolverTrace:
     index order; an interval without a lone-feasible edge has none.
 
     ``oracle_calls``, the records' sum, counts independence queries issued
-    by the search itself (swap tests and post-swap feasibility asserts);
-    instance-level cached lookups such as per-edge feasibility are
-    excluded so the count is identical no matter how often the instance
-    was used before.  Tests the search can decide without a query are not
-    issued: a pair containing a single addition that stayed infeasible
-    with every interval edge of the solution removed, and, under
+    by the search itself, its pre-checks and swap tests; instance-level
+    cached lookups such as per-edge feasibility are excluded so the count
+    is identical no matter how often the instance was used before.  Tests
+    the search can decide without a query are not issued: a pre-check
+    already asked in the same interval, a pair containing a single
+    addition that stayed infeasible with every interval edge of the
+    solution removed, the removal of that whole pool, and, under
     ``best-gain``, an addition that cannot beat the best gain found so far.
     """
 
@@ -355,10 +353,12 @@ def _swap_search(
     instance: ParityInstance,
     sol_set: set[int],
     sol_verts: frozenset[int],
+    stripped: frozenset[int],
+    fits: dict[tuple[int, ...], bool],
     interval_ids: Sequence[int],
     rule: str,
     indep: Callable[[frozenset[int]], bool],
-) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
+) -> tuple[tuple[int, ...], tuple[int, ...], int, frozenset[int]] | None:
     """Find an improving swap inside one interval, or None.
 
     Candidate additions are interval edges outside the solution, at most
@@ -368,14 +368,18 @@ def _swap_search(
     enumeration order (additions by size then id order, removals by size
     then id order); ``best-gain`` scans everything and keeps the maximum
     gain, breaking ties toward the lexicographically smallest move, which
-    is the earliest in that order.
+    is the earliest in that order.  The move comes with the vertex set it
+    was found independent on, the solution's vertex set after the swap.
 
-    A candidate addition is pruned outright if it stays infeasible even
-    after removing every interval edge of the solution, which is the
-    weakest requirement any removal choice could meet.  A pair containing
-    a single addition pruned that way is skipped without a query, since
-    its vertex set contains the single's and independence is closed
-    downward.
+    ``stripped`` is the solution's vertex set outside the interval, which
+    stays fixed while the interval is searched.  An addition is pruned
+    outright if it is dependent on ``stripped``, the weakest requirement
+    any removal choice could meet.  ``fits`` maps each addition
+    pre-checked so far in this interval to that answer, so no pre-check
+    is asked twice.  A pair containing a single known to fail is skipped
+    without a query, since its vertex set contains the single's and
+    independence is closed downward.  Removing the whole pool leaves
+    ``stripped``, so that removal needs no query beyond the pre-check.
 
     Removal sets that cannot pay for the addition are never built.  Edge
     weights are nonnegative, so a removal size stops the size loop once
@@ -396,32 +400,24 @@ def _swap_search(
     pool_w = [wn[j] for j in pool]
     pool_sets = [edges[j] for j in pool]
 
-    stripped = sol_verts.difference(*pool_sets)
     max_remove = min(2 * instance.arity, len(pool))
     # lightest[s] is the loss of the s lightest pool edges, a lower bound
     # on the loss of any s removals.
     lightest = list(accumulate(sorted(pool_w)[:max_remove], initial=0))
-    blocked: set[int] = set()  # single additions that failed the pre-check
-    best: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
+    best: tuple[int, tuple[int, ...], tuple[int, ...], frozenset[int]] | None = None
 
     for add_size in (1, 2):
         for add in combinations(cand, add_size):
-            if add_size == 2 and (add[0] in blocked or add[1] in blocked):
+            if add_size == 2 and not (fits.get(add[:1], True) and fits.get(add[1:], True)):
                 continue
             gain_add = sum(wn[j] for j in add)
             limit = gain_add if best is None else gain_add - best[0]
             if limit <= 0:
                 continue  # cannot strictly improve, or cannot beat the best
             add_verts = edges[add[0]] if add_size == 1 else edges[add[0]] | edges[add[1]]
-            if not indep(stripped | add_verts):
-                if add_size == 1:
-                    blocked.add(add[0])
-                continue
-            if not pool:
-                # The pre-check was the query of the only move, removing nothing.
-                if rule == FIRST_LEX:
-                    return add, (), gain_add
-                best = (gain_add, add, ())
+            if add not in fits:
+                fits[add] = indep(stripped | add_verts)
+            if not fits[add]:
                 continue
             for rem_size in range(max_remove + 1):
                 if lightest[rem_size] >= limit:
@@ -431,16 +427,17 @@ def _swap_search(
                 ):
                     if loss >= limit:
                         continue  # the best gain rose during this walk
-                    if not indep(left | add_verts):
+                    after = left | add_verts
+                    if rem_size < len(pool) and not indep(after):
                         continue
                     rem = tuple(pool[i] for i in pos)
                     if rule == FIRST_LEX:
-                        return add, rem, gain_add - loss
-                    best = (gain_add - loss, add, rem)
+                        return add, rem, gain_add - loss, after
+                    best = (gain_add - loss, add, rem, after)
                     limit = loss  # only a lighter removal set beats this move
     if best is None:
         return None
-    return best[1], best[2], best[0]
+    return best[1], best[2], best[0], best[3]
 
 
 def _run_interval(
@@ -451,23 +448,22 @@ def _run_interval(
     rule: str,
     indep: Callable[[frozenset[int]], bool],
 ) -> tuple[list[SwapMove], frozenset[int]]:
-    """Apply improving swaps inside one interval until none remain."""
-    edges = instance.edges
+    """Apply improving swaps inside one interval until none remain.
+
+    On entry the solution holds no edge of the interval, so ``sol_verts``
+    is the fixed vertex set every pre-check of the interval extends.
+    """
     den = instance.weight_denominator
+    stripped = sol_verts
+    fits: dict[tuple[int, ...], bool] = {}
     swaps: list[SwapMove] = []
     while True:
-        found = _swap_search(instance, sol_set, sol_verts, interval_ids, rule, indep)
+        found = _swap_search(instance, sol_set, sol_verts, stripped, fits, interval_ids, rule, indep)
         if found is None:
             return swaps, sol_verts
-        add, rem, gain_num = found
-        for j in rem:
-            sol_set.discard(j)
-            sol_verts = sol_verts - edges[j]
-        for j in add:
-            sol_set.add(j)
-            sol_verts = sol_verts | edges[j]
-        if not indep(sol_verts):
-            raise LocalSearchError(f"swap add={add} remove={rem} broke feasibility")
+        add, rem, gain_num, sol_verts = found
+        sol_set.difference_update(rem)
+        sol_set.update(add)
         swaps.append(SwapMove(add=add, remove=rem, gain=Fraction(gain_num, den)))
 
 
@@ -610,10 +606,7 @@ def scale_weights(instance: ParityInstance, epsilon_scale: Fraction) -> ParityIn
     if heaviest == 0:
         return instance
     multiplier = Fraction(instance.num_edges) / (eps * heaviest)
-    scaled = tuple(
-        Fraction((multiplier * w).numerator // (multiplier * w).denominator)
-        for w in instance.weights
-    )
+    scaled = tuple(Fraction(floor(multiplier * w)) for w in instance.weights)
     return ParityInstance(
         num_vertices=instance.num_vertices,
         edges=instance.edges,

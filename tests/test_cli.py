@@ -378,6 +378,9 @@ def test_input_errors_exit_one(tmp_path, capsys):
         ["bench", *GEN_ARGS, "--runs", "10001"],
         ["solve", *GEN_ARGS, "--scale"],
         ["solve", *GEN_ARGS, "--scale", "1/10"],
+        # digits of other scripts, which would slip past the exponent bound
+        ["solve", *GEN_ARGS, "--epsilon", "1e-\u0662\u0660\u0660\u0660"],
+        ["verify", "trace", "--count", "1", "--epsilon", "\u0660.\u0663"],
     ],
 )
 def test_out_of_range_flags_exit_one_with_one_error_line(capsys, argv):

@@ -56,6 +56,14 @@ def test_fraction_exponents_are_bounded():
         parse_fraction(float("inf"))
 
 
+@pytest.mark.parametrize("text", ["1e\u0662\u0660\u0660\u0660", "\u0661", "\uff11", "1/\u0663"])
+def test_non_ascii_digits_are_refused(text):
+    # Fraction reads any Unicode decimal digit, so an Arabic-Indic exponent
+    # would slip past MAX_EXPONENT.
+    with pytest.raises(FormatError):
+        parse_fraction(text)
+
+
 @given(st.fractions())
 def test_fraction_round_trip(q):
     assert parse_fraction(format_fraction(q)) == q

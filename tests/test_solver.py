@@ -2,7 +2,8 @@ import json
 import random
 import time
 import tracemalloc
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -70,11 +71,20 @@ def find_improving_swap(instance, solution_edges, weight_range, rule=FIRST_LEX):
         if instance.feasible_alone[j] and weight_range.contains(instance.weights[j])
     ]
     found = solver._swap_search(
-        instance, sol, instance.vertices_of(sol), ids, rule, instance.matroid.is_independent
+        instance,
+        sol,
+        instance.vertices_of(sol),
+        instance.vertices_of(sol.difference(ids)),
+        {},
+        ids,
+        rule,
+        instance.matroid.is_independent,
     )
     if found is None:
         return None
-    add, rem, gain_num = found
+    add, rem, gain_num, verts = found
+    # The solver adopts this set instead of asking about the new solution.
+    assert verts == instance.vertices_of(sol.difference(rem).union(add))
     return SwapMove(add=add, remove=rem, gain=Fraction(gain_num, instance.weight_denominator))
 
 
@@ -417,6 +427,11 @@ STORED_TOTALS_TRACE = (
 )
 
 
+def uncounted(trace):
+    """The trace with every record's query count set to 0."""
+    return replace(trace, records=tuple(replace(r, oracle_calls=0) for r in trace.records))
+
+
 def test_trace_files_with_stored_markers_still_load():
     # Keys that older files carried, the ladder and each record's bounds,
     # are ignored.
@@ -429,10 +444,15 @@ def test_trace_files_with_stored_markers_still_load():
         r["lower"] = format_fraction(scheme.marker(r["index"]))
     assert trace_from_json_obj(obj) == trace
     # So are the stored final edges and query total, which the trace derives.
+    # The stored file's first record also counts a query after its swap,
+    # which the solver does not ask, so the per-record counts are compared
+    # apart.
     inst = generate("greedy-trap", k=3)
     _, trace = sliding_local_search(inst, EPS, DELTA, seed=0)
     back = trace_from_json_obj(json.loads(STORED_TOTALS_TRACE))
-    assert back == trace
+    assert [r.oracle_calls for r in back.records] == [2, 3]
+    assert [r.oracle_calls for r in trace.records] == [1, 3]
+    assert uncounted(back) == uncounted(trace)
     assert (back.final_edges, back.oracle_calls) == ((0,), 5)
     assert verify_local_optimum(inst, back)
 
@@ -637,8 +657,9 @@ def test_oracle_count_ignores_instance_warmup():
     assert cold == warm
 
 
-def reference_swap_search(instance, sol_set, sol_verts, interval_ids, rule, indep):
-    """Swap search that builds every removal set and applies no loss cut."""
+def reference_swap_search(instance, sol_set, sol_verts, _stripped, _fits, interval_ids, rule, indep):
+    """Swap search that builds every removal set, applies no loss cut and
+    keeps no pre-check answer."""
     wn = instance.weight_numerators
     edges = instance.edges
     cand = [j for j in interval_ids if j not in sol_set]
@@ -673,14 +694,15 @@ def reference_swap_search(instance, sol_set, sol_verts, interval_ids, rule, inde
                         if move_key >= best_key:
                             continue
                     removed_verts = frozenset().union(*(edges[j] for j in rem)) if rem else frozenset()
-                    if not indep((sol_verts - removed_verts) | add_verts):
+                    after = (sol_verts - removed_verts) | add_verts
+                    if not indep(after):
                         continue
                     if rule == FIRST_LEX:
-                        return add, rem, gain_add - loss
-                    best = (gain_add - loss, add, rem)
+                        return add, rem, gain_add - loss, after
+                    best = (gain_add - loss, add, rem, after)
     if best is None:
         return None
-    return best[1], best[2], best[0]
+    return best[1], best[2], best[0], best[3]
 
 
 def equivalence_instances():
@@ -748,6 +770,30 @@ def test_pruned_sliding_runs_match_the_unpruned_search(monkeypatch, rule):
             assert pruned.oracle_calls <= reference.oracle_calls
 
 
+@pytest.mark.parametrize("rule", [FIRST_LEX, BEST_GAIN])
+def test_each_pre_check_is_asked_once_per_interval(monkeypatch, rule):
+    # A pre-check extends the vertices of the earlier intervals' edges by
+    # one or two additions; that set stays fixed for the whole interval.
+    for inst in equivalence_instances():
+        inst.feasible_alone  # asked first, so only the search's queries are recorded
+        oracle = type(inst.matroid)
+        ask = oracle.is_independent
+        for seed in (0, 3):
+            queried = []
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "is_independent", lambda self, vs: queried.append(vs) or ask(self, vs))
+                _, trace = sliding_local_search(inst, EPS, DELTA, seed, rule)
+            assert len(queried) == trace.oracle_calls
+            prefix, start = frozenset(), 0
+            for r in trace.records:
+                asked = Counter(queried[start : start + r.oracle_calls])
+                start += r.oracle_calls
+                for a in range(inst.num_edges):
+                    if inst.feasible_alone[a] and trace.scheme.interval_of(inst.weights[a]) == r.index:
+                        assert asked[prefix | inst.edges[a]] <= 1
+                prefix |= inst.vertices_of(r.added)
+
+
 def test_hundred_edge_run_solves_and_verifies_quickly():
     # One interval of this run holds so many solution edges that building
     # every removal set takes seconds, and replaying the trace without the
@@ -790,6 +836,6 @@ def test_tail_swap_search_memory_stays_flat():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert trace.oracle_calls == 7202
+    assert trace.oracle_calls == 7081
     assert peak < 1_000_000
 
