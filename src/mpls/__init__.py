@@ -72,6 +72,7 @@ from .solver import (
     greedy,
     scale_weights,
     sliding_local_search,
+    sliding_runs,
     trace_from_json_obj,
     trace_to_json_obj,
 )

@@ -17,7 +17,6 @@ import csv
 import inspect
 import io
 import math
-import random
 import sys
 import time
 from fractions import Fraction
@@ -40,10 +39,10 @@ from .solver import (
     SWAP_RULES,
     DegenerateInstanceError,
     LadderBudgetError,
-    best_of_runs,
     greedy,
     scale_weights,
     sliding_local_search,
+    sliding_runs,
     trace_to_json_obj,
 )
 
@@ -53,7 +52,8 @@ VIOLATION_EXIT = 2
 DEFAULT_EPSILON = Fraction("0.3873")
 DEFAULT_GAMMA = Fraction("0.2253")
 DEFAULT_SCALE_EPSILON = Fraction(1, 10)
-# Most shift draws one ``--runs`` may ask for; memory grows with each run.
+# Most shift draws one ``--runs`` may ask for; the runs execute one after
+# another, so the time grows with each run.
 MAX_RUNS = 10_000
 
 
@@ -236,19 +236,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
     tau = None
     swaps = None
     if algo == "greedy":
-        before = work.matroid.calls
         chosen = greedy(work)
-        calls = work.matroid.calls - before
+        calls = work.num_edges  # one query per edge
         seed_used = None
     elif algo == "best-of-runs":
-        # Make the cached per-edge feasibility lookups, which traces leave
-        # out of their counts, before reading the counter.
-        work.feasible_alone
-        before = work.matroid.calls
-        chosen = best_of_runs(
+        # The first heaviest run, as best_of_runs picks it.
+        calls, chosen = 0, None
+        for sol, run in sliding_runs(
             work, args.epsilon, args.delta, args.runs, args.seed, args.swap_rule
-        )
-        calls = work.matroid.calls - before
+        ):
+            calls += run.oracle_calls
+            if chosen is None or sol.weight > chosen.weight:
+                chosen = sol
         seed_used = args.seed
     else:
         chosen, trace = sliding_local_search(
@@ -321,18 +320,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
         optimum = _optimum_weight(inst)
         status = "skipped" if optimum is None else "ok"
 
-        runs = 1 if args.algo == "greedy" else args.runs
-        rng = random.Random(f"bench:{args.seed}:{i}")
+        if args.algo == "greedy":
+            solutions = [greedy(work)]
+        else:
+            runs = sliding_runs(
+                work, args.epsilon, args.delta, args.runs, f"bench:{args.seed}:{i}", args.swap_rule
+            )
+            solutions = [sol for sol, _ in runs]
         ratios: list[Fraction] = []
         floor = _ratio_floor(inst.arity, args.scale, args.scale_epsilon)
-        for _ in range(runs):
-            run_seed = rng.getrandbits(63)
-            if args.algo == "greedy":
-                chosen = greedy(work)
-            else:
-                chosen, _ = sliding_local_search(
-                    work, args.epsilon, args.delta, run_seed, args.swap_rule
-                )
+        for chosen in solutions:
             achieved = sum((inst.weights[j] for j in chosen.edges), Fraction(0))
             if optimum is not None:
                 ratio = campaigns.approx_ratio(achieved, optimum)
@@ -345,7 +342,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         row = {
             "instance": doc.name,
             "algo": args.algo,
-            "runs": str(runs),
+            "runs": str(len(solutions)),
             "status": status,
             "mean_ratio": "",
             "min_ratio": "",

@@ -6,16 +6,14 @@ linear over a small prime field.  The combinators are contraction,
 direct sum and vertex copies; each wraps its base oracles instead of
 copying them, and is immutable after construction.
 
-``is_independent`` is the one public entry: it validates the query,
-turns it into a frozenset and bumps a thread-safe counter, once per
-query.  A combinator answers by calling its base's unchecked
-``_independent``, so a counter counts only the queries asked of that
-oracle directly, never those that reach it through a combinator.
+``is_independent`` is the one public entry; it validates the query and
+turns it into a frozenset.  A combinator calls its base's unchecked
+``_independent``, so a query is validated once, at the outer oracle.
+Oracles count nothing: a solver run counts its queries in its trace.
 """
 
 from __future__ import annotations
 
-import threading
 from math import isqrt
 from typing import AbstractSet, Iterable, Sequence
 
@@ -38,17 +36,15 @@ class MatroidOracle:
 
     Subclasses implement ``_independent`` for a set already known to lie
     inside ``ground``; it must not modify the set.  The public entry
-    point validates the query, bumps the call counter, and delegates.  A
-    wrapper that overrides only ``is_independent`` is still answered
-    through that override when a combinator queries it.
+    point validates the query and delegates.  A wrapper that overrides
+    only ``is_independent`` is still answered through that override when
+    a combinator queries it.
     """
 
-    __slots__ = ("ground", "_calls", "_lock")
+    __slots__ = ("ground",)
 
     def __init__(self, ground: Iterable[int]):
         self.ground: frozenset[int] = frozenset(ground)
-        self._calls = 0
-        self._lock = threading.Lock()
 
     def is_independent(self, subset: Iterable[int]) -> bool:
         s = frozenset(subset)
@@ -56,18 +52,11 @@ class MatroidOracle:
             raise GroundSetError(
                 f"query contains elements outside the ground set: {sorted(s - self.ground)}"
             )
-        with self._lock:
-            self._calls += 1
         return self._independent(s)
 
     def _independent(self, subset: AbstractSet[int]) -> bool:
         # Reached only by a wrapper that overrides ``is_independent`` alone.
         return self.is_independent(subset)
-
-    @property
-    def calls(self) -> int:
-        """Number of independence queries answered so far."""
-        return self._calls
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(|ground|={len(self.ground)})"

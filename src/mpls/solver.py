@@ -21,13 +21,12 @@ when asked for, so no ladder is ever built.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations
 from math import floor
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .instance import ParityInstance, Solution
 from .serialization import FormatError, format_fraction, instance_signature, parse_fraction
@@ -198,7 +197,7 @@ def _level_count(epsilon: Fraction, delta: Fraction, num_edges: int, max_levels:
     last_above, _, _ = _gallop(squares, 0, 1, 1, limit, lambda num, den: num * td > den * tn)
     if last_above + 2 > max_levels:
         raise LadderBudgetError(
-            f"epsilon {epsilon} needs markers of more than {MAX_MARKER_BITS} bits"
+            f"an epsilon of {_bits(epsilon)} bits needs markers of more than {MAX_MARKER_BITS} bits"
         )
     return last_above + 2
 
@@ -573,7 +572,7 @@ def sliding_local_search(
 
 
 def greedy(instance: ParityInstance) -> Solution:
-    """Add edges by decreasing weight (ties by id) whenever feasible."""
+    """Add edges by decreasing weight (ties by id) whenever feasible; one query per edge."""
     order = sorted(range(instance.num_edges), key=lambda j: (-instance.weight_numerators[j], j))
     sol: set[int] = set()
     verts: frozenset[int] = frozenset()
@@ -616,6 +615,22 @@ def scale_weights(instance: ParityInstance, epsilon_scale: Fraction) -> ParityIn
     )
 
 
+def sliding_runs(
+    instance: ParityInstance,
+    epsilon: Fraction,
+    delta: Fraction,
+    runs: int,
+    seed: int | str,
+    rule: str = FIRST_LEX,
+) -> Iterator[tuple[Solution, SolverTrace]]:
+    """Yield ``runs`` sliding runs one after another, seeded from ``random.Random(seed)``."""
+    if runs < 1:
+        raise ValueError("need at least one run")
+    derive = random.Random(seed)
+    for _ in range(runs):
+        yield sliding_local_search(instance, epsilon, delta, derive.getrandbits(63), rule)
+
+
 def best_of_runs(
     instance: ParityInstance,
     epsilon: Fraction,
@@ -625,32 +640,12 @@ def best_of_runs(
     rule: str = FIRST_LEX,
     max_workers: int | None = None,
 ) -> Solution:
-    """Best solution over independent sliding runs with derived seeds.
+    """Heaviest solution of ``sliding_runs``; ties go to the earliest run.
 
-    Seeds are derived deterministically from ``seed``; runs may execute
-    concurrently.  Ties in the final weight resolve to the earliest run,
-    so the result does not depend on scheduling.
+    The runs execute one after another; ``max_workers`` is ignored.
     """
-    if runs < 1:
-        raise ValueError("need at least one run")
-    derive = random.Random(seed)
-    seeds = [derive.getrandbits(63) for _ in range(runs)]
-
-    def one(s: int) -> Solution:
-        return sliding_local_search(instance, epsilon, delta, s, rule)[0]
-
-    if runs == 1:
-        results = [one(seeds[0])]
-    else:
-        workers = max_workers or min(runs, 8)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, seeds))
-
-    best = results[0]
-    for sol in results[1:]:
-        if sol.weight > best.weight:
-            best = sol
-    return best
+    solutions = (sol for sol, _ in sliding_runs(instance, epsilon, delta, runs, seed, rule))
+    return max(solutions, key=lambda sol: sol.weight)
 
 
 def _swap_to_obj(move: SwapMove) -> dict[str, Any]:

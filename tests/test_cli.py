@@ -391,6 +391,7 @@ def test_out_of_range_flags_exit_one_with_one_error_line(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("mpls: error: ")
     assert captured.err.count("\n") == 1
+    assert len(captured.err.encode()) < 200
 
 
 @pytest.mark.parametrize(
@@ -445,6 +446,16 @@ def test_tiny_epsilon_exits_one_within_a_second(capsys):
     assert captured.out == ""
     assert captured.err.startswith("mpls: error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_ladder_budget_error_names_the_size_of_epsilon(capsys):
+    # A 1,001-digit denominator stays out of the one error line.
+    assert main(["solve", "--gen", "greedy-trap", "--k", "3", "--epsilon", "1e-1000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mpls: error: ")
+    assert captured.err.count("\n") == 1
+    assert len(captured.err.encode()) < 200
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -383,6 +384,17 @@ def test_forged_trace_is_refuted(forge, check):
     assert not verify_local_optimum(inst, forge(inst, trace))
     with pytest.raises(TraceRefuted, match=f"^{check}:"):
         check_trace(inst, forge(inst, trace))
+
+
+def test_a_level_count_over_the_marker_budget_is_refuted_before_any_power():
+    # The level-count check would raise 1 - epsilon to the power 10^9 - 1.
+    inst = generate("set-packing", n=9, m=8, k=2, seed=5)
+    _, trace = sliding_local_search(inst, EPS, DELTA, 0)
+    forged = rescheme(trace, levels=10**9)
+    start = time.perf_counter()
+    with pytest.raises(TraceRefuted, match="^level count: 1000000000 is below 1 or over the"):
+        check_trace(inst, forged)
+    assert time.perf_counter() - start < 1
 
 
 def true_local_optimum(inst, trace):

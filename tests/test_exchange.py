@@ -34,6 +34,7 @@ from mpls.instance import ParityInstance, Solution
 from mpls.matroids import FreeMatroid, PartitionMatroid, UniformMatroid
 from mpls.serialization import parse_fraction
 from mpls.solver import SwapMove, compute_markers, sliding_local_search
+from conftest import PublicOnly
 
 EPS = Fraction("0.3873")
 DELTA = Fraction("0.0001")
@@ -201,15 +202,34 @@ def test_conflict_trace_refuses_forged_edge_ids_and_scheme(forgery):
     assert not verify_local_optimum(inst, trace)
 
 
+def test_conflict_trace_refuses_negative_gamma_degenerate_run_and_infeasible_optimum():
+    inst = generate("greedy-trap", k=3, rho=Fraction(3, 10))
+    _, trace = sliding_local_search(inst, EPS, DELTA, 0)
+    optimum = brute_force_optimum(inst).optimum
+    with pytest.raises(ExchangeInputError, match="gamma must be nonnegative"):
+        build_conflict_trace(inst, trace, optimum, Fraction(-1, 10**9))
+    everything = inst.solution(range(inst.num_edges))
+    assert not inst.is_feasible(everything.edges)
+    with pytest.raises(ExchangeInputError, match="claimed optimum is not feasible"):
+        build_conflict_trace(inst, trace, everything, GAMMA)
+    # A run on zero weights is degenerate: it checks out but has no intervals.
+    edges, weights = (frozenset({0}), frozenset({1})), (Fraction(0),) * 2
+    zero = ParityInstance(2, edges, weights, FreeMatroid(2), 1)
+    _, degenerate = sliding_local_search(zero, EPS, DELTA, 0)
+    assert degenerate.scheme is None and check_trace(zero, degenerate) == {}
+    with pytest.raises(ExchangeInputError, match="degenerate trace has no interval structure"):
+        build_conflict_trace(zero, degenerate, zero.solution(()), GAMMA)
+
+
 def test_conflict_trace_verifier_asks_an_empty_layer_nothing():
     # Interval 2 adds no solution vertex and blocks nothing new, so its
     # query is interval 1's; the verifier asks the optimum and interval 1.
     _, _, ct = trap_conflict(0)
     assert ct.solution_vertex_sets[1] == frozenset()
     assert ct.blocked_sets[2] == ct.blocked_sets[1]
-    before = ct.extended_matroid.calls
-    assert verify_conflict_trace(ct) == []
-    assert ct.extended_matroid.calls - before == 2
+    counted = PublicOnly(ct.extended_matroid)
+    assert verify_conflict_trace(dataclasses.replace(ct, extended_matroid=counted)) == []
+    assert counted.asked == 2
 
 
 def test_conflict_trace_pads_a_small_optimum_with_coloop_edges():

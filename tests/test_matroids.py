@@ -1,4 +1,3 @@
-import threading
 from itertools import combinations
 
 import pytest
@@ -17,6 +16,8 @@ from mpls.matroids import (
     UniformMatroid,
     VertexCopyMatroid,
 )
+from conftest import PublicOnly
+
 
 class MatroidAxiomError(AssertionError):
     """Raised by the exhaustive axiom checker when a structure is not a matroid."""
@@ -217,19 +218,6 @@ def test_coloops_are_always_addable():
     assert not oracle.is_independent({0, 1, 2})
 
 
-class _PublicOnly(MatroidOracle):
-    """A wrapper that overrides only ``is_independent``, as a tracing proxy does."""
-
-    def __init__(self, base):
-        super().__init__(base.ground)
-        self.base = base
-        self.asked = 0
-
-    def is_independent(self, subset):
-        self.asked += 1
-        return self.base.is_independent(subset)
-
-
 COMBINATORS = {
     "contracted": lambda m: ContractedMatroid(m, [0]),
     "direct-sum": lambda m: DirectSumMatroid([m, UniformMatroid(2, 1)]),
@@ -245,7 +233,7 @@ COMBINATORS = {
 @pytest.mark.parametrize("build", COMBINATORS.values(), ids=COMBINATORS.keys())
 def test_combinators_answer_through_an_overridden_public_entry(build):
     base = GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    wrapper = _PublicOnly(base)
+    wrapper = PublicOnly(base)
     plain, wrapped = build(base), build(wrapper)
     asked = wrapper.asked
     elems = sorted(plain.ground)
@@ -255,33 +243,35 @@ def test_combinators_answer_through_an_overridden_public_entry(build):
     assert wrapper.asked > asked
 
 
-def test_a_combinator_query_counts_only_at_the_outer_oracle():
-    base = UniformMatroid(3, 2)
-    copies = VertexCopyMatroid(base, {0: 0, 1: 0, 2: 1, 3: 2})
-    before = base.calls
-    assert copies.is_independent({0, 2})
-    assert copies.calls == 1
-    assert base.calls == before
+class _CountedGraphic(GraphicMatroid):
+    """A graphic base that counts its public queries and keeps its own ``_independent``."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.asked = 0
+
+    def is_independent(self, subset):
+        self.asked += 1
+        return super().is_independent(subset)
+
+
+def test_a_combinator_validates_only_at_the_outer_oracle():
+    # A combinator asks its base's unchecked ``_independent``, never the
+    # public entry; only contraction asks the public one, once, when built.
+    for name, build in COMBINATORS.items():
+        base = _CountedGraphic(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+        combined = build(base)
+        asked = base.asked
+        elems = sorted(combined.ground)
+        for size in range(len(elems) + 1):
+            for combo in combinations(elems, size):
+                combined.is_independent(combo)
+        assert base.asked == asked, name
 
 
 def test_ground_set_error():
     with pytest.raises(GroundSetError):
         UniformMatroid(3, 1).is_independent({5})
-
-
-def test_call_counter_thread_safety():
-    oracle = FreeMatroid(3)
-
-    def worker():
-        for _ in range(200):
-            oracle.is_independent({0, 1})
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert oracle.calls == 1600
 
 
 @given(st.data())

@@ -29,6 +29,7 @@ from mpls.solver import (
     greedy,
     scale_weights,
     sliding_local_search,
+    sliding_runs,
     trace_from_json_obj,
     trace_to_json_obj,
 )
@@ -633,6 +634,26 @@ def test_best_of_runs_matches_manual_derivation():
 
     single = best_of_runs(inst, EPS, DELTA, 1, seed)
     assert single == sliding_local_search(inst, EPS, DELTA, seeds[0])[0]
+
+
+def test_best_of_runs_keeps_a_strictly_heavier_later_run():
+    inst = generate("greedy-trap", k=3)
+    derived = random.Random(0)
+    seeds = [derived.getrandbits(63) for _ in range(4)]
+    solutions = [sliding_local_search(inst, EPS, DELTA, s)[0] for s in seeds]
+    assert [sol.weight for sol in solutions] == [1, 1, Fraction(21, 10), 1]
+    assert best_of_runs(inst, EPS, DELTA, 4, 0) == solutions[2]
+
+
+def test_sliding_runs_derive_their_seeds_from_a_string_too():
+    # ``mpls bench`` seeds each instance's runs with a string.
+    inst = generate("set-packing", n=7, m=6, k=3, seed=1)
+    derived = random.Random("bench:0:1")
+    runs = list(sliding_runs(inst, EPS, DELTA, 3, "bench:0:1", BEST_GAIN))
+    assert [trace.seed for _, trace in runs] == [derived.getrandbits(63) for _ in range(3)]
+    assert all(trace.rule == BEST_GAIN for _, trace in runs)
+    with pytest.raises(ValueError, match="at least one run"):
+        best_of_runs(inst, EPS, DELTA, 0, 0)
 
 
 def test_degenerate_instance_returns_empty_solution():
