@@ -32,10 +32,12 @@ class InstanceError(ValueError):
 
 
 def _check_weights(weights: Sequence[Fraction], count: int) -> tuple[Fraction, ...]:
-    ws = tuple(Fraction(w) for w in weights)
+    # A Fraction passes through as it is; its denominator is positive, so
+    # its numerator carries the sign.
+    ws = tuple(w if type(w) is Fraction else Fraction(w) for w in weights)
     if len(ws) != count:
         raise InstanceError(f"expected {count} weights, got {len(ws)}")
-    if any(w < 0 for w in ws):
+    if any(w.numerator < 0 for w in ws):
         raise InstanceError("edge weights must be nonnegative")
     return ws
 
@@ -127,27 +129,31 @@ class ParityInstance:
         stays in integer arithmetic while remaining exact.
         """
         den = self.weight_denominator
-        return tuple(int(w * den) for w in self.weights)
+        return tuple(w.numerator * (den // w.denominator) for w in self.weights)
 
     @cached_property
     def feasible_alone(self) -> tuple[bool, ...]:
         """Whether each edge is feasible on its own."""
         return tuple(self.matroid.is_independent(e) for e in self.edges)
 
-    def is_feasible(self, edge_ids: Iterable[int]) -> bool:
+    def _known_ids(self, edge_ids: Iterable[int]) -> frozenset[int]:
         ids = frozenset(edge_ids)
-        if not ids <= frozenset(range(len(self.edges))):
-            raise InstanceError("unknown edge id in feasibility query")
+        m = len(self.edges)
+        if not all(isinstance(j, int) and 0 <= j < m for j in ids):
+            raise InstanceError("unknown edge id")
+        return ids
+
+    def is_feasible(self, edge_ids: Iterable[int]) -> bool:
+        ids = self._known_ids(edge_ids)
         used: set[int] = set()
         for j in ids:
             used |= self.edges[j]
         return self.matroid.is_independent(used)
 
     def solution(self, edge_ids: Iterable[int]) -> Solution:
-        ids = frozenset(edge_ids)
-        if not ids <= frozenset(range(len(self.edges))):
-            raise InstanceError("unknown edge id")
-        return Solution(ids, sum((self.weights[j] for j in ids), Fraction(0)))
+        ids = self._known_ids(edge_ids)
+        wn = self.weight_numerators
+        return Solution(ids, Fraction(sum(wn[j] for j in ids), self.weight_denominator))
 
     def vertices_of(self, edge_ids: Iterable[int]) -> frozenset[int]:
         used: set[int] = set()
@@ -169,7 +175,7 @@ def make_disjoint(raw: RawParityInstance) -> ParityInstance:
     """
     incident: dict[int, list[int]] = {}
     for j, e in enumerate(raw.edges):
-        for v in sorted(e):
+        for v in e:
             incident.setdefault(v, []).append(j)
 
     if len(incident) == raw.num_vertices and all(
@@ -184,22 +190,19 @@ def make_disjoint(raw: RawParityInstance) -> ParityInstance:
             arity=raw.arity,
         )
 
-    copy_id: dict[tuple[int, int], int] = {}
+    copies: list[list[int]] = [[] for _ in raw.edges]
     copy_to_original: dict[int, int] = {}
     next_id = 0
     for v in sorted(incident):
         for j in incident[v]:
-            copy_id[(v, j)] = next_id
+            copies[j].append(next_id)
             copy_to_original[next_id] = v
             next_id += 1
 
-    new_edges = tuple(
-        frozenset(copy_id[(v, j)] for v in e) for j, e in enumerate(raw.edges)
-    )
     matroid = VertexCopyMatroid(raw.matroid, copy_to_original)
     return ParityInstance(
         num_vertices=next_id,
-        edges=new_edges,
+        edges=tuple(frozenset(c) for c in copies),
         weights=raw.weights,
         matroid=matroid,
         arity=raw.arity,

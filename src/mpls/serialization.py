@@ -59,8 +59,15 @@ MAX_WEIGHT_BITS = 3000
 MAX_VERTICES = 100_000
 
 
+def _json_int(value: Any, what: str) -> int:
+    """A JSON integer as it was read; a float, a boolean or a string is refused."""
+    if type(value) is not int:
+        raise FormatError(f"{what} must be an integer, got {value!r:.40}")
+    return value
+
+
 def _vertex_count(value: Any, what: str) -> int:
-    count = int(value)
+    count = _json_int(value, what)
     if count > MAX_VERTICES:
         raise FormatError(f"{what} exceeds the bound of {MAX_VERTICES}")
     return count
@@ -72,8 +79,13 @@ def parse_fraction(text: str | int) -> Fraction:
     A decimal exponent beyond ``MAX_EXPONENT`` in magnitude is refused
     before any digit is expanded.  Text must be ASCII: ``Fraction`` also
     reads other Unicode digits, which the exponent bound would not see.
+    Anything but a string or an integer, such as a float or a boolean, is
+    refused: a float already holds its binary expansion, not the number
+    that was written.
     """
-    if isinstance(text, str):
+    if type(text) is int:
+        return Fraction(text)
+    if type(text) is str:
         if not text.isascii():
             raise FormatError(f"not an ASCII rational: {text[:40]!r}")
         match = _EXPONENT.search(text)
@@ -81,10 +93,11 @@ def parse_fraction(text: str | int) -> Fraction:
             digits = match.group(1).replace("_", "").lstrip("0")
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
                 raise FormatError(f"exponent beyond {MAX_EXPONENT}: {text[:40]!r}")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise FormatError(f"not a rational: {text!r}") from exc
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FormatError(f"not a rational: {text!r}") from exc
+    raise FormatError(f"a rational must be a string or an integer, got {text!r}")
 
 
 def format_fraction(value: Fraction) -> str:
@@ -145,25 +158,36 @@ def matroid_from_descriptor(desc: dict[str, Any]) -> MatroidOracle:
     try:
         family = desc["family"]
         if family == "uniform":
-            return UniformMatroid(_vertex_count(desc["n"], "matroid n"), int(desc["r"]))
+            return UniformMatroid(
+                _vertex_count(desc["n"], "matroid n"), _json_int(desc["r"], "rank")
+            )
         if family == "partition":
             return PartitionMatroid(
-                [list(map(int, b)) for b in desc["blocks"]],
-                [int(c) for c in desc["capacities"]],
+                [[_json_int(v, "block element") for v in b] for b in desc["blocks"]],
+                [_json_int(c, "capacity") for c in desc["capacities"]],
             )
         if family == "graphic":
             return GraphicMatroid(
-                int(desc["vertices"]), [(int(u), int(v)) for u, v in desc["edges"]]
+                _json_int(desc["vertices"], "graph vertex count"),
+                [(_json_int(u, "endpoint"), _json_int(v, "endpoint")) for u, v in desc["edges"]],
             )
         if family == "linear":
             return LinearMatroid(
-                int(desc["field_prime"]), [list(map(int, c)) for c in desc["columns"]]
+                _json_int(desc["field_prime"], "field prime"),
+                [[_json_int(x, "column entry") for x in c] for c in desc["columns"]],
             )
         if family == "free":
             return FreeMatroid(_vertex_count(desc["n"], "matroid n"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad matroid descriptor: {exc}") from exc
     raise FormatError(f"unknown matroid family {family!r}")
+
+
+def _edge_vertices(values: Any) -> list[int]:
+    verts = [_json_int(v, "vertex id") for v in values]
+    if len(set(verts)) != len(verts):
+        raise FormatError("an edge lists a vertex twice")
+    return verts
 
 
 @dataclass
@@ -199,9 +223,9 @@ class InstanceDoc:
         try:
             edges = obj["edges"]
             doc = cls(
-                arity=int(obj["k"]),
+                arity=_json_int(obj["k"], "k"),
                 num_vertices=_vertex_count(obj["vertices"], "vertex count"),
-                edge_verts=[[int(v) for v in e["verts"]] for e in edges],
+                edge_verts=[_edge_vertices(e["verts"]) for e in edges],
                 edge_weights=[parse_fraction(e["w"]) for e in edges],
                 matroid_desc=dict(obj["matroid"]),
                 name=str(obj.get("name", "instance")),

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations
-from math import floor
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .instance import ParityInstance, Solution
@@ -202,6 +201,14 @@ def _level_count(epsilon: Fraction, delta: Fraction, num_edges: int, max_levels:
     return last_above + 2
 
 
+def _heaviest_feasible_numerator(instance: ParityInstance) -> int | None:
+    """Largest weight numerator of an edge feasible alone; None if there is none."""
+    return max(
+        (wn for wn, ok in zip(instance.weight_numerators, instance.feasible_alone) if ok),
+        default=None,
+    )
+
+
 def compute_markers(
     instance: ParityInstance,
     epsilon: Fraction,
@@ -226,10 +233,7 @@ def compute_markers(
     if not 0 <= tau < epsilon:
         raise ValueError("the shift must lie in [0, epsilon)")
 
-    heaviest = max(
-        (wn for wn, ok in zip(instance.weight_numerators, instance.feasible_alone) if ok),
-        default=None,
-    )
+    heaviest = _heaviest_feasible_numerator(instance)
     if heaviest is None:
         raise DegenerateInstanceError("no edge is feasible on its own")
     if heaviest == 0:
@@ -594,22 +598,23 @@ def scale_weights(instance: ParityInstance, epsilon_scale: Fraction) -> ParityIn
     ``|E|^2 / epsilon_scale``, at an approximation loss of at most the
     factor ``1 - epsilon_scale``.  Instances with no positive feasible
     weight are returned unchanged.
+
+    Over the common denominator, with n_j the weight numerators, N the
+    heaviest lone-feasible numerator and epsilon_scale = p/q, edge j's
+    scaled weight is ``n_j * |E| * q // (p * N)``: one integer floor
+    division, equal to ``floor(multiplier * w_j)``.
     """
     eps = Fraction(epsilon_scale)
     if not 0 < eps < 1:
         raise ValueError("epsilon_scale must lie in (0, 1)")
-    heaviest = Fraction(0)
-    for j, ok in enumerate(instance.feasible_alone):
-        if ok and instance.weights[j] > heaviest:
-            heaviest = instance.weights[j]
-    if heaviest == 0:
+    heaviest = _heaviest_feasible_numerator(instance)
+    if not heaviest:
         return instance
-    multiplier = Fraction(instance.num_edges) / (eps * heaviest)
-    scaled = tuple(Fraction(floor(multiplier * w)) for w in instance.weights)
+    top, bottom = instance.num_edges * eps.denominator, eps.numerator * heaviest
     return ParityInstance(
         num_vertices=instance.num_vertices,
         edges=instance.edges,
-        weights=scaled,
+        weights=tuple(Fraction(n * top // bottom) for n in instance.weight_numerators),
         matroid=instance.matroid,
         arity=instance.arity,
     )

@@ -299,6 +299,9 @@ BAD_FILES = {
     "not-utf8": b"\xff\xfe{}",
     "deep-nesting": b"[" * 100_000,
     "long-integer": b'{"k": 1' + b"0" * 5000 + b"}",
+    "float-weight": doc_bytes({"family": "free", "n": 2}).replace(b'"w": "1"', b'"w": 0.1'),
+    "float-vertices": doc_bytes({"family": "free", "n": 2}, vertices=2.0),
+    "bool-arity": doc_bytes({"family": "free", "n": 2}).replace(b'"k": 1', b'"k": true'),
 }
 
 

@@ -58,6 +58,8 @@ def test_rejects_uncovered_vertex():
 def test_rejects_negative_weight():
     with pytest.raises(InstanceError):
         singles(2, [1, -1], FreeMatroid(2))
+    with pytest.raises(InstanceError):
+        singles(2, [1, Fraction(-1, 3)], FreeMatroid(2))
 
 
 def test_rejects_ground_mismatch():
@@ -76,6 +78,17 @@ def test_feasibility_is_one_oracle_call():
     assert inst.is_feasible({0, 1})
     assert inst.matroid.asked - before == 1
     assert not inst.is_feasible({0, 1, 2})
+
+
+@pytest.mark.parametrize("bad", [-1, 3, "0"])
+def test_unknown_edge_ids_are_refused(bad):
+    inst = singles(3, [1, 2, 3], FreeMatroid(3))
+    assert inst.solution({0, 2}).weight == 4
+    assert inst.is_feasible({0, 2})
+    with pytest.raises(InstanceError):
+        inst.solution({0, bad})
+    with pytest.raises(InstanceError):
+        inst.is_feasible({bad})
 
 
 def test_weight_numerators_share_denominator():

@@ -152,6 +152,38 @@ def test_bad_files_raise_format_errors(tmp_path):
     path.write_text('{"k": 2}')
     with pytest.raises(FormatError):
         load_instance_doc(path)
+    # A float or a boolean where the file holds a number, and a vertex
+    # repeated within an edge, are refused rather than truncated or
+    # read as their binary expansion.
+    good = {
+        "k": 2,
+        "vertices": 4,
+        "edges": [{"verts": [0, 1], "w": "1/3"}, {"verts": [2, 3], "w": 2}],
+        "matroid": {"family": "free", "n": 4},
+    }
+    InstanceDoc.from_json_obj(good).to_raw()
+    graphic = {"family": "graphic", "vertices": 3, "edges": [[0, 1], [1, 2], [0, 2], [0, 1]]}
+    broken = [
+        ("k", 1.9), ("k", True), ("vertices", 2.9), ("vertices", True),
+        ("w", 0.1), ("w", True), ("w", 1.0), ("verts", [0.7, 1]), ("verts", [True, 1]),
+        ("verts", [0, 0]), ("matroid", {"family": "free", "n": 2.5}),
+        ("matroid", {**graphic, "edges": [[0, 1], [1, 2], [0, 1.6], [0, 2]]}),
+        ("matroid", {**graphic, "vertices": 3.0}),
+        ("matroid", {"family": "uniform", "n": 4, "r": 1.5}),
+        ("matroid", {"family": "partition", "blocks": [[0, 1], [2, 3]], "capacities": [1, False]}),
+        ("matroid", {"family": "partition", "blocks": [[0, 1.0], [2, 3]], "capacities": [1, 1]}),
+        ("matroid", {"family": "linear", "field_prime": 5, "columns": [[1], [0.5], [1], [2]]}),
+        ("matroid", {"family": "linear", "field_prime": 5.0, "columns": [[1], [0], [1], [2]]}),
+    ]
+    for key, value in broken:
+        obj = json.loads(json.dumps(good))
+        if key in ("w", "verts"):
+            obj["edges"][0][key] = value
+        else:
+            obj[key] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(FormatError):
+            load_instance_doc(path).to_raw()
 
 
 @pytest.mark.parametrize(

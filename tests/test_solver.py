@@ -6,6 +6,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
+from math import floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from mpls import solver
 from mpls.exact import brute_force_optimum, verify_local_optimum
 from mpls.generators import build_doc, generate
 from mpls.instance import ParityInstance, RawParityInstance, make_disjoint
-from mpls.matroids import FreeMatroid, UniformMatroid
+from mpls.matroids import FreeMatroid, PartitionMatroid, UniformMatroid
 from mpls.serialization import FormatError, dumps_canonical, format_fraction
 from mpls.solver import (
     BEST_GAIN,
@@ -367,6 +368,59 @@ def test_scaling_rounds_onto_integer_grid():
     )
     assert scaled.matroid is inst.matroid
     assert scaled.edges == inst.edges
+
+
+def singles_with_loops(weights, loops):
+    """Singleton edges on a partition matroid whose ``loops`` are not feasible alone."""
+    n = len(weights)
+    rest = [v for v in range(n) if v not in loops]
+    return ParityInstance(
+        num_vertices=n,
+        edges=tuple(frozenset([v]) for v in range(n)),
+        weights=tuple(Fraction(w) for w in weights),
+        matroid=PartitionMatroid([sorted(loops), rest], [0, len(rest)]),
+        arity=1,
+    )
+
+
+def reference_scaled(inst, eps):
+    """The grid rounding in Fractions: floor(|E| / (eps * W) * w)."""
+    lone = [w for w, ok in zip(inst.weights, inst.feasible_alone) if ok]
+    heaviest = max(lone, default=Fraction(0))
+    if heaviest == 0:
+        return inst.weights
+    multiplier = Fraction(inst.num_edges) / (eps * heaviest)
+    return tuple(Fraction(floor(multiplier * w)) for w in inst.weights)
+
+
+def test_scaling_takes_the_heaviest_lone_feasible_weight():
+    # Edge 0 is the heaviest but a loop, so W = 3 and the multiplier 4 / (3/10).
+    inst = singles_with_loops([5, 3, Fraction(7, 3), 0], {0})
+    scaled = scale_weights(inst, Fraction(1, 10))
+    assert scaled.weights == (66, 40, 31, 0)
+    assert scaled.weights == reference_scaled(inst, Fraction(1, 10))
+
+
+WEIGHTS = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(0, 60).map(lambda n: Fraction(n, 3)),
+    st.fractions(min_value=0, max_value=10**6, max_denominator=10**40),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(WEIGHTS, min_size=1, max_size=9),
+    loop_flags=st.lists(st.booleans(), min_size=9, max_size=9),
+    eps=st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda e: 0 < e < 1),
+)
+def test_integer_scaling_equals_the_fraction_reference(weights, loop_flags, eps):
+    inst = singles_with_loops(weights, {v for v in range(len(weights)) if loop_flags[v]})
+    den = inst.weight_denominator
+    assert inst.weight_numerators == tuple(int(w * den) for w in inst.weights)
+    scaled = scale_weights(inst, eps)
+    assert scaled.weights == reference_scaled(inst, eps)
+    assert all(type(w) is Fraction for w in scaled.weights)
 
 
 def test_scaling_ignores_all_zero_instances():
