@@ -136,6 +136,23 @@ class ParityInstance:
         """Whether each edge is feasible on its own."""
         return tuple(self.matroid.is_independent(e) for e in self.edges)
 
+    def _reweighted(self, weights: Iterable[Fraction]) -> ParityInstance:
+        """This instance with other weights, of which only the weights are checked.
+
+        Lone feasibility depends on the edges and the matroid alone, so it
+        carries over; the signature covers the weights and does not.
+        """
+        new = object.__new__(ParityInstance)
+        new.__dict__.update(
+            num_vertices=self.num_vertices,
+            edges=self.edges,
+            weights=_check_weights(weights, len(self.edges)),
+            matroid=self.matroid,
+            arity=self.arity,
+            feasible_alone=self.feasible_alone,
+        )
+        return new
+
     def _known_ids(self, edge_ids: Iterable[int]) -> frozenset[int]:
         ids = frozenset(edge_ids)
         m = len(self.edges)

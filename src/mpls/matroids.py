@@ -31,6 +31,13 @@ class DependentContractionError(ValueError):
     """Contraction was requested on a dependent set."""
 
 
+def _integer(x: object, what: str) -> int:
+    """``x`` itself if it is a plain int; a float or a boolean is refused, not truncated."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 class MatroidOracle:
     """Base class for independence oracles over a finite ground set.
 
@@ -49,9 +56,12 @@ class MatroidOracle:
     def is_independent(self, subset: Iterable[int]) -> bool:
         s = frozenset(subset)
         if not s <= self.ground:
-            raise GroundSetError(
-                f"query contains elements outside the ground set: {sorted(s - self.ground)}"
-            )
+            outside = s - self.ground
+            try:
+                shown = sorted(outside)
+            except TypeError:  # elements of types that do not compare
+                shown = sorted(outside, key=repr)
+            raise GroundSetError(f"query contains elements outside the ground set: {shown}")
         return self._independent(s)
 
     def _independent(self, subset: AbstractSet[int]) -> bool:
@@ -68,7 +78,7 @@ class FreeMatroid(MatroidOracle):
     __slots__ = ()
 
     def __init__(self, n: int):
-        if n < 0:
+        if _integer(n, "ground size") < 0:
             raise ValueError("ground size must be nonnegative")
         super().__init__(range(n))
 
@@ -82,7 +92,7 @@ class UniformMatroid(MatroidOracle):
     __slots__ = ("r",)
 
     def __init__(self, n: int, r: int):
-        if n < 0 or not 0 <= r:
+        if _integer(n, "ground size") < 0 or _integer(r, "rank") < 0:
             raise ValueError("need n >= 0 and r >= 0")
         super().__init__(range(n))
         self.r = r
@@ -109,7 +119,7 @@ class PartitionMatroid(MatroidOracle):
                 if v in block_of:
                     raise ValueError(f"element {v} appears in two blocks")
                 block_of[v] = i
-        caps = tuple(int(c) for c in capacities)
+        caps = tuple(_integer(c, "capacity") for c in capacities)
         if any(c < 0 for c in caps):
             raise ValueError("capacities must be nonnegative")
         super().__init__(block_of)
@@ -136,7 +146,8 @@ class GraphicMatroid(MatroidOracle):
     __slots__ = ("num_graph_vertices", "graph_edges")
 
     def __init__(self, num_graph_vertices: int, graph_edges: Sequence[tuple[int, int]]):
-        edges = tuple((int(u), int(v)) for u, v in graph_edges)
+        _integer(num_graph_vertices, "graph vertex count")
+        edges = tuple((_integer(u, "endpoint"), _integer(v, "endpoint")) for u, v in graph_edges)
         for u, v in edges:
             if not (0 <= u < num_graph_vertices and 0 <= v < num_graph_vertices):
                 raise ValueError(f"edge ({u},{v}) outside vertex range")
@@ -145,22 +156,23 @@ class GraphicMatroid(MatroidOracle):
         self.graph_edges = edges
 
     def _independent(self, subset: AbstractSet[int]) -> bool:
+        if len(subset) >= self.num_graph_vertices:
+            return not subset  # a forest has fewer edges than vertices
+        # Union-find over the vertices the set touches, with path halving:
+        # each step links a vertex to its grandparent.  Roots are absent.
         parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            root = x
-            while parent.get(root, root) != root:
-                root = parent[root]
-            while parent.get(x, x) != x:
-                parent[x], x = root, parent[x]
-            return root
-
+        edges = self.graph_edges
         for idx in subset:
-            u, v = self.graph_edges[idx]
-            ru, rv = find(u), find(v)
-            if ru == rv:
+            u, v = edges[idx]
+            while u in parent:
+                w = parent[u]
+                parent[u] = u = parent.get(w, w)
+            while v in parent:
+                w = parent[v]
+                parent[v] = v = parent.get(w, w)
+            if u == v:
                 return False  # closes a cycle (covers self-loops too)
-            parent[ru] = rv
+            parent[u] = v
         return True
 
 
@@ -173,11 +185,11 @@ class LinearMatroid(MatroidOracle):
     __slots__ = ("prime", "columns", "_dim")
 
     def __init__(self, prime: int, columns: Sequence[Sequence[int]]):
-        if not 2 <= prime <= MAX_FIELD_PRIME or any(
+        if not 2 <= _integer(prime, "field prime") <= MAX_FIELD_PRIME or any(
             prime % d == 0 for d in range(2, isqrt(prime) + 1)
         ):
             raise ValueError(f"{prime} is not a prime up to {MAX_FIELD_PRIME}")
-        cols = tuple(tuple(int(x) % prime for x in c) for c in columns)
+        cols = tuple(tuple(_integer(x, "column entry") % prime for x in c) for c in columns)
         if cols:
             dim = len(cols[0])
             if any(len(c) != dim for c in cols):
@@ -193,20 +205,21 @@ class LinearMatroid(MatroidOracle):
         if len(subset) > self._dim:
             return False
         p = self.prime
-        pivots: list[tuple[int, list[int]]] = []  # (pivot row, reduced column)
-        for i in sorted(subset):
-            col = list(self.columns[i])
+        columns = self.columns
+        pivots: list[tuple[int, list[int]]] = []  # (pivot row, reduced column with 1 there)
+        for i in subset:  # the rank does not depend on the column order
+            col = columns[i]
             for prow, pcol in pivots:
                 factor = col[prow]
                 if factor:
-                    for r in range(self._dim):
-                        col[r] = (col[r] - factor * pcol[r]) % p
-            pivot_row = next((r for r in range(self._dim) if col[r]), None)
-            if pivot_row is None:
+                    col = [(x - factor * y) % p for x, y in zip(col, pcol)]
+            for row, x in enumerate(col):
+                if x:
+                    break
+            else:
                 return False
-            inv = pow(col[pivot_row], -1, p)
-            col = [(inv * x) % p for x in col]
-            pivots.append((pivot_row, col))
+            inv = pow(x, -1, p)
+            pivots.append((row, [(inv * y) % p for y in col]))
         return True
 
 
@@ -238,32 +251,32 @@ class DirectSumMatroid(MatroidOracle):
 
     Element v of part i gets the id ``offsets[i] + v``, the offsets being
     the running sums of the part sizes.  A set is independent iff its
-    slice in each part is independent there; only the parts it meets are
-    asked.  A ``FreeMatroid`` part adds coloops: fresh elements
-    independent of everything.
+    slice in each part is independent there; the parts it meets are asked
+    in order, up to the first dependent slice.  A ``FreeMatroid`` part
+    adds coloops: fresh elements independent of everything.
     """
 
-    __slots__ = ("parts", "_where")
+    __slots__ = ("parts", "_slices")
 
     def __init__(self, parts: Sequence[MatroidOracle]):
-        where: list[tuple[int, int]] = []  # id -> (part, element of that part)
+        slices: list[tuple[MatroidOracle, frozenset[int], int]] = []  # (part, its ids, offset)
+        offset = 0
         for i, part in enumerate(parts):
             n = len(part.ground)
             if part.ground != frozenset(range(n)):
                 raise GroundSetError(f"part {i} is not on the ground set 0..{n - 1}")
-            where.extend((i, v) for v in range(n))
-        super().__init__(range(len(where)))
+            slices.append((part, frozenset(range(offset, offset + n)), offset))
+            offset += n
+        super().__init__(range(offset))
         self.parts = tuple(parts)
-        self._where = tuple(where)
+        self._slices = tuple(slices)
 
     def _independent(self, subset: AbstractSet[int]) -> bool:
-        where = self._where
-        split: dict[int, set[int]] = {}
-        for x in subset:
-            i, v = where[x]
-            split.setdefault(i, set()).add(v)
-        parts = self.parts
-        return all(parts[i]._independent(s) for i, s in split.items())
+        for part, ids, offset in self._slices:
+            s = ids.intersection(subset)
+            if s and not part._independent({x - offset for x in s} if offset else s):
+                return False
+        return True
 
 
 class VertexCopyMatroid(MatroidOracle):

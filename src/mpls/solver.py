@@ -611,13 +611,7 @@ def scale_weights(instance: ParityInstance, epsilon_scale: Fraction) -> ParityIn
     if not heaviest:
         return instance
     top, bottom = instance.num_edges * eps.denominator, eps.numerator * heaviest
-    return ParityInstance(
-        num_vertices=instance.num_vertices,
-        edges=instance.edges,
-        weights=tuple(Fraction(n * top // bottom) for n in instance.weight_numerators),
-        matroid=instance.matroid,
-        arity=instance.arity,
-    )
+    return instance._reweighted(Fraction(n * top // bottom) for n in instance.weight_numerators)
 
 
 def sliding_runs(

@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mpls.matroids import (
     ContractedMatroid,
@@ -288,3 +288,168 @@ def test_partition_counts_match_direct_check(data):
         len(subset & set(block)) <= cap for block, cap in zip(blocks, caps)
     )
     assert oracle.is_independent(subset) == expected
+
+
+def test_ground_set_error_lists_elements_that_do_not_compare():
+    with pytest.raises(GroundSetError, match="outside the ground set"):
+        FreeMatroid(3).is_independent({"a", 1, 7})
+
+
+NON_INTEGER_BUILDS = {
+    "graphic-float-edge": lambda: GraphicMatroid(3, [(0.7, 2.2)]),
+    "graphic-bool-endpoint": lambda: GraphicMatroid(3, [(True, 2)]),
+    "graphic-float-vertex-count": lambda: GraphicMatroid(3.0, [(0, 2)]),
+    "linear-float-entry": lambda: LinearMatroid(3, [[1.9, 0]]),
+    "linear-bool-entry": lambda: LinearMatroid(3, [[False, 1]]),
+    "linear-float-prime": lambda: LinearMatroid(3.0, [[1, 0]]),
+    "partition-float-capacity": lambda: PartitionMatroid([[0, 1]], [1.5]),
+    "partition-bool-capacity": lambda: PartitionMatroid([[0, 1]], [True]),
+    "uniform-float-rank": lambda: UniformMatroid(3, 1.5),
+    "free-float-size": lambda: FreeMatroid(2.0),
+}
+
+
+@pytest.mark.parametrize("build", NON_INTEGER_BUILDS.values(), ids=NON_INTEGER_BUILDS.keys())
+def test_constructors_refuse_non_integer_numbers(build):
+    # int() would truncate 0.7 to 0 and read True as 1.
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
+# Reference kernels written the plain way: a dict union-find, elimination
+# in sorted column order with a loop per row, and a map from each direct-sum
+# id to its part.  The oracles' kernels must agree with them.
+
+
+def reference_graphic(oracle, subset):
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    for idx in subset:
+        u, v = oracle.graph_edges[idx]
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
+def reference_linear(oracle, subset):
+    dim, p = len(oracle.columns[0]) if oracle.columns else 0, oracle.prime
+    if len(subset) > dim:
+        return False
+    pivots = []
+    for i in sorted(subset):
+        col = list(oracle.columns[i])
+        for prow, pcol in pivots:
+            factor = col[prow]
+            if factor:
+                for r in range(dim):
+                    col[r] = (col[r] - factor * pcol[r]) % p
+        pivot_row = next((r for r in range(dim) if col[r]), None)
+        if pivot_row is None:
+            return False
+        inv = pow(col[pivot_row], -1, p)
+        pivots.append((pivot_row, [(inv * x) % p for x in col]))
+    return True
+
+
+def reference_direct_sum(parts, subset):
+    where = [(i, v) for i, part in enumerate(parts) for v in range(len(part.ground))]
+    split = {}
+    for x in subset:
+        i, v = where[x]
+        split.setdefault(i, set()).add(v)
+    return all(parts[i]._independent(s) for i, s in split.items())
+
+
+def reference(oracle, subset):
+    if isinstance(oracle, GraphicMatroid):
+        return reference_graphic(oracle, subset)
+    if isinstance(oracle, LinearMatroid):
+        return reference_linear(oracle, subset)
+    return reference_direct_sum(oracle.parts, subset)
+
+
+PINNED_KERNEL_CASES = {
+    "graph-without-vertices": GraphicMatroid(0, []),
+    "one-vertex-self-loops": GraphicMatroid(1, [(0, 0), (0, 0)]),
+    "loop-and-parallel-edges": GraphicMatroid(4, [(0, 1), (1, 0), (2, 2), (1, 2), (3, 2)]),
+    "gf2-zero-and-equal-columns": LinearMatroid(2, [[0, 0, 0], [1, 1, 0], [1, 1, 0], [0, 1, 1]]),
+    "gf65521": LinearMatroid(65521, [[65520, 1], [1, 65520], [0, 0], [3, 5]]),
+    "dim-0": LinearMatroid(7, [[], []]),
+    "free-parts": DirectSumMatroid(
+        [FreeMatroid(0), GraphicMatroid(2, [(0, 1), (1, 0)]), FreeMatroid(2), LinearMatroid(3, [[1], [2]])]
+    ),
+}
+
+
+@pytest.mark.parametrize("oracle", PINNED_KERNEL_CASES.values(), ids=PINNED_KERNEL_CASES.keys())
+def test_kernels_match_the_reference_on_every_subset_of_pinned_cases(oracle):
+    elems = sorted(oracle.ground)
+    for size in range(len(elems) + 1):
+        for combo in combinations(elems, size):
+            assert oracle.is_independent(combo) == reference(oracle, set(combo)), combo
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 8))
+    if n == 0:
+        return GraphicMatroid(0, [])
+    vertex = st.integers(0, n - 1)
+    # Drawing endpoints independently gives self-loops and parallel edges.
+    return GraphicMatroid(n, draw(st.lists(st.tuples(vertex, vertex), max_size=12)))
+
+
+@st.composite
+def linear_matroids(draw):
+    prime = draw(st.sampled_from([2, 3, 5, 65521]))
+    dim = draw(st.integers(0, 4))
+    entry = st.one_of(st.integers(-3, prime + 3), st.integers(-(10**6), 10**6))
+    column = st.one_of(st.just([0] * dim), st.lists(entry, min_size=dim, max_size=dim))
+    return LinearMatroid(prime, draw(st.lists(column, max_size=7)))
+
+
+@st.composite
+def partitions(draw):
+    n = draw(st.integers(0, 6))
+    blocks = [list(range(i, min(i + 2, n))) for i in range(0, n, 2)]
+    return PartitionMatroid(blocks, [draw(st.integers(0, 2)) for _ in blocks])
+
+
+PARTS = st.one_of(
+    graphs(), linear_matroids(), partitions(), st.integers(0, 3).map(FreeMatroid)
+)
+
+
+def subsets_of(data, oracle):
+    """Each element in or out by a coin flip, so that sets of every size come up."""
+    flips = data.draw(st.lists(st.booleans(), min_size=len(oracle.ground), max_size=len(oracle.ground)))
+    return {x for x, keep in zip(sorted(oracle.ground), flips) if keep}
+
+
+@settings(max_examples=300)
+@given(graphs(), st.data())
+def test_graphic_kernel_matches_the_reference(oracle, data):
+    subset = subsets_of(data, oracle)
+    assert oracle.is_independent(subset) == reference_graphic(oracle, subset)
+
+
+@settings(max_examples=300)
+@given(linear_matroids(), st.data())
+def test_linear_kernel_matches_the_reference(oracle, data):
+    subset = subsets_of(data, oracle)
+    assert oracle.is_independent(subset) == reference_linear(oracle, subset)
+
+
+@settings(max_examples=300)
+@given(st.lists(PARTS, max_size=4), st.data())
+def test_direct_sum_kernel_matches_the_reference(parts, data):
+    oracle = DirectSumMatroid(parts)
+    subset = subsets_of(data, oracle)
+    assert oracle.is_independent(subset) == reference_direct_sum(parts, subset)

@@ -16,7 +16,7 @@ from mpls.exact import brute_force_optimum, verify_local_optimum
 from mpls.generators import build_doc, generate
 from mpls.instance import ParityInstance, RawParityInstance, make_disjoint
 from mpls.matroids import FreeMatroid, PartitionMatroid, UniformMatroid
-from mpls.serialization import FormatError, dumps_canonical, format_fraction
+from mpls.serialization import FormatError, dumps_canonical, format_fraction, instance_signature
 from mpls.solver import (
     BEST_GAIN,
     FIRST_LEX,
@@ -34,6 +34,7 @@ from mpls.solver import (
     trace_from_json_obj,
     trace_to_json_obj,
 )
+from conftest import PublicOnly
 
 EPS = Fraction("0.3873")
 DELTA = Fraction("0.0001")
@@ -381,6 +382,19 @@ def singles_with_loops(weights, loops):
         matroid=PartitionMatroid([sorted(loops), rest], [0, len(rest)]),
         arity=1,
     )
+
+
+def test_scaling_keeps_lone_feasibility_and_not_the_signature():
+    base = singles_with_loops([5, 3, Fraction(7, 3), 0], {0})
+    counted = PublicOnly(base.matroid)
+    inst = ParityInstance(base.num_vertices, base.edges, base.weights, counted, base.arity)
+    signature = instance_signature(inst)
+    scaled = scale_weights(inst, Fraction(1, 10))
+    asked = counted.asked
+    assert scaled.feasible_alone == (False, True, True, True)
+    assert counted.asked == asked  # carried over, not asked again
+    assert scaled == ParityInstance(inst.num_vertices, inst.edges, scaled.weights, counted, inst.arity)
+    assert instance_signature(scaled) != signature
 
 
 def reference_scaled(inst, eps):
