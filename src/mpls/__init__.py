@@ -37,7 +37,6 @@ from .generators import (
 from .instance import (
     InstanceError,
     ParityInstance,
-    RawParityInstance,
     Solution,
     from_matroid_intersection,
     make_disjoint,

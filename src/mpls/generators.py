@@ -30,6 +30,13 @@ def _check_size(vertices: int, incidences: int) -> None:
         )
 
 
+def _check_integers(**params: Any) -> None:
+    """Refuse a size parameter that is not a plain ``int``, before anything is built."""
+    for name, value in params.items():
+        if type(value) is not int:
+            raise GeneratorError(f"{name} must be an integer, got {value!r:.40}")
+
+
 def _random_weight(rng: random.Random) -> Fraction:
     # Mostly two-decimal weights, occasionally thirds so non-terminating
     # denominators stay exercised.
@@ -48,7 +55,7 @@ def greedy_trap_doc(k: int = 3, rho: Fraction = Fraction(3, 10)) -> InstanceDoc:
     ladder puts heavy and lights into one interval whenever the shift
     exceeds rho, after which a pair-for-one swap escapes the trap.
     """
-    k = int(k)
+    _check_integers(k=k)
     rho = Fraction(rho)
     if k < 1:
         raise GeneratorError("k must be positive")
@@ -88,6 +95,7 @@ def greedy_trap_doc(k: int = 3, rho: Fraction = Fraction(3, 10)) -> InstanceDoc:
 
 def set_packing_doc(n: int = 9, m: int = 8, k: int = 3, seed: int = 0) -> InstanceDoc:
     """Weighted set packing: overlapping random k-sets, free matroid."""
+    _check_integers(n=n, m=m, k=k)
     if n < k or k < 1 or m < 1:
         raise GeneratorError("need n >= k >= 1 and m >= 1")
     _check_size(n, m * k)
@@ -110,6 +118,7 @@ def set_packing_doc(n: int = 9, m: int = 8, k: int = 3, seed: int = 0) -> Instan
 
 def graphic_parity_doc(n: int = 5, m: int = 6, k: int = 3, seed: int = 0) -> InstanceDoc:
     """Random hyperedges over the edge set of a random multigraph."""
+    _check_integers(n=n, m=m, k=k)
     if n < 2 or k < 1 or m < 1:
         raise GeneratorError("need n >= 2, k >= 1 and m >= 1")
     _check_size(max(k, 2 * n), m * k)
@@ -168,6 +177,7 @@ def k_mi_partition_doc(n: int = 6, k: int = 3, seed: int = 0) -> InstanceDoc:
     block.  The result is already an exact cover, so normalization keeps
     it as is.
     """
+    _check_integers(n=n, k=k)
     if n < 1 or k < 1:
         raise GeneratorError("need n >= 1 and k >= 1")
     _check_size(k * n, k * n)

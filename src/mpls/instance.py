@@ -1,17 +1,17 @@
 """Weighted matroid parity instances.
 
-Two layers:
+Raw instance data is a weighted hypergraph over a matroid ground set whose
+edges may share vertices; feasibility means the chosen edges are pairwise
+vertex-disjoint and their combined vertex set is independent.
+``make_disjoint`` checks the raw fields once and rewires them into a
+``ParityInstance``, the normal form every solver consumes: edges are
+pairwise disjoint and cover every vertex exactly once, so feasibility of
+an edge set reduces to a single independence query.  Shared vertices are
+split into per-edge copies; the copy matroid enforces "at most one copy
+per original" on top of base independence, which preserves optimum values.
 
-* ``RawParityInstance``: a weighted hypergraph over a matroid ground set.
-  Hyperedges may share vertices; feasibility means the chosen edges are
-  pairwise vertex-disjoint and their combined vertex set is independent.
-
-* ``ParityInstance``: the normal form every solver consumes.  Edges are
-  pairwise disjoint and cover every vertex exactly once, so feasibility of
-  an edge set reduces to a single independence query.  ``make_disjoint``
-  rewires a raw instance into this form by splitting shared vertices into
-  per-edge copies; the copy matroid enforces "at most one copy per
-  original" on top of base independence, which preserves optimum values.
+The public constructor validates a normal form in full.  The normal forms
+this module builds itself are covers by construction and skip that check.
 
 All weights are exact nonnegative rationals.
 """
@@ -52,31 +52,6 @@ class Solution:
     def __post_init__(self):
         object.__setattr__(self, "edges", frozenset(self.edges))
         object.__setattr__(self, "weight", Fraction(self.weight))
-
-
-@dataclass(frozen=True)
-class RawParityInstance:
-    """Pre-normalization form: hyperedges may overlap."""
-
-    num_vertices: int
-    edges: tuple[frozenset[int], ...]
-    weights: tuple[Fraction, ...]
-    matroid: MatroidOracle
-    arity: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(frozenset(e) for e in self.edges))
-        object.__setattr__(self, "weights", _check_weights(self.weights, len(self.edges)))
-        if self.arity < 1:
-            raise InstanceError("arity must be at least 1")
-        vertices = frozenset(range(self.num_vertices))
-        if self.matroid.ground != vertices:
-            raise InstanceError("matroid ground set must equal the vertex set")
-        for j, e in enumerate(self.edges):
-            if not 1 <= len(e) <= self.arity:
-                raise InstanceError(f"edge {j} has {len(e)} vertices, arity bound is {self.arity}")
-            if not e <= vertices:
-                raise InstanceError(f"edge {j} uses unknown vertices")
 
 
 @dataclass(frozen=True)
@@ -142,8 +117,7 @@ class ParityInstance:
         Lone feasibility depends on the edges and the matroid alone, so it
         carries over; the signature covers the weights and does not.
         """
-        new = object.__new__(ParityInstance)
-        new.__dict__.update(
+        return _built(
             num_vertices=self.num_vertices,
             edges=self.edges,
             weights=_check_weights(weights, len(self.edges)),
@@ -151,7 +125,6 @@ class ParityInstance:
             arity=self.arity,
             feasible_alone=self.feasible_alone,
         )
-        return new
 
     def _known_ids(self, edge_ids: Iterable[int]) -> frozenset[int]:
         ids = frozenset(edge_ids)
@@ -161,11 +134,7 @@ class ParityInstance:
         return ids
 
     def is_feasible(self, edge_ids: Iterable[int]) -> bool:
-        ids = self._known_ids(edge_ids)
-        used: set[int] = set()
-        for j in ids:
-            used |= self.edges[j]
-        return self.matroid.is_independent(used)
+        return self.matroid.is_independent(self.vertices_of(self._known_ids(edge_ids)))
 
     def solution(self, edge_ids: Iterable[int]) -> Solution:
         ids = self._known_ids(edge_ids)
@@ -179,35 +148,57 @@ class ParityInstance:
         return frozenset(used)
 
 
-def make_disjoint(raw: RawParityInstance) -> ParityInstance:
-    """Normalize a raw instance so edges become pairwise vertex-disjoint.
+def _built(**fields: object) -> ParityInstance:
+    """A normal form this module built, a cover by construction, taken unchecked.
 
-    Every vertex of degree d is split into d copies, one per incident
-    edge; copies are numbered by (vertex, incident edge id) order so the
-    construction is deterministic.  Vertices touching no edge are dropped.
-    The new matroid accepts a copy set iff no original is duplicated and
-    the projected originals are independent in the base matroid, which
-    puts solutions of the raw and normalized instances in weight-preserving
-    bijection.
+    ``fields`` names every dataclass field and may preset cached properties.
     """
+    new = object.__new__(ParityInstance)
+    new.__dict__.update(fields)
+    return new
+
+
+def make_disjoint(
+    num_vertices: int,
+    edges: Iterable[Iterable[int]],
+    weights: Sequence[Fraction],
+    matroid: MatroidOracle,
+    arity: int,
+) -> ParityInstance:
+    """Normalize raw instance data so edges become pairwise vertex-disjoint.
+
+    The raw edges may share vertices; each must hold 1 to ``arity`` of the
+    vertices ``0..num_vertices-1``, the matroid's ground set.  Every vertex
+    of degree d is split into d copies, one per incident edge; copies are
+    numbered by (vertex, incident edge id) order so the construction is
+    deterministic.  Vertices touching no edge are dropped.  The new matroid
+    accepts a copy set iff no original is duplicated and the projected
+    originals are independent in the base matroid, which puts solutions of
+    the raw and normalized instances in weight-preserving bijection.
+    """
+    edges = tuple(frozenset(e) for e in edges)
+    weights = _check_weights(weights, len(edges))
+    if arity < 1:
+        raise InstanceError("arity must be at least 1")
+    vertices = frozenset(range(num_vertices))
+    if matroid.ground != vertices:
+        raise InstanceError("matroid ground set must equal the vertex set")
     incident: dict[int, list[int]] = {}
-    for j, e in enumerate(raw.edges):
+    for j, e in enumerate(edges):
+        if not 1 <= len(e) <= arity:
+            raise InstanceError(f"edge {j} has {len(e)} vertices, arity bound is {arity}")
+        if not e <= vertices:
+            raise InstanceError(f"edge {j} uses unknown vertices")
         for v in e:
             incident.setdefault(v, []).append(j)
 
-    if len(incident) == raw.num_vertices and all(
-        len(js) == 1 for js in incident.values()
-    ):
+    if len(incident) == num_vertices and all(len(js) == 1 for js in incident.values()):
         # Already an exact cover; keep the original matroid.
-        return ParityInstance(
-            num_vertices=raw.num_vertices,
-            edges=raw.edges,
-            weights=raw.weights,
-            matroid=raw.matroid,
-            arity=raw.arity,
+        return _built(
+            num_vertices=num_vertices, edges=edges, weights=weights, matroid=matroid, arity=arity
         )
 
-    copies: list[list[int]] = [[] for _ in raw.edges]
+    copies: list[list[int]] = [[] for _ in edges]
     copy_to_original: dict[int, int] = {}
     next_id = 0
     for v in sorted(incident):
@@ -216,13 +207,12 @@ def make_disjoint(raw: RawParityInstance) -> ParityInstance:
             copy_to_original[next_id] = v
             next_id += 1
 
-    matroid = VertexCopyMatroid(raw.matroid, copy_to_original)
-    return ParityInstance(
+    return _built(
         num_vertices=next_id,
         edges=tuple(frozenset(c) for c in copies),
-        weights=raw.weights,
-        matroid=matroid,
-        arity=raw.arity,
+        weights=weights,
+        matroid=VertexCopyMatroid(matroid, copy_to_original),
+        arity=arity,
     )
 
 
@@ -246,7 +236,7 @@ def from_matroid_intersection(
             raise InstanceError(f"matroid {i} is not on the shared ground set 0..{n - 1}")
     k = len(matroids)
     edges = tuple(frozenset(i * n + v for i in range(k)) for v in range(n))
-    return ParityInstance(
+    return _built(
         num_vertices=k * n,
         edges=edges,
         weights=_check_weights(weights, n),

@@ -17,7 +17,7 @@ from math import lcm
 from pathlib import Path
 from typing import Any
 
-from .instance import ParityInstance, RawParityInstance, make_disjoint
+from .instance import ParityInstance, make_disjoint
 from .matroids import (
     ContractedMatroid,
     DirectSumMatroid,
@@ -53,8 +53,8 @@ MAX_WEIGHT_BITS = 3000
 
 
 # Most vertices an instance may declare, and most vertex-edge incidences
-# a generator may build.  Free and uniform matroids and raw instances hold
-# a set of all their vertices, so an instance at the bound stays within
+# a generator may build.  Free and uniform matroids and ``make_disjoint``
+# hold a set of all the vertices, so an instance at the bound stays within
 # some tens of megabytes.
 MAX_VERTICES = 100_000
 
@@ -68,6 +68,8 @@ def _json_int(value: Any, what: str) -> int:
 
 def _vertex_count(value: Any, what: str) -> int:
     count = _json_int(value, what)
+    if count < 0:
+        raise FormatError(f"{what} must be nonnegative, got {count}")
     if count > MAX_VERTICES:
         raise FormatError(f"{what} exceeds the bound of {MAX_VERTICES}")
     return count
@@ -244,17 +246,14 @@ class InstanceDoc:
             raise FormatError(f"a weight over their lcm exceeds {MAX_WEIGHT_BITS} bits")
         return doc
 
-    def to_raw(self) -> RawParityInstance:
-        return RawParityInstance(
-            num_vertices=self.num_vertices,
-            edges=tuple(frozenset(v) for v in self.edge_verts),
-            weights=tuple(self.edge_weights),
-            matroid=matroid_from_descriptor(self.matroid_desc),
-            arity=self.arity,
-        )
-
     def normalize(self) -> ParityInstance:
-        return make_disjoint(self.to_raw())
+        return make_disjoint(
+            self.num_vertices,
+            self.edge_verts,
+            self.edge_weights,
+            matroid_from_descriptor(self.matroid_desc),
+            self.arity,
+        )
 
 
 def dumps_canonical(obj: Any) -> str:

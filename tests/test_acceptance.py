@@ -29,7 +29,7 @@ from mpls.exact import (
 from mpls.generators import build_doc, generate, random_partition_matroids
 from mpls.instance import from_matroid_intersection
 from mpls.solver import scale_weights, sliding_local_search
-from test_exact import flat_scan_optimum
+from test_exact import flat_scan_optimum, raw_fields
 
 EPSILON = Fraction("0.3873")
 WIDE_EPSILON = Fraction("0.49")
@@ -242,7 +242,7 @@ def test_criterion_10_reductions_preserve_optima():
                             k=rng.choice((2, 3)), seed=rng.getrandbits(32))
         # The raw optimum comes from the test-local flat scan, which checks
         # disjointness itself; the library searches only the normal form.
-        raw, _ = flat_scan_optimum(doc.to_raw())
+        raw, _ = flat_scan_optimum(raw_fields(doc))
         norm = brute_force_optimum(doc.normalize()).optimum
         assert (raw.weight, raw.edges) == (norm.weight, norm.edges)
     for i in range(100):

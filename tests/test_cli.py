@@ -1,6 +1,7 @@
 import csv
 import json
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -10,7 +11,8 @@ import pytest
 from mpls.cli import DEFAULT_DELTA, DEFAULT_EPSILON, main
 from mpls.exact import verify_local_optimum
 from mpls.generators import generate
-from mpls.serialization import parse_fraction
+from mpls.instance import InstanceError
+from mpls.serialization import load_instance_doc, parse_fraction
 from mpls.solver import sliding_local_search, trace_from_json_obj
 
 GEN_ARGS = ["--gen", "set-packing", "--n", "7", "--m", "6", "--k", "3"]
@@ -302,6 +304,9 @@ BAD_FILES = {
     "float-weight": doc_bytes({"family": "free", "n": 2}).replace(b'"w": "1"', b'"w": 0.1'),
     "float-vertices": doc_bytes({"family": "free", "n": 2}, vertices=2.0),
     "bool-arity": doc_bytes({"family": "free", "n": 2}).replace(b'"k": 1', b'"k": true'),
+    "negative-vertices": json.dumps(
+        {"k": 1, "vertices": -2, "edges": [], "matroid": {"family": "free", "n": 0}}
+    ).encode(),
 }
 
 
@@ -316,6 +321,36 @@ def test_bad_instance_files_exit_one_with_one_error_line_within_a_second(
     assert main([argv[0], str(path), *argv[1:]]) == 1
     assert time.perf_counter() - start < 1
     assert_one_error_line(capsys)
+
+
+def edges_of(*verts):
+    return [{"verts": list(v), "w": "1"} for v in verts]
+
+
+RAW_REFUSALS = {
+    "arity-0": ({"k": 0}, "arity must be at least 1"),
+    "empty-edge": ({"edges": edges_of([], [1])}, "edge 0 has 0 vertices, arity bound is 1"),
+    "edge-past-arity": (
+        {"edges": edges_of([0], [0, 1])}, "edge 1 has 2 vertices, arity bound is 1"
+    ),
+    "vertex-out-of-range": ({"edges": edges_of([0], [2])}, "edge 1 uses unknown vertices"),
+    "negative-vertex": ({"edges": edges_of([-1], [1])}, "edge 0 uses unknown vertices"),
+    "ground-size": (
+        {"matroid": {"family": "free", "n": 3}}, "matroid ground set must equal the vertex set"
+    ),
+}
+
+
+@pytest.mark.parametrize("change, message", RAW_REFUSALS.values(), ids=RAW_REFUSALS.keys())
+def test_raw_instance_refusals_exit_one_with_their_message(tmp_path, capsys, change, message):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({**json.loads(doc_bytes({"family": "free", "n": 2})), **change}))
+    with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+        load_instance_doc(path).normalize()
+    assert main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"mpls: error: invalid instance in {path}: {message}\n"
 
 
 @pytest.mark.parametrize(

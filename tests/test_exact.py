@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,12 +21,12 @@ from mpls.exact import (
 from mpls.generators import generate, random_partition_matroids
 from mpls.instance import (
     ParityInstance,
-    RawParityInstance,
     Solution,
     from_matroid_intersection,
     make_disjoint,
 )
-from mpls.matroids import FreeMatroid, PartitionMatroid, UniformMatroid
+from mpls.matroids import FreeMatroid, MatroidOracle, PartitionMatroid, UniformMatroid
+from mpls.serialization import matroid_from_descriptor
 from mpls.solver import (
     IntervalRecord,
     IntervalScheme,
@@ -49,8 +50,30 @@ def small_instances():
     return out
 
 
+class RawFields(NamedTuple):
+    """Raw instance data, whose edges may share vertices, in the order
+    ``make_disjoint`` takes it: ``make_disjoint(*raw)`` normalizes it."""
+
+    num_vertices: int
+    edges: tuple[frozenset[int], ...]
+    weights: tuple[Fraction, ...]
+    matroid: MatroidOracle
+    arity: int
+
+
+def raw_fields(doc):
+    """The raw fields of an instance document."""
+    return RawFields(
+        doc.num_vertices,
+        tuple(frozenset(v) for v in doc.edge_verts),
+        tuple(doc.edge_weights),
+        matroid_from_descriptor(doc.matroid_desc),
+        doc.arity,
+    )
+
+
 def flat_scan_optimum(instance):
-    """Reference optimum of a raw or normalized instance: a flat scan over
+    """Reference optimum of raw fields or a normalized instance: a flat scan over
     every edge subset, with its own disjointness test; deliberately simple.
 
     Returns the canonical optimum and the number of subsets scanned.
@@ -124,13 +147,13 @@ def overlapping_instances(draw):
     block_of = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     blocks = [[v for v in range(n) if block_of[v] == b] for b in range(3)]
     capacities = [draw(st.integers(0, len(b))) for b in blocks]
-    return RawParityInstance(n, tuple(edges), tuple(weights), PartitionMatroid(blocks, capacities), 3)
+    return RawFields(n, tuple(edges), tuple(weights), PartitionMatroid(blocks, capacities), 3)
 
 
 @settings(max_examples=300, deadline=None)
 @given(overlapping_instances())
 def test_branch_and_bound_matches_subset_enumeration(raw):
-    norm = make_disjoint(raw)
+    norm = make_disjoint(*raw)
     fast = brute_force_optimum(norm).optimum
     assert flat_scan_optimum(raw)[0] == fast
     assert flat_scan_optimum(norm)[0] == fast

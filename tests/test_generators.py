@@ -78,3 +78,20 @@ def test_unknown_family_and_parameters():
         "graphic-parity",
         "k-mi-partition",
     }
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("greedy-trap", {"k": 2.7}),
+        ("greedy-trap", {"k": True}),
+        ("set-packing", {"n": 7.5}),
+        ("set-packing", {"m": 6.0}),
+        ("graphic-parity", {"k": Fraction(3)}),
+        ("k-mi-partition", {"n": False}),
+    ],
+)
+def test_non_integer_size_parameters_are_refused(family, params):
+    # Truncating k = 2.7 would build the k = 2 trap under the k = 2 name.
+    with pytest.raises(GeneratorError, match=f"^{next(iter(params))} must be an integer"):
+        build_doc(family, **params)

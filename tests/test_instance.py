@@ -7,20 +7,20 @@ from hypothesis import given, settings, strategies as st
 from mpls.instance import (
     InstanceError,
     ParityInstance,
-    RawParityInstance,
     from_matroid_intersection,
     make_disjoint,
 )
 from mpls.exact import brute_force_intersection, brute_force_optimum
-from mpls.generators import random_partition_matroids
+from mpls.generators import FAMILIES, build_doc, random_partition_matroids
 from mpls.matroids import (
     FreeMatroid,
     PartitionMatroid,
     UniformMatroid,
     VertexCopyMatroid,
 )
+from mpls.solver import scale_weights
 from conftest import PublicOnly
-from test_exact import flat_scan_optimum
+from test_exact import RawFields, flat_scan_optimum
 
 
 def raw_is_feasible(raw, edge_ids):
@@ -99,7 +99,7 @@ def test_weight_numerators_share_denominator():
 
 def overlap_raw():
     # Two hyperedges sharing vertex 1 on a rank-2 uniform matroid.
-    return RawParityInstance(
+    return RawFields(
         num_vertices=3,
         edges=(frozenset({0, 1}), frozenset({1, 2})),
         weights=(Fraction(2), Fraction(3)),
@@ -109,7 +109,7 @@ def overlap_raw():
 
 
 def test_make_disjoint_copy_numbering_is_frozen():
-    norm = make_disjoint(overlap_raw())
+    norm = make_disjoint(*overlap_raw())
     assert norm.num_vertices == 4
     # copies in (vertex, incident edge) order: v0->0, v1->(1,2), v2->3
     assert norm.edges == (frozenset({0, 1}), frozenset({2, 3}))
@@ -118,42 +118,95 @@ def test_make_disjoint_copy_numbering_is_frozen():
 
 def test_make_disjoint_preserves_feasibility_of_every_edge_set():
     raw = overlap_raw()
-    norm = make_disjoint(raw)
+    norm = make_disjoint(*raw)
     for size in range(3):
         for ids in combinations(range(2), size):
             assert raw_is_feasible(raw, ids) == norm.is_feasible(ids)
 
 
 def test_make_disjoint_drops_isolated_vertices():
-    raw = RawParityInstance(
+    raw = RawFields(
         num_vertices=4,
         edges=(frozenset({1}), frozenset({3})),
         weights=(Fraction(1), Fraction(1)),
         matroid=FreeMatroid(4),
         arity=1,
     )
-    norm = make_disjoint(raw)
+    norm = make_disjoint(*raw)
     assert norm.num_vertices == 2
 
 
 def test_make_disjoint_keeps_exact_covers_unchanged():
     matroid = UniformMatroid(4, 2)
-    raw = RawParityInstance(
+    raw = RawFields(
         num_vertices=4,
         edges=(frozenset({0, 1}), frozenset({2, 3})),
         weights=(Fraction(1), Fraction(2)),
         matroid=matroid,
         arity=2,
     )
-    norm = make_disjoint(raw)
+    norm = make_disjoint(*raw)
     assert norm.matroid is matroid
     assert norm.edges == raw.edges
+
+
+@st.composite
+def raw_instances(draw):
+    """Raw fields whose edges share vertices and leave some out, or an exact cover."""
+    arity = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 10))
+    if n and draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        edges = []
+        while order:
+            size = draw(st.integers(1, min(arity, len(order))))
+            edges.append(frozenset(order[:size]))
+            order = order[size:]
+    elif n:
+        vertex = st.integers(0, n - 1)
+        edges = draw(st.lists(st.frozensets(vertex, min_size=1, max_size=arity), max_size=8))
+    else:
+        edges = []
+    weights = [Fraction(draw(st.integers(0, 9)), draw(st.integers(1, 4))) for _ in edges]
+    matroid = UniformMatroid(n, draw(st.integers(0, n)))
+    return RawFields(n, tuple(edges), tuple(weights), matroid, arity)
+
+
+def assert_passes_public_checks(inst):
+    """The instance, and its scaled copy, rebuilt through ``ParityInstance(...)``."""
+    for form in (inst, scale_weights(inst, Fraction(1, 10))):
+        fields = (form.num_vertices, form.edges, form.weights, form.matroid, form.arity)
+        assert ParityInstance(*fields) == form
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_instances())
+def test_normal_forms_of_raw_instances_pass_the_public_checks(raw):
+    assert_passes_public_checks(make_disjoint(*raw))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(FAMILIES)), st.integers(1, 5), st.integers(1, 9),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_normal_forms_of_generated_instances_pass_the_public_checks(family, n, m, k, seed):
+    params = {"greedy-trap": {"k": k}, "k-mi-partition": {"n": n, "k": k, "seed": seed}}.get(
+        family, {"n": n + k + 1, "m": m, "k": k, "seed": seed}
+    )
+    assert_passes_public_checks(build_doc(family, **params).normalize())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_intersection_normal_forms_pass_the_public_checks(n, k, seed):
+    weights = [Fraction(seed >> (4 * v) & 15, 1 + v % 3) for v in range(n)]
+    matroids = random_partition_matroids(n, k, seed)
+    assert_passes_public_checks(from_matroid_intersection(matroids, weights))
 
 
 def test_raw_optimum_survives_normalization():
     raw = overlap_raw()
     assert flat_scan_optimum(raw)[0].weight == Fraction(3)
-    norm = make_disjoint(raw)
+    norm = make_disjoint(*raw)
     result = brute_force_optimum(norm)
     assert result.optimum.weight == Fraction(3)
     assert sorted(result.optimum.edges) == [1]

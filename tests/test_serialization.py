@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from mpls.exact import brute_force_optimum
 from mpls.generators import build_doc
-from mpls.instance import RawParityInstance, from_matroid_intersection, make_disjoint
+from mpls.instance import from_matroid_intersection, make_disjoint
 from mpls.serialization import (
     MAX_WEIGHT_BITS,
     FormatError,
@@ -132,14 +132,13 @@ def test_signature_sees_into_composed_matroids():
     assert instance_signature(a) != instance_signature(from_matroid_intersection(loose, weights))
 
     def shared_vertex(capacity):
-        raw = RawParityInstance(
+        return make_disjoint(
             3,
             (frozenset([0, 1]), frozenset([1, 2])),
             (Fraction(1), Fraction(1)),
             PartitionMatroid([[0, 1, 2]], [capacity]),
             2,
         )
-        return make_disjoint(raw)
 
     assert instance_signature(shared_vertex(2)) != instance_signature(shared_vertex(3))
 
@@ -161,7 +160,7 @@ def test_bad_files_raise_format_errors(tmp_path):
         "edges": [{"verts": [0, 1], "w": "1/3"}, {"verts": [2, 3], "w": 2}],
         "matroid": {"family": "free", "n": 4},
     }
-    InstanceDoc.from_json_obj(good).to_raw()
+    InstanceDoc.from_json_obj(good).normalize()
     graphic = {"family": "graphic", "vertices": 3, "edges": [[0, 1], [1, 2], [0, 2], [0, 1]]}
     broken = [
         ("k", 1.9), ("k", True), ("vertices", 2.9), ("vertices", True),
@@ -183,7 +182,7 @@ def test_bad_files_raise_format_errors(tmp_path):
             obj[key] = value
         path.write_text(json.dumps(obj))
         with pytest.raises(FormatError):
-            load_instance_doc(path).to_raw()
+            load_instance_doc(path).normalize()
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from mpls import solver
 from mpls.exact import brute_force_optimum, verify_local_optimum
 from mpls.generators import build_doc, generate
-from mpls.instance import ParityInstance, RawParityInstance, make_disjoint
+from mpls.instance import ParityInstance, make_disjoint
 from mpls.matroids import FreeMatroid, PartitionMatroid, UniformMatroid
 from mpls.serialization import FormatError, dumps_canonical, format_fraction, instance_signature
 from mpls.solver import (
@@ -912,7 +912,7 @@ def tail_instance(dust, seed):
         edges.append(frozenset(rng.choice(sorted(dust_edges[i])) for i in picked))
         weights.append(Fraction(1, 10**9))
     n = 3 + 3 * dust
-    return make_disjoint(RawParityInstance(n, tuple(edges), tuple(weights), FreeMatroid(n), 3))
+    return make_disjoint(n, edges, weights, FreeMatroid(n), 3)
 
 
 def test_tail_swap_search_memory_stays_flat():
