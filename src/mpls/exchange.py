@@ -11,13 +11,14 @@ checkable on concrete runs:
   given exchange set for S, by contracting away the rest of T.
 * ``build_conflict_trace``: replay a solver trace against an exact
   optimum and produce a nested chain of blocked optimum vertices, one
-  layer per occupied weight interval, that explains which optimum edges
-  the solution displaced and where.
+  layer per weight interval that added solution vertices, that explains
+  which optimum edges the solution displaced and where.
 * ``near_marker_probability``: exact probability, over the random
   shift, of an optimum edge landing within a relative ``gamma`` of the
   marker above it.
-* ``k4_non_composability_witness``: a small graphic instance showing two
-  individually feasible swaps whose union is infeasible.
+* ``k4_non_composability_witness``: a stated graphic instance on K4 with
+  two individually feasible swaps whose union is infeasible, re-checked
+  through the oracle by ``verify_k4_witness``.
 """
 
 from __future__ import annotations
@@ -53,6 +54,9 @@ CLASS_SINGLE = "single"
 CLASS_DOUBLE = "double"
 CLASS_BLOCKED_EARLIER = "blocked-earlier"
 CLASS_UNBLOCKED = "unblocked-zero-weight"
+
+# A conflict trace's record of one interval: (index, added, blocked).
+Layer = tuple[int, frozenset[int], frozenset[int]]
 
 # Most candidate pieces an exchange search may ask the oracle about.
 SEARCH_BUDGET = 200_000
@@ -247,14 +251,10 @@ class OptimumEdgeReport:
     near_marker: bool | None
 
 
-def _first_block(
-    vertices: frozenset[int],
-    blocked_sets: Sequence[frozenset[int]],
-    intervals: Sequence[int],
-) -> tuple[int | None, int]:
+def _first_block(vertices: frozenset[int], layers: Sequence[Layer]) -> tuple[int | None, int]:
     """The interval whose blocked set first meets ``vertices``, and how many
     of them it holds; ``(None, 0)`` when none does."""
-    for index, blocked in zip(intervals, blocked_sets[1:]):
+    for index, _, blocked in layers:
         hit = vertices & blocked
         if hit:
             return index, len(hit)
@@ -265,25 +265,26 @@ def _first_block(
 class ConflictTrace:
     """Nested blocked-vertex chain; each optimum edge's classification follows from it.
 
-    Layer i belongs to interval ``intervals[i - 1]``, the i-th occupied
-    interval of the run; ``blocked_sets[0]`` is empty.  ``blocked_sets[i]``
-    grows by exactly the number of solution vertices accepted in that
-    interval, stays inside the (dummy-padded) optimum vertex set, and
-    leaves the remainder of the optimum compatible with the solution
-    prefix.  ``edges`` is the padded optimum, each entry its original id
-    (None for a dummy), vertices, weight and own interval.  Every
-    positive-weight optimum edge is blocked no later than its own
-    interval: inside it with one contact (single), inside it with several
-    (double), or already in an earlier interval.
+    ``layers`` holds one ``(index, added, blocked)`` entry per record of
+    the run that added edges, in increasing interval index: ``added`` is
+    the solution vertices accepted in that interval, and ``blocked`` the
+    optimum vertices blocked up to it.  Each blocked set grows on the one
+    before it by exactly ``len(added)`` vertices, stays inside the
+    (dummy-padded) optimum vertex set, and leaves the rest of the optimum
+    compatible with the solution vertices added so far.  An interval that
+    added nothing blocks nothing new and has no layer.  ``edges`` is the
+    padded optimum, each entry its original id (None for a dummy),
+    vertices, weight and own interval.  Every positive-weight optimum edge
+    is blocked no later than its own interval: inside it with one contact
+    (single), inside it with several (double), or already in an earlier
+    interval.
     """
 
     gamma: Fraction
     scheme: IntervalScheme
     extended_matroid: MatroidOracle
     optimum_vertices: frozenset[int]
-    intervals: tuple[int, ...]
-    solution_vertex_sets: tuple[frozenset[int], ...]
-    blocked_sets: tuple[frozenset[int], ...]
+    layers: tuple[Layer, ...]
     edges: tuple[tuple[int | None, frozenset[int], Fraction, int], ...]
 
     @cached_property
@@ -292,7 +293,7 @@ class ConflictTrace:
         ``ConflictTraceError`` if that is after its own interval."""
         reports: list[OptimumEdgeReport] = []
         for idx, (orig, verts, weight, own) in enumerate(self.edges):
-            first, conflict = _first_block(verts, self.blocked_sets, self.intervals)
+            first, conflict = _first_block(verts, self.layers)
             if first is None:
                 cls = CLASS_UNBLOCKED
             elif first == own:
@@ -312,31 +313,31 @@ class ConflictTrace:
         return tuple(reports)
 
     def singles_weight(self) -> Fraction:
-        return sum(
-            (r.weight for r in self.reports if r.cls == CLASS_SINGLE), Fraction(0)
-        )
+        return sum((r.weight for r in self.reports if r.cls == CLASS_SINGLE), Fraction(0))
 
 
 def _single_part_exchange(
-    oracle: MatroidOracle,
+    matroid: MatroidOracle,
+    prefix: frozenset[int],
     part: frozenset[int],
     avail: frozenset[int],
-    forced: frozenset[int],
 ) -> frozenset[int]:
-    """Pick X inside ``avail`` with |X| = |part|, ``forced`` inside X, and
-    ``part`` independent together with ``avail - X``.
+    """Pick X inside ``avail`` with |X| = |part|, ``part & avail`` inside X,
+    and ``prefix | part`` independent together with ``avail - X``.
 
-    Constructive: greedily extend ``part`` by elements of the available
-    set outside ``forced``; whatever could not be added must be removed,
-    and the set is padded from the extension to reach the exact size.
-    Existence is guaranteed because the available set is independent and
-    ``forced`` is part of the source.
+    This is the exchange in ``matroid`` contracted on the independent
+    ``prefix``, asked of ``matroid`` itself.  Constructive: greedily
+    extend ``prefix | part`` by available elements outside ``part``;
+    whatever could not be added must be removed, and the set is padded
+    from the extension to reach the exact size.  Existence is guaranteed
+    because ``prefix`` plus the available set is independent.
     """
-    grown = set(part)
+    forced = part & avail
+    grown = set(prefix | part)
     extension: list[int] = []
     for t in sorted(avail - forced):
         grown.add(t)
-        if oracle.is_independent(grown):
+        if matroid.is_independent(grown):
             extension.append(t)
         else:
             grown.discard(t)
@@ -346,10 +347,9 @@ def _single_part_exchange(
     if pad < 0:
         raise ConflictTraceError("exchange counting argument failed")
     pick.update(extension[:pad])
-    pick_frozen = frozenset(pick)
-    if len(pick_frozen) != len(part) or not oracle.is_independent(part | (avail - pick_frozen)):
+    if len(pick) != len(part) or not matroid.is_independent(prefix | part | (avail - pick)):
         raise ConflictTraceError("constructed exchange set failed verification")
-    return pick_frozen
+    return frozenset(pick)
 
 
 def build_conflict_trace(
@@ -383,12 +383,9 @@ def build_conflict_trace(
     if not instance.is_feasible(optimum.edges):
         raise ExchangeInputError("claimed optimum is not feasible")
     scheme = trace.scheme
-    intervals = tuple(r.index for r in trace.records)
 
-    solution_vertex_sets = tuple(
-        instance.vertices_of(r.added) for r in trace.records
-    )
-    solution_vertices = frozenset().union(*solution_vertex_sets)
+    added = [(r.index, instance.vertices_of(r.added)) for r in trace.records if r.added]
+    solution_vertices = frozenset().union(*(verts for _, verts in added))
 
     # Optimum edges are feasible alone; dummies weigh 0, in the closed interval.
     edges: list[tuple[int | None, frozenset[int], Fraction, int]] = [
@@ -409,27 +406,21 @@ def build_conflict_trace(
         extended = instance.matroid
     optimum_frozen = frozenset(optimum_vertices)
 
-    blocked: list[frozenset[int]] = [frozenset()]
+    # check_trace found every grown prefix independent, so no exchange contracts it.
+    layers: list[Layer] = []
     prefix: frozenset[int] = frozenset()
-    for level_verts in solution_vertex_sets:
-        avail = optimum_frozen - blocked[-1]
-        if not level_verts:
-            blocked.append(blocked[-1])
-            continue
-        oracle = ContractedMatroid(extended, prefix) if prefix else extended
-        forced = level_verts & avail
-        layer = _single_part_exchange(oracle, level_verts, avail, forced)
-        blocked.append(blocked[-1] | layer)
-        prefix = prefix | level_verts
+    blocked: frozenset[int] = frozenset()
+    for index, verts in added:
+        blocked |= _single_part_exchange(extended, prefix, verts, optimum_frozen - blocked)
+        prefix |= verts
+        layers.append((index, verts, blocked))
 
     ct = ConflictTrace(
         gamma=gamma,
         scheme=scheme,
         extended_matroid=extended,
         optimum_vertices=optimum_frozen,
-        intervals=intervals,
-        solution_vertex_sets=solution_vertex_sets,
-        blocked_sets=tuple(blocked),
+        layers=tuple(layers),
         edges=tuple(edges),
     )
     ct.reports  # classify now, so a late-blocked edge raises here
@@ -445,36 +436,33 @@ def verify_conflict_trace(ct: ConflictTrace) -> list[str]:
     classification does not derive: the own interval is its weight's,
     and a positive weight is blocked no later than that interval.
     """
-    problems: list[str] = []
-    blocked = ct.blocked_sets
-    intervals = ct.intervals
-    layers = len(ct.solution_vertex_sets)
-    if len(intervals) != layers or len(blocked) != layers + 1:
-        return [f"{layers} layers need {layers} intervals and {layers + 1} blocked sets"]
-    if not indices_in_order(intervals, ct.scheme.levels):
+    if not indices_in_order([index for index, _, _ in ct.layers], ct.scheme.levels):
         return ["layer intervals do not increase strictly inside 1..levels+1"]
 
+    problems: list[str] = []
     prefix: frozenset[int] = frozenset()
-    # A layer that adds nothing repeats the query before it; ask it once.
+    previous: frozenset[int] = frozenset()
+    # A layer that blocks just the optimum vertices it adds repeats the
+    # query before it; ask it once.
     asked = ct.optimum_vertices
     independent = ct.extended_matroid.is_independent(asked)
     if not independent:
         problems.append("padded optimum vertex set is not independent")
-    for i in range(1, layers + 1):
-        t_prev, t_cur = blocked[i - 1], blocked[i]
-        index = intervals[i - 1]
-        if not t_prev <= t_cur:
+    for index, added, blocked in ct.layers:
+        if not added:
+            problems.append(f"interval {index}: layer adds no solution vertex")
+        if not previous <= blocked:
             problems.append(f"blocked sets not nested at interval {index}")
-        if not t_cur <= ct.optimum_vertices:
+        if not blocked <= ct.optimum_vertices:
             problems.append(f"blocked set of interval {index} leaves the optimum vertices")
-        grown = len(t_cur) - len(t_prev)
-        if grown != len(ct.solution_vertex_sets[i - 1]):
+        grown = len(blocked) - len(previous)
+        if grown != len(added):
             problems.append(
-                f"interval {index}: layer grew by {grown}, solution added "
-                f"{len(ct.solution_vertex_sets[i - 1])} vertices"
+                f"interval {index}: layer grew by {grown}, solution added {len(added)} vertices"
             )
-        prefix = prefix | ct.solution_vertex_sets[i - 1]
-        query = prefix | (ct.optimum_vertices - t_cur)
+        prefix |= added
+        previous = blocked
+        query = prefix | (ct.optimum_vertices - blocked)
         if query != asked:
             asked, independent = query, ct.extended_matroid.is_independent(query)
         if not independent:
@@ -483,7 +471,7 @@ def verify_conflict_trace(ct: ConflictTrace) -> list[str]:
     for idx, (_, verts, weight, own) in enumerate(ct.edges):
         if ct.scheme.interval_of(weight) != own:
             problems.append(f"optimum edge {idx}: own interval {own} is not its weight's")
-        first, _ = _first_block(verts, blocked, intervals)
+        first, _ = _first_block(verts, ct.layers)
         if weight > 0 and (first is None or first > own):
             problems.append(
                 f"optimum edge {idx}: positive weight but not blocked by interval {own}"
@@ -556,16 +544,20 @@ class K4Witness:
 
 
 def k4_non_composability_witness() -> K4Witness:
-    """Search the complete graph on four vertices for the witness.
+    """Two feasible swaps on a forest of the complete graph K4 that do not compose.
 
-    The instance puts one unit-weight singleton hyperedge on each graph
-    edge, with forests as the independent sets.  The first (in a fixed
-    deterministic order) pair of individually feasible swaps with
-    disjoint additions and removals whose combined application creates a
-    cycle is returned; its existence is asserted, not assumed.
+    The instance puts one unit-weight singleton hyperedge on each edge of
+    K4, numbered 0: (0,1), 1: (0,2), 2: (0,3), 3: (1,2), 4: (1,3),
+    5: (2,3), with forests as the independent sets.  The base {0, 1, 2}
+    is the star at vertex 0, a spanning tree.  The first swap, +3 -0,
+    gives {(0,2), (0,3), (1,2)}: vertex 1 hangs on 2, so a spanning tree.
+    The second, +4,5 -1,2, gives {(0,1), (1,3), (2,3)}: the path
+    0-1-3-2, a spanning tree.  Both have gain 0.  Their additions and
+    removals are disjoint, and applied together they leave
+    {(1,2), (1,3), (2,3)}, the triangle on 1, 2, 3, which is a cycle.
+    ``verify_k4_witness`` re-checks each claim through the oracle.
     """
-    graph_edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    matroid = GraphicMatroid(4, graph_edges)
+    matroid = GraphicMatroid(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     inst = ParityInstance(
         num_vertices=6,
         edges=tuple(frozenset([i]) for i in range(6)),
@@ -573,58 +565,30 @@ def k4_non_composability_witness() -> K4Witness:
         matroid=matroid,
         arity=1,
     )
-
-    def feasible(ids: Iterable[int]) -> bool:
-        return inst.is_feasible(frozenset(ids))
-
-    all_ids = range(6)
-    for base_size in range(3, 0, -1):
-        for base in combinations(all_ids, base_size):
-            base_set = frozenset(base)
-            if not feasible(base_set):
-                continue
-            moves: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-            outside = [j for j in all_ids if j not in base_set]
-            for add_size in (1, 2):
-                for add in combinations(outside, add_size):
-                    for rem_size in range(0, min(2, base_size) + 1):
-                        for rem in combinations(sorted(base_set), rem_size):
-                            if feasible((base_set - frozenset(rem)) | frozenset(add)):
-                                moves.append((add, rem))
-            def gain(add: tuple[int, ...], rem: tuple[int, ...]) -> Fraction:
-                added = sum((inst.weights[j] for j in add), Fraction(0))
-                removed = sum((inst.weights[j] for j in rem), Fraction(0))
-                return added - removed
-
-            for a, b in combinations(moves, 2):
-                if set(a[0]) & set(b[0]) or set(a[1]) & set(b[1]):
-                    continue
-                merged = (base_set - frozenset(a[1]) - frozenset(b[1])) | frozenset(
-                    a[0]
-                ) | frozenset(b[0])
-                if not feasible(merged):
-                    return K4Witness(
-                        instance=inst,
-                        base_edges=base_set,
-                        first=SwapMove(a[0], a[1], gain(*a)),
-                        second=SwapMove(b[0], b[1], gain(*b)),
-                    )
-    raise ExchangeSearchError("no witness found on the complete graph; this is a bug")
+    return K4Witness(
+        instance=inst,
+        base_edges=frozenset({0, 1, 2}),
+        first=SwapMove((3,), (0,), Fraction(0)),
+        second=SwapMove((4, 5), (1, 2), Fraction(0)),
+    )
 
 
 def verify_k4_witness(witness: K4Witness) -> bool:
-    """Oracle re-check: both swaps feasible alone, their union infeasible."""
-    inst = witness.instance
-    base = witness.base_edges
-    if not inst.is_feasible(base):
+    """Oracle re-check: both swaps feasible alone, their union infeasible.
+
+    Each swap must add edges outside the base and remove edges inside it,
+    and the two swaps must share no addition and no removal, so that the
+    union is the two swaps applied one after the other.
+    """
+    inst, base = witness.instance, witness.base_edges
+    adds = [frozenset(swap.add) for swap in (witness.first, witness.second)]
+    removes = [frozenset(swap.remove) for swap in (witness.first, witness.second)]
+    if (adds[0] | adds[1]) & base or not (removes[0] | removes[1]) <= base:
         return False
-    first_applied = (base - frozenset(witness.first.remove)) | frozenset(witness.first.add)
-    second_applied = (base - frozenset(witness.second.remove)) | frozenset(witness.second.add)
-    if not inst.is_feasible(first_applied) or not inst.is_feasible(second_applied):
+    if adds[0] & adds[1] or removes[0] & removes[1]:
         return False
-    merged = (
-        base
-        - frozenset(witness.first.remove)
-        - frozenset(witness.second.remove)
-    ) | frozenset(witness.first.add) | frozenset(witness.second.add)
-    return not inst.is_feasible(merged)
+    return (
+        inst.is_feasible(base)
+        and all(inst.is_feasible((base - remove) | add) for add, remove in zip(adds, removes))
+        and not inst.is_feasible((base - removes[0] - removes[1]) | adds[0] | adds[1])
+    )

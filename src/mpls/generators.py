@@ -15,7 +15,7 @@ from typing import Any, Callable
 
 from .instance import ParityInstance
 from .matroids import PartitionMatroid
-from .serialization import MAX_VERTICES, InstanceDoc, format_fraction
+from .serialization import MAX_VERTICES, FormatError, InstanceDoc, format_fraction, parse_fraction
 
 
 class GeneratorError(ValueError):
@@ -31,7 +31,7 @@ def _check_size(vertices: int, incidences: int) -> None:
 
 
 def _check_integers(**params: Any) -> None:
-    """Refuse a size parameter that is not a plain ``int``, before anything is built."""
+    """Refuse a size or seed that is not a plain ``int``, before anything is built."""
     for name, value in params.items():
         if type(value) is not int:
             raise GeneratorError(f"{name} must be an integer, got {value!r:.40}")
@@ -45,7 +45,7 @@ def _random_weight(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(0, 9999), 100)
 
 
-def greedy_trap_doc(k: int = 3, rho: Fraction = Fraction(3, 10)) -> InstanceDoc:
+def greedy_trap_doc(k: int = 3, rho: Fraction | int | str = Fraction(3, 10)) -> InstanceDoc:
     """One heavy edge that greedy loves, k light edges it thereby kills.
 
     The heavy edge (weight 1) shares a capacity-one partition block with
@@ -56,7 +56,11 @@ def greedy_trap_doc(k: int = 3, rho: Fraction = Fraction(3, 10)) -> InstanceDoc:
     exceeds rho, after which a pair-for-one swap escapes the trap.
     """
     _check_integers(k=k)
-    rho = Fraction(rho)
+    if type(rho) is not Fraction:
+        try:  # an int, or a string read exactly; a float or a boolean is refused
+            rho = parse_fraction(rho)
+        except FormatError as exc:
+            raise GeneratorError(f"rho: {exc}") from None
     if k < 1:
         raise GeneratorError("k must be positive")
     if not 0 <= rho < 1:
@@ -95,7 +99,7 @@ def greedy_trap_doc(k: int = 3, rho: Fraction = Fraction(3, 10)) -> InstanceDoc:
 
 def set_packing_doc(n: int = 9, m: int = 8, k: int = 3, seed: int = 0) -> InstanceDoc:
     """Weighted set packing: overlapping random k-sets, free matroid."""
-    _check_integers(n=n, m=m, k=k)
+    _check_integers(n=n, m=m, k=k, seed=seed)
     if n < k or k < 1 or m < 1:
         raise GeneratorError("need n >= k >= 1 and m >= 1")
     _check_size(n, m * k)
@@ -118,7 +122,7 @@ def set_packing_doc(n: int = 9, m: int = 8, k: int = 3, seed: int = 0) -> Instan
 
 def graphic_parity_doc(n: int = 5, m: int = 6, k: int = 3, seed: int = 0) -> InstanceDoc:
     """Random hyperedges over the edge set of a random multigraph."""
-    _check_integers(n=n, m=m, k=k)
+    _check_integers(n=n, m=m, k=k, seed=seed)
     if n < 2 or k < 1 or m < 1:
         raise GeneratorError("need n >= 2, k >= 1 and m >= 1")
     _check_size(max(k, 2 * n), m * k)
@@ -177,7 +181,7 @@ def k_mi_partition_doc(n: int = 6, k: int = 3, seed: int = 0) -> InstanceDoc:
     block.  The result is already an exact cover, so normalization keeps
     it as is.
     """
-    _check_integers(n=n, k=k)
+    _check_integers(n=n, k=k, seed=seed)
     if n < 1 or k < 1:
         raise GeneratorError("need n >= 1 and k >= 1")
     _check_size(k * n, k * n)

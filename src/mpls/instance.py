@@ -129,7 +129,7 @@ class ParityInstance:
     def _known_ids(self, edge_ids: Iterable[int]) -> frozenset[int]:
         ids = frozenset(edge_ids)
         m = len(self.edges)
-        if not all(isinstance(j, int) and 0 <= j < m for j in ids):
+        if not all(type(j) is int and 0 <= j < m for j in ids):
             raise InstanceError("unknown edge id")
         return ids
 

@@ -142,10 +142,14 @@ def test_conflict_trace_of_recovered_run():
 
 def test_conflict_trace_verifier_catches_tampering():
     _, _, ct = trap_conflict(0)
-    shrunk = list(ct.blocked_sets)
-    shrunk[-1] = shrunk[-1] - {min(shrunk[-1])}
-    tampered = dataclasses.replace(ct, blocked_sets=tuple(shrunk))
-    assert verify_conflict_trace(tampered) != []
+    index, added, blocked = ct.layers[-1]
+    shrunk = (*ct.layers[:-1], (index, added, blocked - {min(blocked)}))
+    assert verify_conflict_trace(dataclasses.replace(ct, layers=shrunk)) != []
+    # A layer that adds nothing is never built, and is refused.
+    empty = (*ct.layers, (index + 1, frozenset(), blocked))
+    assert verify_conflict_trace(dataclasses.replace(ct, layers=empty)) == [
+        f"interval {index + 1}: layer adds no solution vertex"
+    ]
     orig, verts, weight, own = ct.edges[0]
     edges = ((orig, verts, weight, own + 1), *ct.edges[1:])
     assert verify_conflict_trace(dataclasses.replace(ct, edges=edges)) == [
@@ -222,11 +226,12 @@ def test_conflict_trace_refuses_negative_gamma_degenerate_run_and_infeasible_opt
 
 
 def test_conflict_trace_verifier_asks_an_empty_layer_nothing():
-    # Interval 2 adds no solution vertex and blocks nothing new, so its
-    # query is interval 1's; the verifier asks the optimum and interval 1.
-    _, _, ct = trap_conflict(0)
-    assert ct.solution_vertex_sets[1] == frozenset()
-    assert ct.blocked_sets[2] == ct.blocked_sets[1]
+    # Interval 2 adds no solution vertex, so it has no layer; the verifier
+    # asks the optimum and interval 1.
+    inst, _, ct = trap_conflict(0)
+    _, trace = sliding_local_search(inst, EPS, DELTA, 0)
+    assert [(r.index, r.added) for r in trace.records] == [(1, (0,)), (2, ())]
+    assert [(index, added) for index, added, _ in ct.layers] == [(1, inst.edges[0])]
     counted = PublicOnly(ct.extended_matroid)
     assert verify_conflict_trace(dataclasses.replace(ct, extended_matroid=counted)) == []
     assert counted.asked == 2
@@ -403,3 +408,31 @@ def test_k4_witness_is_frozen_and_verifies():
     report = k4_report()
     assert report["verified"]
     assert report["base_edges"] == [0, 1, 2]
+
+
+# Forged witnesses whose feasibility answers are all right, but whose swaps
+# overlap or do not act on the base, so their union is no composition.
+K4_FORGERIES = {
+    "shared-removal": ({0, 1, 2}, ((3,), (0,)), ((4,), (0,))),
+    "shared-addition": ({0}, ((2, 3), ()), ((3, 4), ())),
+    "addition-inside-base": ({0, 1, 2}, ((0,), ()), ((3,), (0,))),
+    "removal-outside-base": ({0, 1, 2}, ((3,), (0, 4)), ((4, 5), (1, 2))),
+}
+
+
+@pytest.mark.parametrize("forgery", list(K4_FORGERIES))
+def test_k4_verifier_refuses_swaps_that_overlap_or_leave_the_base(forgery):
+    base, (add1, rem1), (add2, rem2) = K4_FORGERIES[forgery]
+    real = k4_non_composability_witness()
+    inst = real.instance
+    applied = [(frozenset(base) - set(rem)) | set(add) for add, rem in ((add1, rem1), (add2, rem2))]
+    merged = frozenset(base) - set(rem1) - set(rem2) | set(add1) | set(add2)
+    assert inst.is_feasible(base) and all(inst.is_feasible(s) for s in applied)
+    assert not inst.is_feasible(merged)
+    forged = dataclasses.replace(
+        real,
+        base_edges=frozenset(base),
+        first=SwapMove(add1, rem1, Fraction(len(add1) - len(rem1))),
+        second=SwapMove(add2, rem2, Fraction(len(add2) - len(rem2))),
+    )
+    assert not verify_k4_witness(forged)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -95,3 +96,28 @@ def test_non_integer_size_parameters_are_refused(family, params):
     # Truncating k = 2.7 would build the k = 2 trap under the k = 2 name.
     with pytest.raises(GeneratorError, match=f"^{next(iter(params))} must be an integer"):
         build_doc(family, **params)
+
+
+@pytest.mark.parametrize("rho", [0.3, True, "1e-300000"])
+def test_greedy_trap_refuses_a_float_boolean_or_huge_exponent_rho(rho):
+    # A float would be read as its binary expansion, True as 1, and the
+    # exponent would take minutes to write out in the document's name.
+    start = time.perf_counter()
+    with pytest.raises(GeneratorError, match="^rho: "):
+        build_doc("greedy-trap", k=2, rho=rho)
+    assert time.perf_counter() - start < 1
+
+
+def test_greedy_trap_reads_rho_exactly():
+    expected = dumps_canonical(build_doc("greedy-trap", k=2, rho=Fraction(3, 10)).to_json_obj())
+    for rho in ("3/10", "0.3", "3e-1"):
+        assert dumps_canonical(build_doc("greedy-trap", k=2, rho=rho).to_json_obj()) == expected
+    assert build_doc("greedy-trap", k=2, rho=0).edge_weights == (Fraction(1),) * 3
+
+
+@pytest.mark.parametrize("family", ["set-packing", "graphic-parity", "k-mi-partition"])
+@pytest.mark.parametrize("seed", [True, 1.5, "1"])
+def test_seeded_generators_refuse_a_seed_that_is_not_an_int(family, seed):
+    # seed=True would build the seed-1 document under the name "...-sTrue".
+    with pytest.raises(GeneratorError, match="^seed must be an integer"):
+        build_doc(family, seed=seed)
