@@ -432,12 +432,20 @@ def verify_conflict_trace(ct: ConflictTrace) -> list[str]:
 
     Returns a list of human-readable problems; empty means the trace is
     sound.  Uses only oracle calls and the stored sets, never the
-    construction internals.  Per optimum edge it checks only what the
+    construction internals.  Each layer must add vertices of the ground
+    set that no earlier layer added; a set leaving the ground set is
+    reported, not asked.  Per optimum edge it checks only what the
     classification does not derive: the own interval is its weight's,
     and a positive weight is blocked no later than that interval.
     """
     if not indices_in_order([index for index, _, _ in ct.layers], ct.scheme.levels):
         return ["layer intervals do not increase strictly inside 1..levels+1"]
+    ground = ct.extended_matroid.ground
+    if not ct.optimum_vertices <= ground:
+        return ["padded optimum vertex set leaves the ground set"]
+    outside = [index for index, added, _ in ct.layers if not added <= ground]
+    if outside:
+        return [f"interval {index}: layer adds vertices outside the ground set" for index in outside]
 
     problems: list[str] = []
     prefix: frozenset[int] = frozenset()
@@ -451,6 +459,8 @@ def verify_conflict_trace(ct: ConflictTrace) -> list[str]:
     for index, added, blocked in ct.layers:
         if not added:
             problems.append(f"interval {index}: layer adds no solution vertex")
+        if added & prefix:
+            problems.append(f"interval {index}: layer adds vertices an earlier layer added")
         if not previous <= blocked:
             problems.append(f"blocked sets not nested at interval {index}")
         if not blocked <= ct.optimum_vertices:
@@ -578,11 +588,15 @@ def verify_k4_witness(witness: K4Witness) -> bool:
 
     Each swap must add edges outside the base and remove edges inside it,
     and the two swaps must share no addition and no removal, so that the
-    union is the two swaps applied one after the other.
+    union is the two swaps applied one after the other.  A witness naming
+    an edge the instance lacks is refused without a query.
     """
     inst, base = witness.instance, witness.base_edges
     adds = [frozenset(swap.add) for swap in (witness.first, witness.second)]
     removes = [frozenset(swap.remove) for swap in (witness.first, witness.second)]
+    m = inst.num_edges
+    if not all(type(j) is int and 0 <= j < m for j in base.union(*adds, *removes)):
+        return False
     if (adds[0] | adds[1]) & base or not (removes[0] | removes[1]) <= base:
         return False
     if adds[0] & adds[1] or removes[0] & removes[1]:

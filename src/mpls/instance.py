@@ -111,11 +111,19 @@ class ParityInstance:
         """Whether each edge is feasible on its own."""
         return tuple(self.matroid.is_independent(e) for e in self.edges)
 
+    @cached_property
+    def _lone_order(self) -> tuple[int, ...]:
+        """The edges feasible on their own, heaviest first, ties by id."""
+        wn = self.weight_numerators
+        lone = (j for j, ok in enumerate(self.feasible_alone) if ok)
+        return tuple(sorted(lone, key=lambda j: (-wn[j], j)))
+
     def _reweighted(self, weights: Iterable[Fraction]) -> ParityInstance:
         """This instance with other weights, of which only the weights are checked.
 
         Lone feasibility depends on the edges and the matroid alone, so it
-        carries over; the signature covers the weights and does not.
+        carries over; the signature covers the weights and does not, and
+        neither does the lone order, since new weights may tie and reorder.
         """
         return _built(
             num_vertices=self.num_vertices,

@@ -201,14 +201,6 @@ def _level_count(epsilon: Fraction, delta: Fraction, num_edges: int, max_levels:
     return last_above + 2
 
 
-def _heaviest_feasible_numerator(instance: ParityInstance) -> int | None:
-    """Largest weight numerator of an edge feasible alone; None if there is none."""
-    return max(
-        (wn for wn, ok in zip(instance.weight_numerators, instance.feasible_alone) if ok),
-        default=None,
-    )
-
-
 def compute_markers(
     instance: ParityInstance,
     epsilon: Fraction,
@@ -233,9 +225,10 @@ def compute_markers(
     if not 0 <= tau < epsilon:
         raise ValueError("the shift must lie in [0, epsilon)")
 
-    heaviest = _heaviest_feasible_numerator(instance)
-    if heaviest is None:
+    order = instance._lone_order
+    if not order:
         raise DegenerateInstanceError("no edge is feasible on its own")
+    heaviest = instance.weight_numerators[order[0]]
     if heaviest == 0:
         raise DegenerateInstanceError("all feasible edges have zero weight")
     heaviest_weight = Fraction(heaviest, instance.weight_denominator)
@@ -314,7 +307,7 @@ def _light_combinations(
     size: int,
     limit: int,
 ) -> Iterable[tuple[tuple[int, ...], int, frozenset[int]]]:
-    """Position tuples of ``size`` weights summing below ``limit``.
+    """Position tuples of ``size`` weights summing below ``limit``, for ``size`` at least 1.
 
     Each tuple comes with its weight sum and with ``start`` minus the
     vertex sets at its positions.  Tuples come in
@@ -323,10 +316,6 @@ def _light_combinations(
     soon as the prefix sum reaches ``limit``.  The walk keeps one sum and
     one vertex set per picked position, nothing more.
     """
-    if size == 0:
-        if limit > 0:
-            yield (), 0, start
-        return
     last = len(weights) - size  # highest position the first element may take
     picked: list[int] = []
     sums = [0]
@@ -361,8 +350,8 @@ def _swap_search(
     interval_ids: Sequence[int],
     rule: str,
     indep: Callable[[frozenset[int]], bool],
-) -> tuple[tuple[int, ...], tuple[int, ...], int, frozenset[int]] | None:
-    """Find an improving swap inside one interval, or None.
+) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...], int, frozenset[int]] | None]:
+    """Find an improving swap inside one interval, or None, with the queries asked.
 
     Candidate additions are interval edges outside the solution, at most
     two at a time; removals come only from interval edges currently in
@@ -373,14 +362,15 @@ def _swap_search(
     gain, breaking ties toward the lexicographically smallest move, which
     is the earliest in that order.  The move comes with the vertex set it
     was found independent on, the solution's vertex set after the swap.
+    The count is of the calls made to ``indep``.
 
     ``stripped`` is the solution's vertex set outside the interval, which
     stays fixed while the interval is searched.  An addition is pruned
     outright if it is dependent on ``stripped``, the weakest requirement
     any removal choice could meet.  ``fits`` maps each addition
     pre-checked so far in this interval to that answer, so no pre-check
-    is asked twice.  A pair containing a single known to fail is skipped
-    without a query, since its vertex set contains the single's and
+    is asked twice.  Pairs are drawn only from the singles not known to
+    fail: a pair's vertex set contains each of its singles', and
     independence is closed downward.  Removing the whole pool leaves
     ``stripped``, so that removal needs no query beyond the pre-check.
 
@@ -391,89 +381,95 @@ def _swap_search(
     reaches the gain.  Under ``best-gain`` the gain to pay for is the
     excess over the best move so far, since only a strictly larger gain
     can replace it; an addition with no excess is skipped before its
-    pre-check.  These cuts skip only moves the enumeration would reject,
-    so the move returned is the same as with every set built.
+    pre-check, and one that fits with nothing removed admits no better
+    removal set.  These cuts skip only moves the enumeration would
+    reject, so the move returned is the same as with every set built.
     """
     wn = instance.weight_numerators
     edges = instance.edges
     cand = [j for j in interval_ids if j not in sol_set]
     if not cand:
-        return None
+        return 0, None
     pool = [j for j in interval_ids if j in sol_set]
     pool_w = [wn[j] for j in pool]
-    pool_sets = [edges[j] for j in pool]
-
-    max_remove = min(2 * instance.arity, len(pool))
-    # lightest[s] is the loss of the s lightest pool edges, a lower bound
-    # on the loss of any s removals.
-    lightest = list(accumulate(sorted(pool_w)[:max_remove], initial=0))
+    whole = len(pool)
+    max_remove = min(2 * instance.arity, whole)
+    # Built when removal pairs are first needed: lightest[s] is the loss of
+    # the s lightest pool edges, a lower bound on the loss of any s removals.
+    lightest: list[int] = []
+    pool_sets: list[frozenset[int]] = []
+    first_lex = rule == FIRST_LEX
+    queries = 0
     best: tuple[int, tuple[int, ...], tuple[int, ...], frozenset[int]] | None = None
 
-    for add_size in (1, 2):
-        for add in combinations(cand, add_size):
-            if add_size == 2 and not (fits.get(add[:1], True) and fits.get(add[1:], True)):
-                continue
-            gain_add = sum(wn[j] for j in add)
+    for size in (1, 2):
+        picks = cand if size == 1 else [j for j in cand if fits.get((j,), True)]
+        for add in combinations(picks, size):
+            gain_add = wn[add[0]] if size == 1 else wn[add[0]] + wn[add[1]]
             limit = gain_add if best is None else gain_add - best[0]
             if limit <= 0:
                 continue  # cannot strictly improve, or cannot beat the best
-            add_verts = edges[add[0]] if add_size == 1 else edges[add[0]] | edges[add[1]]
-            if add not in fits:
-                fits[add] = indep(stripped | add_verts)
-            if not fits[add]:
+            add_verts = edges[add[0]] if size == 1 else edges[add[0]] | edges[add[1]]
+            fit = fits.get(add)
+            if fit is None:
+                queries += 1
+                fit = fits[add] = indep(stripped | add_verts)
+            if not fit:
                 continue
-            for rem_size in range(max_remove + 1):
+            # Each removal set is taken out of the solution with the addition
+            # in; the addition shares no vertex with the pool.
+            grown = sol_verts | add_verts
+            # Remove nothing; with an empty pool that is the pre-check itself.
+            if whole:
+                queries += 1
+            if not whole or indep(grown):
+                if first_lex:
+                    return queries, (add, (), gain_add, grown)
+                best = (gain_add, add, (), grown)
+                continue  # no removal set loses less than nothing
+            for r, loss in zip(pool, pool_w):  # one removal
+                if loss >= limit:
+                    continue
+                after = grown - edges[r]
+                if whole > 1:
+                    queries += 1
+                    if not indep(after):
+                        continue
+                if first_lex:
+                    return queries, (add, (r,), gain_add - loss, after)
+                best = (gain_add - loss, add, (r,), after)
+                limit = loss  # only a lighter removal set beats this move
+            if max_remove < 2:
+                continue
+            if not lightest:
+                lightest = list(accumulate(sorted(pool_w)[:max_remove], initial=0))
+                pool_sets = [edges[j] for j in pool]
+            for rem_size in range(2, max_remove + 1):
                 if lightest[rem_size] >= limit:
                     break
-                for pos, loss, left in _light_combinations(
-                    pool_w, pool_sets, sol_verts, rem_size, limit
+                for pos, loss, after in _light_combinations(
+                    pool_w, pool_sets, grown, rem_size, limit
                 ):
                     if loss >= limit:
                         continue  # the best gain rose during this walk
-                    after = left | add_verts
-                    if rem_size < len(pool) and not indep(after):
-                        continue
+                    if rem_size < whole:
+                        queries += 1
+                        if not indep(after):
+                            continue
                     rem = tuple(pool[i] for i in pos)
-                    if rule == FIRST_LEX:
-                        return add, rem, gain_add - loss, after
+                    if first_lex:
+                        return queries, (add, rem, gain_add - loss, after)
                     best = (gain_add - loss, add, rem, after)
-                    limit = loss  # only a lighter removal set beats this move
+                    limit = loss
     if best is None:
-        return None
-    return best[1], best[2], best[0], best[3]
-
-
-def _run_interval(
-    instance: ParityInstance,
-    sol_set: set[int],
-    sol_verts: frozenset[int],
-    interval_ids: Sequence[int],
-    rule: str,
-    indep: Callable[[frozenset[int]], bool],
-) -> tuple[list[SwapMove], frozenset[int]]:
-    """Apply improving swaps inside one interval until none remain.
-
-    On entry the solution holds no edge of the interval, so ``sol_verts``
-    is the fixed vertex set every pre-check of the interval extends.
-    """
-    den = instance.weight_denominator
-    stripped = sol_verts
-    fits: dict[tuple[int, ...], bool] = {}
-    swaps: list[SwapMove] = []
-    while True:
-        found = _swap_search(instance, sol_set, sol_verts, stripped, fits, interval_ids, rule, indep)
-        if found is None:
-            return swaps, sol_verts
-        add, rem, gain_num, sol_verts = found
-        sol_set.difference_update(rem)
-        sol_set.update(add)
-        swaps.append(SwapMove(add=add, remove=rem, gain=Fraction(gain_num, den)))
+        return queries, None
+    return queries, (best[1], best[2], best[0], best[3])
 
 
 def _draw_shift(epsilon: Fraction, seed: int) -> Fraction:
     """Shift uniform on [0, epsilon) at 53-bit resolution, as an exact rational."""
-    rng = random.Random(seed)
-    return epsilon * Fraction(rng.getrandbits(53), 1 << 53)
+    bits = random.Random(seed).getrandbits(53)
+    return Fraction(epsilon.numerator * bits, epsilon.denominator << 53)
 
 
 def _place_edges(instance: ParityInstance, scheme: IntervalScheme) -> dict[int, list[int]]:
@@ -491,10 +487,7 @@ def _place_edges(instance: ParityInstance, scheme: IntervalScheme) -> dict[int, 
     top, squares = a * instance.weight_denominator, [(p, q)]
     level, num, den = 1, 1, 1  # num/den = (1 - epsilon)^(level - 1)
     occupied: dict[int, list[int]] = {}
-    for j in sorted(
-        (j for j in range(instance.num_edges) if instance.feasible_alone[j]),
-        key=lambda j: (-wn[j], j),
-    ):
+    for j in instance._lone_order:
         w = wn[j] * b
         if level <= levels and w * den <= top * num:
             if w == 0:
@@ -537,26 +530,33 @@ def sliding_local_search(
         scheme = None
     occupied = {} if scheme is None else _place_edges(instance, scheme)
 
-    counter = [0]
-    matroid = instance.matroid
-
-    def indep(vs: frozenset[int]) -> bool:
-        counter[0] += 1
-        return matroid.is_independent(vs)
-
+    den = instance.weight_denominator
+    indep = instance.matroid.is_independent
     sol_set: set[int] = set()
     sol_verts: frozenset[int] = frozenset()
     records: list[IntervalRecord] = []
     for index, ids in occupied.items():  # in increasing index order
         ids.sort()
-        calls_before = counter[0]
-        swaps, sol_verts = _run_interval(instance, sol_set, sol_verts, ids, rule, indep)
+        # The solution holds no edge of the interval yet, so its vertex set
+        # is the one every pre-check of the interval extends.
+        stripped, fits, swaps, calls = sol_verts, {}, [], 0
+        while True:  # apply improving swaps until none remains
+            queries, found = _swap_search(
+                instance, sol_set, sol_verts, stripped, fits, ids, rule, indep
+            )
+            calls += queries
+            if found is None:
+                break
+            add, rem, gain_num, sol_verts = found
+            sol_set.difference_update(rem)
+            sol_set.update(add)
+            swaps.append(SwapMove(add, rem, Fraction(gain_num, den)))
         records.append(
             IntervalRecord(
                 index=index,
                 added=tuple(sorted(sol_set.intersection(ids))),
                 swaps=tuple(swaps),
-                oracle_calls=counter[0] - calls_before,
+                oracle_calls=calls,
             )
         )
 
@@ -607,11 +607,13 @@ def scale_weights(instance: ParityInstance, epsilon_scale: Fraction) -> ParityIn
     eps = Fraction(epsilon_scale)
     if not 0 < eps < 1:
         raise ValueError("epsilon_scale must lie in (0, 1)")
-    heaviest = _heaviest_feasible_numerator(instance)
+    # One pass for the maximum; the scaled copy sorts its own lone order.
+    wn, lone = instance.weight_numerators, instance.feasible_alone
+    heaviest = max((n for n, ok in zip(wn, lone) if ok), default=0)
     if not heaviest:
         return instance
     top, bottom = instance.num_edges * eps.denominator, eps.numerator * heaviest
-    return instance._reweighted(Fraction(n * top // bottom) for n in instance.weight_numerators)
+    return instance._reweighted(Fraction(n * top // bottom) for n in wn)
 
 
 def sliding_runs(

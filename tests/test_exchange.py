@@ -157,6 +157,46 @@ def test_conflict_trace_verifier_catches_tampering():
     ]
 
 
+def two_layer_conflict():
+    # Two layers: interval 1 adds vertices {1, 3, 11}, interval 3 adds {8, 17, 22}.
+    inst = generate("set-packing", n=9, m=8, k=3, seed=5)
+    _, trace = sliding_local_search(inst, EPS, DELTA, 2)
+    ct = build_conflict_trace(inst, trace, brute_force_optimum(inst).optimum, GAMMA)
+    assert [(index, sorted(added)) for index, added, _ in ct.layers] == [
+        (1, [1, 3, 11]),
+        (3, [8, 17, 22]),
+    ]
+    assert verify_conflict_trace(ct) == []
+    return ct
+
+
+def test_conflict_trace_verifier_refuses_a_layer_that_adds_earlier_vertices():
+    ct = two_layer_conflict()
+    (_, first_added, _), (index, _, blocked) = ct.layers
+    forged = dataclasses.replace(ct, layers=(ct.layers[0], (index, first_added, blocked)))
+    assert verify_conflict_trace(forged) == [
+        "interval 3: layer adds vertices an earlier layer added"
+    ]
+
+
+def test_conflict_trace_verifier_reports_vertices_outside_the_ground_set_unasked():
+    ct = two_layer_conflict()
+    index, _, blocked = ct.layers[1]
+    counted = PublicOnly(ct.extended_matroid)
+    forged = dataclasses.replace(
+        ct,
+        extended_matroid=counted,
+        layers=(ct.layers[0], (index, frozenset({1000, 1001, 1002}), blocked)),
+    )
+    assert verify_conflict_trace(forged) == [
+        "interval 3: layer adds vertices outside the ground set"
+    ]
+    padded = ct.optimum_vertices | {1000}
+    forged = dataclasses.replace(ct, extended_matroid=counted, optimum_vertices=padded)
+    assert verify_conflict_trace(forged) == ["padded optimum vertex set leaves the ground set"]
+    assert counted.asked == 0
+
+
 # Each forgery, with the check of exact.check_trace that refuses it.
 FORGERIES = {
     "id-99": "added edges",
@@ -435,4 +475,10 @@ def test_k4_verifier_refuses_swaps_that_overlap_or_leave_the_base(forgery):
         first=SwapMove(add1, rem1, Fraction(len(add1) - len(rem1))),
         second=SwapMove(add2, rem2, Fraction(len(add2) - len(rem2))),
     )
+    assert not verify_k4_witness(forged)
+
+
+def test_k4_verifier_refuses_an_unknown_edge():
+    real = k4_non_composability_witness()
+    forged = dataclasses.replace(real, first=SwapMove((99,), (0,), Fraction(0)))
     assert not verify_k4_witness(forged)

@@ -73,7 +73,13 @@ def find_improving_swap(instance, solution_edges, weight_range, rule=FIRST_LEX):
         for j in range(instance.num_edges)
         if instance.feasible_alone[j] and weight_range.contains(instance.weights[j])
     ]
-    found = solver._swap_search(
+    asked = []
+
+    def indep(vs):
+        asked.append(vs)
+        return instance.matroid.is_independent(vs)
+
+    queries, found = solver._swap_search(
         instance,
         sol,
         instance.vertices_of(sol),
@@ -81,8 +87,9 @@ def find_improving_swap(instance, solution_edges, weight_range, rule=FIRST_LEX):
         {},
         ids,
         rule,
-        instance.matroid.is_independent,
+        indep,
     )
+    assert queries == len(asked)
     if found is None:
         return None
     add, rem, gain_num, verts = found
@@ -395,6 +402,15 @@ def test_scaling_keeps_lone_feasibility_and_not_the_signature():
     assert counted.asked == asked  # carried over, not asked again
     assert scaled == ParityInstance(inst.num_vertices, inst.edges, scaled.weights, counted, inst.arity)
     assert instance_signature(scaled) != signature
+
+
+def test_a_scaled_copy_orders_its_lone_edges_by_its_own_weights():
+    # Edges 0 and 1 both scale to 15, so the scaled copy breaks their tie by id.
+    inst = free_singles([Fraction(51, 5), Fraction(21, 2), 20])
+    assert inst._lone_order == (2, 1, 0)
+    scaled = scale_weights(inst, Fraction(1, 10))
+    assert scaled.weights == (15, 15, 30)
+    assert scaled._lone_order == (2, 0, 1)
 
 
 def reference_scaled(inst, eps):
@@ -746,9 +762,20 @@ def test_oracle_count_ignores_instance_warmup():
     assert cold == warm
 
 
-def reference_swap_search(instance, sol_set, sol_verts, _stripped, _fits, interval_ids, rule, indep):
+def reference_swap_search(instance, sol_set, sol_verts, _stripped, _fits, interval_ids, rule, oracle):
     """Swap search that builds every removal set, applies no loss cut and
-    keeps no pre-check answer."""
+    keeps no pre-check answer; it counts its queries as the solver's does."""
+    asked = []
+
+    def indep(vs):
+        asked.append(vs)
+        return oracle(vs)
+
+    found = _reference_move(instance, sol_set, sol_verts, interval_ids, rule, indep)
+    return len(asked), found
+
+
+def _reference_move(instance, sol_set, sol_verts, interval_ids, rule, indep):
     wn = instance.weight_numerators
     edges = instance.edges
     cand = [j for j in interval_ids if j not in sol_set]
@@ -881,6 +908,35 @@ def test_each_pre_check_is_asked_once_per_interval(monkeypatch, rule):
                     if inst.feasible_alone[a] and trace.scheme.interval_of(inst.weights[a]) == r.index:
                         assert asked[prefix | inst.edges[a]] <= 1
                 prefix |= inst.vertices_of(r.added)
+
+
+# Queries and swaps summed over ten scaled runs at the benchmark's
+# solve-large sizes, instance and shift both seeded 0..9.  A change to the
+# search that keeps its moves and its queries keeps these sums.
+SEARCH_WORK = {
+    (FIRST_LEX, "set-packing"): (881, 204),
+    (FIRST_LEX, "graphic-parity"): (2063, 85),
+    (FIRST_LEX, "k-mi-partition"): (1042, 219),
+    (BEST_GAIN, "set-packing"): (1197, 113),
+    (BEST_GAIN, "graphic-parity"): (2079, 38),
+    (BEST_GAIN, "k-mi-partition"): (1454, 123),
+}
+SOLVE_LARGE_SIZES = {
+    "set-packing": {"n": 60, "m": 40, "k": 2},
+    "graphic-parity": {"n": 16, "m": 48, "k": 3},
+    "k-mi-partition": {"n": 32, "k": 2},
+}
+
+
+@pytest.mark.parametrize("rule, family", list(SEARCH_WORK))
+def test_the_search_asks_and_swaps_as_pinned(rule, family):
+    queries = swaps = 0
+    for seed in range(10):
+        inst = generate(family, seed=seed, **SOLVE_LARGE_SIZES[family])
+        _, trace = sliding_local_search(scale_weights(inst, Fraction(1, 10)), EPS, DELTA, seed, rule)
+        queries += trace.oracle_calls
+        swaps += sum(len(r.swaps) for r in trace.records)
+    assert (queries, swaps) == SEARCH_WORK[rule, family]
 
 
 def test_hundred_edge_run_solves_and_verifies_quickly():
