@@ -134,25 +134,25 @@ def check_trace(instance: ParityInstance, trace: SolverTrace) -> dict[int, int]:
       solver's ranges, its heaviest feasible weight is the instance's,
       its deepest marker stays within ``MAX_MARKER_BITS``, and its level
       count is the least with ``(1 - epsilon)^(levels - 1) <= delta / m``,
-      checked by two exact powers rather than a loop whose length epsilon
-      would set;
+      checked by one pair of integer powers, cross-multiplied, rather
+      than a loop whose length epsilon would set;
     * the record indices are exactly the occupied intervals, those that
       hold a lone-feasible edge by ``interval_of``, in increasing order;
-      every added edge is feasible alone, lies in its record's interval
-      and is added once; each record's swaps, replayed from nothing,
-      end at exactly its added edges, each adding one or two distinct
-      edges of the interval that are not held and removing at most
-      ``2 * arity`` distinct held ones, for the positive gain its edges
-      give (set and integer arithmetic, no query); the added edges weigh
-      ``final_weight``; and every prefix that grew is feasible, one query
-      per such interval.
+      every added edge is the integer id of an edge feasible alone, lies
+      in its record's interval and is added once; each record's swaps,
+      replayed from nothing, end at exactly its added edges, each adding
+      one or two distinct edges of the interval that are not held and
+      removing at most ``2 * arity`` distinct held ones, for the positive
+      gain its edges give (set and integer arithmetic, no query); the
+      added edges weigh ``final_weight``; and every prefix that grew is
+      feasible, one query per such interval.
     """
     if trace.instance_signature != instance_signature(instance):
         raise TraceMismatch("trace was produced for a different instance")
-    weights, numerators = instance.weights, instance.weight_numerators
-    den = instance.weight_denominator
+    # Integer numerators over ``den``; trace values are compared by cross-multiplying.
+    numerators, den = instance.weight_numerators, instance.weight_denominator
     lone = [j for j in range(instance.num_edges) if instance.feasible_alone[j]]
-    heaviest = Fraction(max((numerators[j] for j in lone), default=0), den)
+    heaviest = max((numerators[j] for j in lone), default=0)
     scheme = trace.scheme
     if scheme is None:
         # A degenerate run searched nothing, so it must have nothing to show.
@@ -163,26 +163,33 @@ def check_trace(instance: ParityInstance, trace: SolverTrace) -> dict[int, int]:
     epsilon, delta, tau, levels = scheme.epsilon, scheme.delta, scheme.tau, scheme.levels
     if (epsilon, delta, tau) != (trace.epsilon, trace.delta, trace.tau):
         raise TraceRefuted("parameters: the scheme's epsilon, delta and tau are not the trace's")
-    if not (0 < epsilon < Fraction(1, 2) and 0 < delta < 1 and 0 <= tau < epsilon):
+    en, ed, dn, dd = epsilon.numerator, epsilon.denominator, delta.numerator, delta.denominator
+    if not (0 < 2 * en < ed and 0 < dn < dd and 0 <= tau.numerator * ed < en * tau.denominator):
         raise TraceRefuted("parameter ranges: epsilon, delta or tau is out of range")
-    if heaviest == 0 or scheme.max_feasible_weight != heaviest:
+    top = scheme.max_feasible_weight
+    if heaviest == 0 or top.numerator * den != heaviest * top.denominator:
         raise TraceRefuted("heaviest weight: not the instance's positive lone-feasible one")
-    if levels < 1 or marker_bits(epsilon, tau, heaviest, levels) > MAX_MARKER_BITS:
+    if levels < 1 or marker_bits(epsilon, tau, top, levels) > MAX_MARKER_BITS:
         raise TraceRefuted(f"level count: {levels} is below 1 or over the marker budget")
-    shrink, tail = 1 - epsilon, delta / instance.num_edges
-    if not shrink ** (levels - 1) <= tail < shrink ** (levels - 2):
+    # With 1 - epsilon = p/q, (p/q)^(levels-1) <= dn/tail_den < (p/q)^(levels-2), the
+    # right side being (p/q)^(levels-1) * q/p, so levels = 1 needs no negative power.
+    p, q, tail_den = ed - en, ed, dd * instance.num_edges
+    pp, qq = p ** (levels - 1), q ** (levels - 1)
+    if not (pp * tail_den <= dn * qq and dn * qq * p < pp * q * tail_den):
         raise TraceRefuted(f"level count: {levels} is not the instance's")
     # Every lone-feasible weight is at most the top marker, since tau < epsilon.
-    own = {j: scheme.interval_of(weights[j]) for j in lone}
+    own = {j: scheme._deepest_at_or_above(numerators[j], den) + 1 for j in lone}
     records = trace.records
     if [r.index for r in records] != sorted(set(own.values())):
         raise TraceRefuted("record indices: not the occupied intervals")
     seen: set[int] = set()
+    grown: set[int] = set()  # the vertices of ``seen``
     for record in records:
         for j in record.added:
-            if j in seen or own.get(j) != record.index:
+            if type(j) is not int or j in seen or own.get(j) != record.index:
                 raise TraceRefuted(f"added edges: {j!r} twice or outside interval {record.index}")
             seen.add(j)
+            grown |= instance.edges[j]
         held: set[int] = set()  # the record's swaps, replayed from nothing
         for move in record.swaps:
             add, remove = set(move.add), set(move.remove)
@@ -201,9 +208,10 @@ def check_trace(instance: ParityInstance, trace: SolverTrace) -> dict[int, int]:
             held = (held - remove) | add
         if held != set(record.added):
             raise TraceRefuted(f"swaps: interval {record.index} does not end at its added edges")
-        if record.added and not instance.is_feasible(seen):
+        if record.added and not instance.matroid.is_independent(grown):
             raise TraceRefuted(f"prefix feasibility: the prefix of interval {record.index}")
-    if trace.final_weight != Fraction(sum(numerators[j] for j in seen), den):
+    final = trace.final_weight
+    if final.numerator * den != sum(numerators[j] for j in seen) * final.denominator:
         raise TraceRefuted("final weight: not the added edges' weight")
     return own
 
@@ -214,43 +222,43 @@ def verify_local_optimum(instance: ParityInstance, trace: SolverTrace) -> bool:
     The trace is refuted (False) unless ``check_trace`` accepts it; a
     trace of another instance raises ``TraceMismatch``.  Then it replays
     the per-interval prefix solutions and enumerates every candidate swap
-    from scratch, with none of the solver's pruning, using fraction
-    arithmetic directly.  The only cut is by size: once the lightest
-    removal set of a size weighs at least the addition, no set of that
-    size or larger can improve, since weights are nonnegative.  Returns
-    False as soon as one improving swap is found.
+    from scratch, with none of the solver's pruning, in integer weight
+    numerators over the instance's common denominator.  The only cut is
+    by size: once the lightest removal set of a size weighs at least the
+    addition, no set of that size or larger can improve, since weights
+    are nonnegative.  Returns False as soon as one improving swap is found.
     """
     try:
         own = check_trace(instance, trace)
     except TraceRefuted:
         return False
-    weights = instance.weights
+    numerators, edges = instance.weight_numerators, instance.edges
     inside: dict[int, list[int]] = {}
     for j, i in own.items():
         inside.setdefault(i, []).append(j)
 
     prefix: set[int] = set()
+    base: frozenset[int] = frozenset()  # the vertices of ``prefix``
     for record in trace.records:
         prefix.update(record.added)
+        base = base.union(*(edges[j] for j in record.added))
         outside_sol = [j for j in inside[record.index] if j not in prefix]
         in_sol = [j for j in inside[record.index] if j in prefix]
-        base = instance.vertices_of(prefix)
         # lightest[s]: the least weight any s edges of in_sol can have.
-        lightest = [Fraction(0)]
-        for w in sorted(weights[j] for j in in_sol):
+        lightest = [0]
+        for w in sorted(numerators[j] for j in in_sol):
             lightest.append(lightest[-1] + w)
         for add_size in (1, 2):
             for add in combinations(outside_sol, add_size):
-                add_w = sum((weights[j] for j in add), Fraction(0))
-                add_verts = instance.vertices_of(add)
+                add_w = sum(numerators[j] for j in add)
+                add_verts = frozenset().union(*(edges[j] for j in add))
                 for rem_size in range(0, min(2 * instance.arity, len(in_sol)) + 1):
                     if lightest[rem_size] >= add_w:
                         break  # every removal set of this size or larger loses too much
                     for rem in combinations(in_sol, rem_size):
-                        rem_w = sum((weights[j] for j in rem), Fraction(0))
-                        if add_w <= rem_w:
+                        if add_w <= sum(numerators[j] for j in rem):
                             continue
-                        target = (base - instance.vertices_of(rem)) | add_verts
+                        target = base.difference(*(edges[j] for j in rem)) | add_verts
                         if instance.matroid.is_independent(target):
                             return False
     return True

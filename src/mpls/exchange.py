@@ -435,8 +435,9 @@ def verify_conflict_trace(ct: ConflictTrace) -> list[str]:
     construction internals.  Each layer must add vertices of the ground
     set that no earlier layer added; a set leaving the ground set is
     reported, not asked.  Per optimum edge it checks only what the
-    classification does not derive: the own interval is its weight's,
-    and a positive weight is blocked no later than that interval.
+    classification does not derive: the weight lies in the marker range,
+    the own interval is its weight's, and a positive weight is blocked no
+    later than that interval.
     """
     if not indices_in_order([index for index, _, _ in ct.layers], ct.scheme.levels):
         return ["layer intervals do not increase strictly inside 1..levels+1"]
@@ -479,8 +480,11 @@ def verify_conflict_trace(ct: ConflictTrace) -> list[str]:
             problems.append(f"interval {index}: prefix plus unblocked optimum is dependent")
 
     for idx, (_, verts, weight, own) in enumerate(ct.edges):
-        if ct.scheme.interval_of(weight) != own:
-            problems.append(f"optimum edge {idx}: own interval {own} is not its weight's")
+        try:
+            if ct.scheme.interval_of(weight) != own:
+                problems.append(f"optimum edge {idx}: own interval {own} is not its weight's")
+        except ValueError:  # negative, or above marker 0
+            problems.append(f"optimum edge {idx}: weight {weight} is outside the marker range")
         first, _ = _first_block(verts, ct.layers)
         if weight > 0 and (first is None or first > own):
             problems.append(

@@ -59,7 +59,10 @@ def _bits(value: Fraction) -> int:
 def marker_bits(epsilon: Fraction, tau: Fraction, heaviest: Fraction, levels: int) -> int:
     """Size bound of the deepest marker: ``levels`` factors ``1 - epsilon``,
     the shift and the heaviest weight."""
-    return levels * _bits(1 - epsilon) + _bits(tau) + _bits(heaviest)
+    # 1 - n/d is (d - n)/d, reduced as n/d is, so no Fraction is built.
+    d = epsilon.denominator
+    shrink = (d - epsilon.numerator).bit_length() + d.bit_length()
+    return levels * shrink + _bits(tau) + _bits(heaviest)
 
 
 @dataclass(frozen=True)
@@ -76,9 +79,11 @@ class IntervalScheme:
     No marker is stored.  ``interval_of`` locates a weight by bisection
     on exact integer powers of ``1 - epsilon``, comparing by
     cross-multiplication, so a query costs O(log levels) integer products
-    and no ladder is ever built.  The integers and the powers they bisect
-    on are computed once per scheme; they are not fields, so equality,
-    hashing and the trace JSON ignore them.
+    and no ladder is ever built; the verifier asks its integer form,
+    ``_deepest_at_or_above``, with weight numerators over their common
+    denominator.  The integers and the powers they bisect on are computed
+    once per scheme; they are not fields, so equality, hashing and the
+    trace JSON ignore them.
     """
 
     max_feasible_weight: Fraction
@@ -119,19 +124,20 @@ class IntervalScheme:
             squares.append((p, q))
         return tuple(squares)
 
-    def _deepest_at_or_above(self, w: Fraction) -> int:
-        """Largest j in 1..levels with ``marker(j) >= w``, or 0 if there is none.
+    def _deepest_at_or_above(self, c: int, d: int) -> int:
+        """Largest j in 1..levels with ``marker(j) >= c/d``, or 0 if there is none.
 
-        Marker ``1 + s`` is at least ``w = c/d`` iff
-        ``a * d * p^s >= c * b * q^s``.  The largest such s below
-        ``levels`` is built bit by bit from the top, one cross-multiplied
-        test per bit, on the squares ``p^(2^i)`` and ``q^(2^i)``.  This
-        search is kept apart from the solver's sweep (``_gallop``), so the
-        verifier places edges by its own arithmetic.
+        ``d`` is positive and ``c/d`` need not be reduced.  Marker
+        ``1 + s`` is at least ``c/d`` iff ``a * d * p^s >= c * b * q^s``.
+        The largest such s below ``levels`` is built bit by bit from the
+        top, one cross-multiplied test per bit, on the squares
+        ``p^(2^i)`` and ``q^(2^i)``.  This search is kept apart from the
+        solver's sweep (``_gallop``), so the verifier places edges by its
+        own arithmetic.
         """
         a, b, _, _ = self._integers
-        high = a * w.denominator
-        low = w.numerator * b
+        high = a * d
+        low = c * b
         if high < low:
             return 0
         levels, squares = self.levels, self._squares
@@ -146,7 +152,7 @@ class IntervalScheme:
     def interval_of(self, w: Fraction) -> int:
         """Index of the interval containing weight ``w``."""
         w = w if isinstance(w, Fraction) else Fraction(w)
-        j = self._deepest_at_or_above(w)
+        j = self._deepest_at_or_above(w.numerator, w.denominator)
         if w.numerator < 0 or (j == 0 and w > self.marker(0)):
             raise ValueError(f"weight {w} outside the marker range")
         return j + 1
@@ -762,9 +768,10 @@ def trace_from_json_obj(obj: dict[str, Any]) -> SolverTrace:
             indices = [r.index for r in records]
             if not all(type(i) is int for i in indices) or not indices_in_order(indices, levels):
                 raise FormatError("record indices must increase strictly inside 1..levels+1")
-            if not (0 < epsilon < Fraction(1, 2) and 0 < delta < 1):
+            en, ed = epsilon.numerator, epsilon.denominator
+            if not (0 < 2 * en < ed and 0 < delta.numerator < delta.denominator):
                 raise FormatError("epsilon must lie in (0, 1/2) and delta in (0, 1)")
-            if tau is None or not 0 <= tau < epsilon:
+            if tau is None or not 0 <= tau.numerator * ed < en * tau.denominator:
                 raise FormatError("tau must lie in [0, epsilon)")
             heaviest = parse_fraction(scheme_obj["max_feasible_weight"])
             if marker_bits(epsilon, tau, heaviest, levels) > MAX_MARKER_BITS:

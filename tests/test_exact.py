@@ -8,6 +8,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import PublicOnly
 from mpls.exact import (
     EXACT_LIMIT,
     SizeLimitExceeded,
@@ -18,6 +19,7 @@ from mpls.exact import (
     check_trace,
     verify_local_optimum,
 )
+from mpls.exchange import build_conflict_trace, verify_conflict_trace
 from mpls.generators import generate, random_partition_matroids
 from mpls.instance import (
     ParityInstance,
@@ -26,12 +28,14 @@ from mpls.instance import (
     make_disjoint,
 )
 from mpls.matroids import FreeMatroid, MatroidOracle, PartitionMatroid, UniformMatroid
-from mpls.serialization import matroid_from_descriptor
+from mpls.serialization import instance_signature, matroid_from_descriptor
 from mpls.solver import (
+    MAX_MARKER_BITS,
     IntervalRecord,
     IntervalScheme,
     SwapMove,
     compute_markers,
+    marker_bits,
     sliding_local_search,
 )
 
@@ -369,6 +373,7 @@ def with_swaps(inst, trace, i, *moves):
             "record indices",
         ),
         (lambda inst, t: with_added(t, 0, tuple(range(6))), "added edges"),
+        (lambda inst, t: with_added(t, 1, (5.0,)), "added edges"),
         (
             lambda inst, t: dataclasses.replace(
                 t, scheme=None, records=(), final_weight=Fraction(0)
@@ -389,6 +394,7 @@ def with_swaps(inst, trace, i, *moves):
     ids=[
         "no-records",
         "all-added-first",
+        "added-id-not-an-int",
         "claims-degenerate",
         "no-swaps",
         "swap-adds-a-held-edge",
@@ -568,3 +574,259 @@ def test_every_mutation_is_refuted_or_a_true_local_optimum(data):
         trace = data.draw(mutation(inst, trace))
     if verify_local_optimum(inst, trace):
         assert true_local_optimum(inst, trace)
+
+
+def fraction_check_trace(instance, trace):
+    """Reference copy of ``check_trace`` in ``Fraction`` arithmetic, the form
+    it had before it moved to integer numerators; deliberately left as it was."""
+    if trace.instance_signature != instance_signature(instance):
+        raise TraceMismatch("trace was produced for a different instance")
+    weights, numerators = instance.weights, instance.weight_numerators
+    den = instance.weight_denominator
+    lone = [j for j in range(instance.num_edges) if instance.feasible_alone[j]]
+    heaviest = Fraction(max((numerators[j] for j in lone), default=0), den)
+    scheme = trace.scheme
+    if scheme is None:
+        if heaviest or trace.records or trace.final_weight:
+            raise TraceRefuted("degenerate trace: the instance or the run is not degenerate")
+        return {}
+
+    epsilon, delta, tau, levels = scheme.epsilon, scheme.delta, scheme.tau, scheme.levels
+    if (epsilon, delta, tau) != (trace.epsilon, trace.delta, trace.tau):
+        raise TraceRefuted("parameters: the scheme's epsilon, delta and tau are not the trace's")
+    if not (0 < epsilon < Fraction(1, 2) and 0 < delta < 1 and 0 <= tau < epsilon):
+        raise TraceRefuted("parameter ranges: epsilon, delta or tau is out of range")
+    if heaviest == 0 or scheme.max_feasible_weight != heaviest:
+        raise TraceRefuted("heaviest weight: not the instance's positive lone-feasible one")
+    if levels < 1 or marker_bits(epsilon, tau, heaviest, levels) > MAX_MARKER_BITS:
+        raise TraceRefuted(f"level count: {levels} is below 1 or over the marker budget")
+    shrink, tail = 1 - epsilon, delta / instance.num_edges
+    if not shrink ** (levels - 1) <= tail < shrink ** (levels - 2):
+        raise TraceRefuted(f"level count: {levels} is not the instance's")
+    own = {j: scheme.interval_of(weights[j]) for j in lone}
+    records = trace.records
+    if [r.index for r in records] != sorted(set(own.values())):
+        raise TraceRefuted("record indices: not the occupied intervals")
+    seen = set()
+    for record in records:
+        for j in record.added:
+            if j in seen or own.get(j) != record.index:
+                raise TraceRefuted(f"added edges: {j!r} twice or outside interval {record.index}")
+            seen.add(j)
+        held = set()
+        for move in record.swaps:
+            add, remove = set(move.add), set(move.remove)
+            if not (
+                0 < len(add) == len(move.add) <= 2
+                and all(own.get(j) == record.index for j in add)
+                and not add & held
+                and len(remove) == len(move.remove) <= 2 * instance.arity
+                and remove <= held
+            ):
+                raise TraceRefuted(f"swaps: {move} does not fit interval {record.index}")
+            gain = sum(numerators[j] for j in add) - sum(numerators[j] for j in remove)
+            if gain <= 0 or gain * move.gain.denominator != move.gain.numerator * den:
+                raise TraceRefuted(f"swaps: {move} does not gain what its edges give")
+            held = (held - remove) | add
+        if held != set(record.added):
+            raise TraceRefuted(f"swaps: interval {record.index} does not end at its added edges")
+        if record.added and not instance.is_feasible(seen):
+            raise TraceRefuted(f"prefix feasibility: the prefix of interval {record.index}")
+    if trace.final_weight != Fraction(sum(numerators[j] for j in seen), den):
+        raise TraceRefuted("final weight: not the added edges' weight")
+    return own
+
+
+def fraction_verify_local_optimum(instance, trace):
+    """Reference copy of ``verify_local_optimum``'s unpruned replay, in ``Fraction`` sums."""
+    try:
+        own = fraction_check_trace(instance, trace)
+    except TraceRefuted:
+        return False
+    weights = instance.weights
+    inside = {}
+    for j, i in own.items():
+        inside.setdefault(i, []).append(j)
+    prefix = set()
+    for record in trace.records:
+        prefix.update(record.added)
+        outside_sol = [j for j in inside[record.index] if j not in prefix]
+        in_sol = [j for j in inside[record.index] if j in prefix]
+        base = instance.vertices_of(prefix)
+        lightest = [Fraction(0)]
+        for w in sorted(weights[j] for j in in_sol):
+            lightest.append(lightest[-1] + w)
+        for add_size in (1, 2):
+            for add in combinations(outside_sol, add_size):
+                add_w = sum((weights[j] for j in add), Fraction(0))
+                add_verts = instance.vertices_of(add)
+                for rem_size in range(0, min(2 * instance.arity, len(in_sol)) + 1):
+                    if lightest[rem_size] >= add_w:
+                        break
+                    for rem in combinations(in_sol, rem_size):
+                        rem_w = sum((weights[j] for j in rem), Fraction(0))
+                        if add_w <= rem_w:
+                            continue
+                        target = (base - instance.vertices_of(rem)) | add_verts
+                        if instance.matroid.is_independent(target):
+                            return False
+    return True
+
+
+def outcome(check, inst, trace):
+    """What ``check`` returns, or the type and message of what it raises."""
+    try:
+        return check(inst, trace)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+
+
+def assert_same_as_fraction_form(inst, trace):
+    """``check_trace`` and ``verify_local_optimum`` answer as their Fraction forms do,
+    each asking the oracle the same queries in the same order."""
+    pairs = ((check_trace, fraction_check_trace), (verify_local_optimum, fraction_verify_local_optimum))
+    for pair in pairs:
+        answers, asked = [], []
+        for check in pair:
+            counted = PublicOnly(inst.matroid)
+            copy = dataclasses.replace(inst, matroid=counted)
+            copy.__dict__["_signature"] = instance_signature(inst)  # the trace's instance still
+            answers.append(outcome(check, copy, trace))
+            asked.append(counted.asked)
+        assert answers[0] == answers[1] and asked[0] == asked[1]
+    return outcome(check_trace, inst, trace)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_integer_check_trace_matches_its_fraction_form(data):
+    inst, trace = genuine_trace()
+    assert_same_as_fraction_form(inst, trace)
+    for _ in range(data.draw(st.integers(1, 3))):
+        trace = data.draw(mutation(inst, trace))
+        assert_same_as_fraction_form(inst, trace)
+
+
+def singles(weights, matroid=None):
+    """One single-vertex edge per weight, under ``matroid`` or the free matroid."""
+    n = len(weights)
+    edges = tuple(frozenset([v]) for v in range(n))
+    return ParityInstance(n, edges, tuple(map(Fraction, weights)), matroid or FreeMatroid(n), 1)
+
+
+def run(inst, epsilon=EPS, delta=DELTA, seed=0):
+    return inst, sliding_local_search(inst, Fraction(epsilon), Fraction(delta), seed)[1]
+
+
+def on_markers():
+    """Weights 1, marker(2) and marker(3) of the ladder the run itself draws."""
+    _, probe = run(singles([1, Fraction(1, 2), Fraction(1, 4)]))
+    return run(singles([1, probe.scheme.marker(2), probe.scheme.marker(3)]))
+
+
+def zero_heaviest():
+    """A one-edge instance of weight 0 and a trace whose scheme claims heaviest weight 0."""
+    _, trace = run(singles([3]), "9/20", "3/5")
+    zero = singles([0])
+    forged = dataclasses.replace(
+        rescheme(trace, max_feasible_weight=Fraction(0)),
+        instance_signature=instance_signature(zero),
+        records=(),
+        final_weight=Fraction(0),
+    )
+    return zero, forged
+
+
+def tied_swap():
+    """All three edges in interval 1; the run takes 0 and 1.  Edges 0 and 2 share
+    a block, so swapping 2 in for 0 only ties, and for 1 does not fit."""
+    inst, trace = run(singles([10, 9, 10], PartitionMatroid([[0, 2], [1]], [1, 1])))
+    assert trace.final_edges == (0, 1) and [r.index for r in trace.records] == [1]
+    return inst, trace
+
+
+# Runs for the fixed cases below, each with its level count.
+BASES = {
+    # (1 - 9/20)^1 <= (3/5) / 1 < (1 - 9/20)^0; two edges need four levels.
+    "two-levels": (lambda: run(singles([3]), "9/20", "3/5"), 2),
+    "four-levels": (lambda: run(singles([3, 2], UniformMatroid(2, 1)), "9/20", "3/5"), 4),
+    # (1 - 1/3)^2 is exactly 4/9, so the level-count test meets equality.
+    "tail-on-a-power": (lambda: run(singles([1]), "1/3", "4/9"), 3),
+    "genuine": (genuine_trace, 24),
+    "zero-heaviest": (zero_heaviest, 2),
+    "tied-swap": (tied_swap, 23),
+    "weights-on-markers": (on_markers, 23),
+}
+
+
+def relevel_to(levels):
+    return lambda trace: relevel(trace, levels)
+
+
+def reparam(**changes):
+    """Epsilon, delta or tau changed in the trace and its scheme alike."""
+    return lambda trace: dataclasses.replace(
+        trace, scheme=dataclasses.replace(trace.scheme, **changes), **changes
+    )
+
+
+# Cases at the boundaries of each exact test: a run, a forgery of it or
+# None, and the refusal's message or None if the trace is accepted.
+FIXED_CASES = [
+    pytest.param("two-levels", None, None, id="two-levels"),
+    pytest.param("two-levels", relevel_to(1), "level count: 1 is not", id="two-as-one"),
+    pytest.param("two-levels", relevel_to(3), "level count: 3 is not", id="two-as-three"),
+    pytest.param("four-levels", relevel_to(2), "level count: 2 is not", id="four-as-two"),
+    pytest.param("genuine", relevel_to(1), "level count: 1 is not", id="genuine-as-one"),
+    pytest.param("genuine", relevel_to(2), "level count: 2 is not", id="genuine-as-two"),
+    pytest.param("tail-on-a-power", None, None, id="tail-on-a-power"),
+    pytest.param("tail-on-a-power", relevel_to(4), "level count: 4 is not", id="tail-as-four"),
+    pytest.param("genuine", reparam(epsilon=Fraction(1, 2)), "parameter ranges", id="epsilon-half"),
+    pytest.param("genuine", reparam(epsilon=0, tau=0), "parameter ranges", id="epsilon-zero"),
+    pytest.param("genuine", reparam(delta=Fraction(0)), "parameter ranges", id="delta-zero"),
+    pytest.param("genuine", reparam(delta=Fraction(1)), "parameter ranges", id="delta-one"),
+    pytest.param("genuine", reparam(tau=EPS), "parameter ranges", id="tau-epsilon"),
+    pytest.param("genuine", reparam(tau=Fraction(-1, 10**30)), "parameter ranges", id="tau-negative"),
+    pytest.param("zero-heaviest", None, "heaviest weight", id="zero-heaviest"),
+    pytest.param("tied-swap", None, None, id="tied-swap"),
+    pytest.param("weights-on-markers", None, None, id="weights-on-markers"),
+]
+
+
+@pytest.mark.parametrize("base, forge, refusal", FIXED_CASES)
+def test_fixed_cases_are_judged_as_in_fraction_form(base, forge, refusal):
+    make, levels = BASES[base]
+    inst, trace = make()
+    assert trace.scheme.levels == levels
+    if forge is not None:
+        trace = forge(trace)
+    answer = assert_same_as_fraction_form(inst, trace)
+    if refusal is None:
+        assert isinstance(answer, dict) and verify_local_optimum(inst, trace)
+    else:
+        assert answer[0] is TraceRefuted and answer[1].startswith(refusal)
+
+
+def test_weights_over_eighty_orders_of_magnitude_verify_and_refute():
+    big = 10**40
+    weights = (
+        Fraction(big), Fraction(1, big), Fraction(big - 1, big - 3), Fraction(3, 7 * 10**39),
+        Fraction(10**20, 3), Fraction(10**39, 7), Fraction(big - 7, big), Fraction(10**13),
+        Fraction(10**28, big - 3), Fraction(1, 10**20),
+    )
+    assert min(weights) == Fraction(1, big) and max(w.denominator for w in weights) == big
+    # Ten disjoint pairs under a rank-9 uniform matroid: at most four edges fit.
+    pairs = tuple(frozenset([2 * j, 2 * j + 1]) for j in range(10))
+    inst = ParityInstance(20, pairs, weights, UniformMatroid(20, 9), 2)
+    optimum = brute_force_optimum(inst).optimum
+    # The default delta puts most edges in the closed tail interval; 10^-90 spreads
+    # them over a ladder of some 430 levels.
+    for delta in (DELTA, Fraction(1, 10**90)):
+        for seed in range(3):
+            _, trace = sliding_local_search(inst, EPS, delta, seed)
+            assert verify_local_optimum(inst, trace)
+            assert verify_conflict_trace(build_conflict_trace(inst, trace, optimum, EPS)) == []
+            for j in range(inst.num_edges):
+                forged = toggle(inst, trace, j)
+                assert not verify_local_optimum(inst, forged)
+                assert_same_as_fraction_form(inst, forged)

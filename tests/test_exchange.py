@@ -197,6 +197,20 @@ def test_conflict_trace_verifier_reports_vertices_outside_the_ground_set_unasked
     assert counted.asked == 0
 
 
+@pytest.mark.parametrize("weight", [10**9, -1], ids=["above-marker-0", "negative"])
+def test_conflict_trace_verifier_reports_a_weight_outside_the_marker_range(weight):
+    inst = generate("set-packing", n=10, m=10, k=3, seed=3)
+    _, trace = sliding_local_search(inst, EPS, DELTA, 1)
+    ct = build_conflict_trace(inst, trace, brute_force_optimum(inst).optimum, GAMMA)
+    assert verify_conflict_trace(ct) == []
+    orig, verts, _, own = ct.edges[0]
+    assert weight > ct.scheme.marker(0) or weight < 0
+    forged = dataclasses.replace(ct, edges=((orig, verts, weight, own), *ct.edges[1:]))
+    assert verify_conflict_trace(forged) == [
+        f"optimum edge 0: weight {weight} is outside the marker range"
+    ]
+
+
 # Each forgery, with the check of exact.check_trace that refuses it.
 FORGERIES = {
     "id-99": "added edges",

@@ -488,6 +488,33 @@ def test_trace_missing_a_field_is_a_format_error(field):
         trace_from_json_obj(obj)
 
 
+@pytest.mark.parametrize(
+    "epsilon, delta, tau, refusal",
+    [
+        ("0.4999", "0.9999", "0.4998", None),
+        ("1/3", "1e-30", "0", None),
+        ("0", "0.5", "0", "epsilon must lie"),
+        ("-1/3", "0.5", "0", "epsilon must lie"),
+        ("1/2", "0.5", "0", "epsilon must lie"),
+        ("0.3", "0", "0", "epsilon must lie"),
+        ("0.3", "1", "0", "epsilon must lie"),
+        ("0.3", "-1/2", "0", "epsilon must lie"),
+        ("0.3", "0.5", "-1e-30", "tau must lie"),
+        ("0.3", "0.5", "0.3", "tau must lie"),
+        ("0.3", "0.5", "1", "tau must lie"),
+    ],
+)
+def test_trace_loader_checks_the_parameter_ranges(epsilon, delta, tau, refusal):
+    # The loader checks the ranges alone; whether the levels fit is check_trace's task.
+    obj = dict(trace_to_json_obj(sample_run()[1]), epsilon=epsilon, delta=delta, tau=tau)
+    if refusal is None:
+        scheme = trace_from_json_obj(obj).scheme
+        assert (scheme.epsilon, scheme.delta, scheme.tau) == tuple(map(Fraction, (epsilon, delta, tau)))
+    else:
+        with pytest.raises(FormatError, match=f"^{refusal}"):
+            trace_from_json_obj(obj)
+
+
 def sample_run():
     inst = generate("set-packing", n=7, m=6, k=3, seed=1)
     return inst, sliding_local_search(inst, EPS, DELTA, seed=4)[1]
