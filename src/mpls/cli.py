@@ -225,6 +225,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.trace_out and (args.algo == "greedy" or args.runs > 1):
+        raise UsageError("--trace-out writes one sliding run's trace; drop --algo greedy and --runs")
     name, inst = _load_source(args)
     work = scale_weights(inst, args.scale_epsilon) if args.scale else inst
     algo = args.algo
@@ -232,7 +234,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         algo = "best-of-runs"
 
     start = time.perf_counter()
-    trace = None
     tau = None
     swaps = None
     if algo == "greedy":
@@ -286,7 +287,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.timings:
         obj["wall_time_s"] = wall
     _emit(dumps_canonical(obj), args.out)
-    if args.trace_out and trace is not None:
+    if args.trace_out:
         _emit(dumps_canonical(trace_to_json_obj(trace)), args.trace_out)
     return VIOLATION_EXIT if status == "ratio-violation" else 0
 

@@ -77,7 +77,7 @@ def brute_force_optimum(instance: ParityInstance) -> ExactResult:
             return
         j = order[i]
         grown = used | edges[j]
-        if matroid.is_independent(grown):
+        if matroid._independent(grown):  # a union of the instance's edges
             chosen.append(j)
             visit(i + 1, chosen, grown, weight + numerators[j])
             chosen.pop()
@@ -130,10 +130,11 @@ def check_trace(instance: ParityInstance, trace: SolverTrace) -> dict[int, int]:
     * a degenerate trace (no scheme) belongs to an instance with no
       positive lone-feasible weight, and has no records and no edges;
       its map is empty;
-    * the scheme's epsilon, delta and tau are the trace's and lie in the
-      solver's ranges, its heaviest feasible weight is the instance's,
-      its deepest marker stays within ``MAX_MARKER_BITS``, and its level
-      count is the least with ``(1 - epsilon)^(levels - 1) <= delta / m``,
+    * the scheme's epsilon and tau are the trace's, they and the trace's
+      delta lie in the solver's ranges, its heaviest feasible weight is
+      the instance's, its deepest marker stays within
+      ``MAX_MARKER_BITS``, and its level count is the least with
+      ``(1 - epsilon)^(levels - 1) <= delta / m`` for the trace's delta,
       checked by one pair of integer powers, cross-multiplied, rather
       than a loop whose length epsilon would set;
     * the record indices are exactly the occupied intervals, those that
@@ -160,9 +161,9 @@ def check_trace(instance: ParityInstance, trace: SolverTrace) -> dict[int, int]:
             raise TraceRefuted("degenerate trace: the instance or the run is not degenerate")
         return {}
 
-    epsilon, delta, tau, levels = scheme.epsilon, scheme.delta, scheme.tau, scheme.levels
-    if (epsilon, delta, tau) != (trace.epsilon, trace.delta, trace.tau):
-        raise TraceRefuted("parameters: the scheme's epsilon, delta and tau are not the trace's")
+    epsilon, tau, levels, delta = scheme.epsilon, scheme.tau, scheme.levels, trace.delta
+    if (epsilon, tau) != (trace.epsilon, trace.tau):
+        raise TraceRefuted("parameters: the scheme's epsilon and tau are not the trace's")
     en, ed, dn, dd = epsilon.numerator, epsilon.denominator, delta.numerator, delta.denominator
     if not (0 < 2 * en < ed and 0 < dn < dd and 0 <= tau.numerator * ed < en * tau.denominator):
         raise TraceRefuted("parameter ranges: epsilon, delta or tau is out of range")

@@ -12,10 +12,10 @@ accepted in earlier (heavier) intervals are never removed again.
 All weight arithmetic is exact.  Edge weights are compared through
 integer numerators over a common denominator; markers and the random
 shift are exact rationals, so interval membership and improvement tests
-never see floating point.  The marker ladder follows from five values
-(epsilon, delta, the shift, the heaviest feasible weight and the level
-count); a trace stores those, and a marker is computed from them only
-when asked for, so no ladder is ever built.
+never see floating point.  The marker ladder follows from four values
+(epsilon, the shift, the heaviest feasible weight and the level count,
+which delta sets); a trace stores those, and a marker is computed from
+them only when asked for, so no ladder is ever built.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ class IntervalScheme:
 
     max_feasible_weight: Fraction
     epsilon: Fraction
-    delta: Fraction
     tau: Fraction
     levels: int
 
@@ -189,20 +188,19 @@ def _gallop(
     return s, num, den
 
 
-def _level_count(epsilon: Fraction, delta: Fraction, num_edges: int, max_levels: int) -> int:
-    """One more than the least s with ``(1 - epsilon)^s <= delta / num_edges``.
+def _level_count(shrink: Fraction, tail: Fraction, max_levels: int) -> int:
+    """One more than the least s with ``shrink^s <= tail``, for ``shrink = 1 - epsilon``.
 
     Found by doubling and bisection on exact integer powers, never past
     ``max_levels``: a ladder that needs more levels raises
     LadderBudgetError, so no power beyond the budget is built.
     """
-    shrink, tail = 1 - epsilon, delta / num_edges
     squares, tn, td = [(shrink.numerator, shrink.denominator)], tail.numerator, tail.denominator
     limit = max(max_levels - 1, 0)
     last_above, _, _ = _gallop(squares, 0, 1, 1, limit, lambda num, den: num * td > den * tn)
     if last_above + 2 > max_levels:
         raise LadderBudgetError(
-            f"an epsilon of {_bits(epsilon)} bits needs markers of more than {MAX_MARKER_BITS} bits"
+            f"1 - epsilon of {_bits(shrink)} bits needs markers of more than {MAX_MARKER_BITS} bits"
         )
     return last_above + 2
 
@@ -238,13 +236,13 @@ def compute_markers(
     if heaviest == 0:
         raise DegenerateInstanceError("all feasible edges have zero weight")
     heaviest_weight = Fraction(heaviest, instance.weight_denominator)
-    spare = MAX_MARKER_BITS - marker_bits(epsilon, tau, heaviest_weight, 0)
+    shrink = 1 - epsilon
+    spare = MAX_MARKER_BITS - _bits(tau) - _bits(heaviest_weight)
     return IntervalScheme(
         max_feasible_weight=heaviest_weight,
         epsilon=epsilon,
-        delta=delta,
         tau=tau,
-        levels=_level_count(epsilon, delta, instance.num_edges, spare // _bits(1 - epsilon)),
+        levels=_level_count(shrink, delta / instance.num_edges, spare // _bits(shrink)),
     )
 
 
@@ -289,7 +287,7 @@ class SolverTrace:
     epsilon: Fraction
     delta: Fraction
     seed: int
-    tau: Fraction | None
+    tau: Fraction
     rule: str
     scheme: IntervalScheme | None
     records: tuple[IntervalRecord, ...]
@@ -523,8 +521,6 @@ def sliding_local_search(
     epsilon, delta = Fraction(epsilon), Fraction(delta)
     if not 0 < epsilon < Fraction(1, 2):
         raise ValueError("epsilon must lie in (0, 1/2)")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
     if rule not in SWAP_RULES:
         raise ValueError(f"unknown swap rule {rule!r}")
 
@@ -537,7 +533,7 @@ def sliding_local_search(
     occupied = {} if scheme is None else _place_edges(instance, scheme)
 
     den = instance.weight_denominator
-    indep = instance.matroid.is_independent
+    indep = instance.matroid._independent  # unions of instance edges need no ground-set check
     sol_set: set[int] = set()
     sol_verts: frozenset[int] = frozenset()
     records: list[IntervalRecord] = []
@@ -588,7 +584,7 @@ def greedy(instance: ParityInstance) -> Solution:
     verts: frozenset[int] = frozenset()
     for j in order:
         trial = verts | instance.edges[j]
-        if instance.matroid.is_independent(trial):
+        if instance.matroid._independent(trial):
             sol.add(j)
             verts = trial
     return instance.solution(sol)
@@ -685,7 +681,7 @@ def trace_to_json_obj(trace: SolverTrace) -> dict[str, Any]:
         "epsilon": format_fraction(trace.epsilon),
         "delta": format_fraction(trace.delta),
         "seed": trace.seed,
-        "tau": None if trace.tau is None else format_fraction(trace.tau),
+        "tau": format_fraction(trace.tau),
         "rule": trace.rule,
         "scheme": None
         if scheme is None
@@ -728,12 +724,13 @@ def _count(value: Any) -> int:
 def trace_from_json_obj(obj: dict[str, Any]) -> SolverTrace:
     """Rebuild a trace from its JSON object; a malformed one raises FormatError.
 
-    The scheme keeps epsilon, delta, tau, the heaviest feasible weight
-    and ``levels``, and no marker is computed here.  The ``markers``,
+    The scheme keeps epsilon, tau, the heaviest feasible weight and
+    ``levels``, and no marker is computed here.  The ``markers``,
     ``final_edges`` and ``oracle_calls`` keys and the per-record
     ``upper``/``lower`` keys of older files are ignored, since the trace
     derives them.  The document must name the occupied-interval record
-    layout, its record indices must increase strictly inside
+    layout, and tau must be a rational, since every run draws one.  With
+    a scheme, the record indices must increase strictly inside
     1..levels+1, epsilon, delta and tau must lie in the solver's ranges,
     and the deepest marker, bounded by ``marker_bits``, must stay within
     ``MAX_MARKER_BITS``.  The rule
@@ -749,7 +746,7 @@ def trace_from_json_obj(obj: dict[str, Any]) -> SolverTrace:
             )
         epsilon = parse_fraction(obj["epsilon"])
         delta = parse_fraction(obj["delta"])
-        tau = None if obj["tau"] is None else parse_fraction(obj["tau"])
+        tau = parse_fraction(obj["tau"])
         records = tuple(
             IntervalRecord(
                 index=r["index"],
@@ -771,17 +768,13 @@ def trace_from_json_obj(obj: dict[str, Any]) -> SolverTrace:
             en, ed = epsilon.numerator, epsilon.denominator
             if not (0 < 2 * en < ed and 0 < delta.numerator < delta.denominator):
                 raise FormatError("epsilon must lie in (0, 1/2) and delta in (0, 1)")
-            if tau is None or not 0 <= tau.numerator * ed < en * tau.denominator:
+            if not 0 <= tau.numerator * ed < en * tau.denominator:
                 raise FormatError("tau must lie in [0, epsilon)")
             heaviest = parse_fraction(scheme_obj["max_feasible_weight"])
             if marker_bits(epsilon, tau, heaviest, levels) > MAX_MARKER_BITS:
                 raise FormatError(f"{levels} levels would exceed {MAX_MARKER_BITS} bits per marker")
             scheme = IntervalScheme(
-                max_feasible_weight=heaviest,
-                epsilon=epsilon,
-                delta=delta,
-                tau=tau,
-                levels=levels,
+                max_feasible_weight=heaviest, epsilon=epsilon, tau=tau, levels=levels
             )
         if obj["rule"] not in SWAP_RULES:
             raise FormatError(f"rule must be one of {', '.join(SWAP_RULES)}, got {obj['rule']!r}")

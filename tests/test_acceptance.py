@@ -151,7 +151,7 @@ def test_criterion_04_mean_ratio_at_wide_epsilon(ratio_corpus):
     assert all(m >= WIDE_MEAN_FLOOR for m in means)
 
 
-def tail_bound_holds(instance, scheme, optimum):
+def tail_bound_holds(instance, scheme, delta, optimum):
     """Optimum edges lighter than the last positive marker carry at most a
     ``delta`` share of the optimum weight; exact, no tolerance."""
     last_marker = scheme.marker(scheme.levels)
@@ -159,7 +159,7 @@ def tail_bound_holds(instance, scheme, optimum):
         (instance.weights[j] for j in optimum.edges if instance.weights[j] < last_marker),
         Fraction(0),
     )
-    return tail <= scheme.delta * optimum.weight
+    return tail <= delta * optimum.weight
 
 
 def test_criterion_05_discarded_tail_is_negligible(approx_runs):
@@ -169,7 +169,7 @@ def test_criterion_05_discarded_tail_is_negligible(approx_runs):
             if trace.scheme is None:
                 continue
             checked += 1
-            held += tail_bound_holds(inst, trace.scheme, exact.optimum)
+            held += tail_bound_holds(inst, trace.scheme, trace.delta, exact.optimum)
     print(f"criterion 5: tail bound held on {held}/{checked} ladders")
     assert checked > 0
     assert held == checked

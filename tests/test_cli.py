@@ -8,12 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from mpls.cli import DEFAULT_DELTA, DEFAULT_EPSILON, main
-from mpls.exact import verify_local_optimum
+from mpls import cli
+from mpls.cli import DEFAULT_DELTA, DEFAULT_EPSILON, DEFAULT_SCALE_EPSILON, main
+from mpls.exact import TraceMismatch, check_trace, verify_local_optimum
 from mpls.generators import generate
 from mpls.instance import InstanceError
 from mpls.serialization import load_instance_doc, parse_fraction
-from mpls.solver import sliding_local_search, trace_from_json_obj
+from mpls.serialization import dumps_canonical
+from mpls.solver import scale_weights, sliding_local_search, trace_from_json_obj, trace_to_json_obj
 
 GEN_ARGS = ["--gen", "set-packing", "--n", "7", "--m", "6", "--k", "3"]
 
@@ -203,6 +205,50 @@ def test_trace_out_verifies_against_the_instance(tmp_path):
     # --seed names both the generator draw and the solver shift
     inst = generate("set-packing", n=7, m=6, k=3, seed=6)
     assert verify_local_optimum(inst, trace)
+
+
+def test_trace_out_belongs_to_the_scaled_instance_unless_no_scale(tmp_path):
+    inst_path, trace_path = tmp_path / "inst.json", tmp_path / "trace.json"
+    assert main(["gen", *GEN_ARGS, "--seed", "4", "--out", str(inst_path)]) == 0
+    inst = load_instance_doc(inst_path).normalize()
+    scaled = scale_weights(inst, DEFAULT_SCALE_EPSILON)
+    for flags, own, other in (([], scaled, inst), (["--no-scale"], inst, scaled)):
+        argv = ["solve", str(inst_path), *flags, "--out", str(tmp_path / "rec.json")]
+        assert main([*argv, "--trace-out", str(trace_path)]) == 0
+        trace = trace_from_json_obj(json.loads(trace_path.read_text()))
+        check_trace(own, trace)
+        with pytest.raises(TraceMismatch):
+            check_trace(other, trace)
+
+
+# `mpls solve --gen greedy-trap --k 3 --no-scale --trace-out FILE`, as written
+# since traces stopped storing their final edges and query total.
+TRAP_TRACE = (
+    '{"delta":"0.0001","epsilon":"0.3873","final_weight":"1","instance_signature":"2ae22326ea45d9f4",'
+    '"record_layout":"occupied","records":[{"added":[0],"index":1,"oracle_calls":1,'
+    '"swaps":[{"add":[0],"gain":"1","remove":[]}]},{"added":[],"index":2,"oracle_calls":3,'
+    '"swaps":[]}],"rule":"first-lex","scheme":{"levels":23,"max_feasible_weight":"1"},"seed":0,'
+    '"tau":"0.149205484936038568621885502807344892062246799468994140625"}\n'
+)
+
+
+def test_trace_out_writes_the_pinned_text(tmp_path):
+    path = tmp_path / "trace.json"
+    argv = ["solve", "--gen", "greedy-trap", "--k", "3", "--no-scale", "--out", str(tmp_path / "rec.json")]
+    assert main([*argv, "--trace-out", str(path)]) == 0
+    assert path.read_text(encoding="utf-8") == TRAP_TRACE
+    _, trace = sliding_local_search(generate("greedy-trap", k=3), DEFAULT_EPSILON, DEFAULT_DELTA, 0)
+    assert dumps_canonical(trace_to_json_obj(trace)) == TRAP_TRACE
+
+
+@pytest.mark.parametrize("flags", [["--algo", "greedy"], ["--runs", "2"]], ids=["greedy", "runs"])
+def test_trace_out_without_one_sliding_run_exits_one_before_solving(tmp_path, capsys, monkeypatch, flags):
+    # Neither greedy nor a best of several runs has one trace to write.
+    path = tmp_path / "trace.json"
+    monkeypatch.setattr(cli, "_load_source", lambda args: pytest.fail("the instance was loaded"))
+    assert main(["solve", "--gen", "greedy-trap", "--k", "3", *flags, "--trace-out", str(path)]) == 1
+    assert_one_error_line(capsys)
+    assert not path.exists()
 
 
 def test_verify_k4(capsys):

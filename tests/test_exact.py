@@ -264,7 +264,7 @@ def test_trace_for_a_different_matroid_is_refused():
         verify_local_optimum(one_block(2), trace)
 
 
-def tail_bound_holds(instance, scheme, optimum):
+def tail_bound_holds(instance, scheme, delta, optimum):
     """Optimum edges lighter than the last positive marker carry at most a
     ``delta`` share of the optimum weight; exact, no tolerance."""
     last_marker = scheme.marker(scheme.levels)
@@ -272,7 +272,7 @@ def tail_bound_holds(instance, scheme, optimum):
         (instance.weights[j] for j in optimum.edges if instance.weights[j] < last_marker),
         Fraction(0),
     )
-    return tail <= scheme.delta * optimum.weight
+    return tail <= delta * optimum.weight
 
 
 def test_tail_bound_holds_for_real_ladders():
@@ -280,7 +280,7 @@ def test_tail_bound_holds_for_real_ladders():
         optimum = brute_force_optimum(inst).optimum
         for tau in (Fraction(0), Fraction(1, 8), Fraction(3, 10)):
             scheme = compute_markers(inst, EPS, DELTA, tau)
-            assert tail_bound_holds(inst, scheme, optimum)
+            assert tail_bound_holds(inst, scheme, DELTA, optimum)
 
 
 def test_tail_bound_fails_for_truncated_ladder():
@@ -291,14 +291,10 @@ def test_tail_bound_fails_for_truncated_ladder():
     # One level is far too few for delta = 1/1000: the last positive marker
     # is 1, so the 1/100 edge falls in the discarded tail.
     doctored = IntervalScheme(
-        max_feasible_weight=Fraction(1),
-        epsilon=Fraction(1, 2),
-        delta=Fraction(1, 1000),
-        tau=Fraction(0),
-        levels=1,
+        max_feasible_weight=Fraction(1), epsilon=Fraction(1, 2), tau=Fraction(0), levels=1
     )
     assert [doctored.marker(j) for j in range(3)] == [Fraction(2), Fraction(1), Fraction(0)]
-    assert not tail_bound_holds(inst, doctored, optimum)
+    assert not tail_bound_holds(inst, doctored, Fraction(1, 1000), optimum)
 
 
 def genuine_trace():
@@ -578,7 +574,8 @@ def test_every_mutation_is_refuted_or_a_true_local_optimum(data):
 
 def fraction_check_trace(instance, trace):
     """Reference copy of ``check_trace`` in ``Fraction`` arithmetic, the form
-    it had before it moved to integer numerators; deliberately left as it was."""
+    it had before it moved to integer numerators; deliberately left as it was,
+    but for delta, which it takes from the trace since the scheme holds none."""
     if trace.instance_signature != instance_signature(instance):
         raise TraceMismatch("trace was produced for a different instance")
     weights, numerators = instance.weights, instance.weight_numerators
@@ -591,9 +588,9 @@ def fraction_check_trace(instance, trace):
             raise TraceRefuted("degenerate trace: the instance or the run is not degenerate")
         return {}
 
-    epsilon, delta, tau, levels = scheme.epsilon, scheme.delta, scheme.tau, scheme.levels
-    if (epsilon, delta, tau) != (trace.epsilon, trace.delta, trace.tau):
-        raise TraceRefuted("parameters: the scheme's epsilon, delta and tau are not the trace's")
+    epsilon, tau, levels, delta = scheme.epsilon, scheme.tau, scheme.levels, trace.delta
+    if (epsilon, tau) != (trace.epsilon, trace.tau):
+        raise TraceRefuted("parameters: the scheme's epsilon and tau are not the trace's")
     if not (0 < epsilon < Fraction(1, 2) and 0 < delta < 1 and 0 <= tau < epsilon):
         raise TraceRefuted("parameter ranges: epsilon, delta or tau is out of range")
     if heaviest == 0 or scheme.max_feasible_weight != heaviest:
@@ -764,9 +761,10 @@ def relevel_to(levels):
 
 
 def reparam(**changes):
-    """Epsilon, delta or tau changed in the trace and its scheme alike."""
+    """Epsilon, delta or tau changed in the trace, and epsilon or tau in its scheme alike."""
+    in_scheme = {key: value for key, value in changes.items() if key != "delta"}
     return lambda trace: dataclasses.replace(
-        trace, scheme=dataclasses.replace(trace.scheme, **changes), **changes
+        trace, scheme=dataclasses.replace(trace.scheme, **in_scheme), **changes
     )
 
 
@@ -785,6 +783,10 @@ FIXED_CASES = [
     pytest.param("genuine", reparam(epsilon=0, tau=0), "parameter ranges", id="epsilon-zero"),
     pytest.param("genuine", reparam(delta=Fraction(0)), "parameter ranges", id="delta-zero"),
     pytest.param("genuine", reparam(delta=Fraction(1)), "parameter ranges", id="delta-one"),
+    # (1 - 9/20)^1 <= delta < (1 - 9/20)^0 gives two levels for any such delta,
+    # the lower end included; below it the ladder needs three.
+    pytest.param("two-levels", reparam(delta=Fraction(11, 20)), None, id="delta-same-levels"),
+    pytest.param("two-levels", reparam(delta=Fraction(1, 2)), "level count: 2 is not", id="delta-other-levels"),
     pytest.param("genuine", reparam(tau=EPS), "parameter ranges", id="tau-epsilon"),
     pytest.param("genuine", reparam(tau=Fraction(-1, 10**30)), "parameter ranges", id="tau-negative"),
     pytest.param("zero-heaviest", None, "heaviest weight", id="zero-heaviest"),

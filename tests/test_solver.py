@@ -229,7 +229,7 @@ def reference_upper_marker(ladder, w):
     st.data(),
 )
 def test_interval_of_and_upper_marker_match_a_linear_scan(epsilon, tau_percent, top, levels, data):
-    scheme = IntervalScheme(top, epsilon, DELTA, epsilon * Fraction(tau_percent, 100), levels)
+    scheme = IntervalScheme(top, epsilon, epsilon * Fraction(tau_percent, 100), levels)
     ladder = reference_ladder(scheme)
     assert [scheme.marker(j) for j in range(levels + 2)] == ladder
     on_marker = st.integers(0, levels + 1).map(lambda j: ladder[j])
@@ -268,10 +268,11 @@ def test_level_count_matches_the_stepwise_definition(epsilon, delta, num_edges):
     while power > delta / num_edges:
         power *= shrink
         steps += 1
-    assert solver._level_count(epsilon, delta, num_edges, 10**6) == steps + 1
-    assert solver._level_count(epsilon, delta, num_edges, steps + 1) == steps + 1
+    tail = delta / num_edges
+    assert solver._level_count(shrink, tail, 10**6) == steps + 1
+    assert solver._level_count(shrink, tail, steps + 1) == steps + 1
     with pytest.raises(LadderBudgetError):
-        solver._level_count(epsilon, delta, num_edges, steps)
+        solver._level_count(shrink, tail, steps)
 
 
 def test_edges_on_a_marker_fall_into_the_interval_below():
@@ -508,8 +509,9 @@ def test_trace_loader_checks_the_parameter_ranges(epsilon, delta, tau, refusal):
     # The loader checks the ranges alone; whether the levels fit is check_trace's task.
     obj = dict(trace_to_json_obj(sample_run()[1]), epsilon=epsilon, delta=delta, tau=tau)
     if refusal is None:
-        scheme = trace_from_json_obj(obj).scheme
-        assert (scheme.epsilon, scheme.delta, scheme.tau) == tuple(map(Fraction, (epsilon, delta, tau)))
+        loaded = trace_from_json_obj(obj)
+        scheme = loaded.scheme
+        assert (scheme.epsilon, loaded.delta, scheme.tau) == tuple(map(Fraction, (epsilon, delta, tau)))
     else:
         with pytest.raises(FormatError, match=f"^{refusal}"):
             trace_from_json_obj(obj)
@@ -675,6 +677,7 @@ def test_fine_epsilon_ladder_is_refused_before_building_it():
         lambda obj: obj.update(seed="4"),
         lambda obj: obj["records"][0].update(oracle_calls=-7),
         lambda obj: obj["records"][0].update(oracle_calls=True),
+        lambda obj: obj.update(scheme=None, records=[], final_weight="0", tau=None),
     ],
     ids=[
         "index-past-tail",
@@ -693,6 +696,7 @@ def test_fine_epsilon_ladder_is_refused_before_building_it():
         "seed-text",
         "record-oracle-calls-negative",
         "record-oracle-calls-bool",
+        "degenerate-tau-missing",
     ],
 )
 def test_inconsistent_scheme_is_a_format_error(edit):
@@ -913,19 +917,29 @@ def test_pruned_sliding_runs_match_the_unpruned_search(monkeypatch, rule):
             assert pruned.oracle_calls <= reference.oracle_calls
 
 
+class Recorded(PublicOnly):
+    """``PublicOnly`` that also keeps each query, in the order asked."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.queried = []
+
+    def is_independent(self, subset):
+        self.queried.append(frozenset(subset))
+        return super().is_independent(subset)
+
+
 @pytest.mark.parametrize("rule", [FIRST_LEX, BEST_GAIN])
-def test_each_pre_check_is_asked_once_per_interval(monkeypatch, rule):
+def test_each_pre_check_is_asked_once_per_interval(rule):
     # A pre-check extends the vertices of the earlier intervals' edges by
     # one or two additions; that set stays fixed for the whole interval.
     for inst in equivalence_instances():
+        recorded = Recorded(inst.matroid)
+        inst = replace(inst, matroid=recorded)
         inst.feasible_alone  # asked first, so only the search's queries are recorded
-        oracle = type(inst.matroid)
-        ask = oracle.is_independent
         for seed in (0, 3):
-            queried = []
-            with monkeypatch.context() as m:
-                m.setattr(oracle, "is_independent", lambda self, vs: queried.append(vs) or ask(self, vs))
-                _, trace = sliding_local_search(inst, EPS, DELTA, seed, rule)
+            recorded.queried = queried = []
+            _, trace = sliding_local_search(inst, EPS, DELTA, seed, rule)
             assert len(queried) == trace.oracle_calls
             prefix, start = frozenset(), 0
             for r in trace.records:
@@ -964,6 +978,39 @@ def test_the_search_asks_and_swaps_as_pinned(rule, family):
         queries += trace.oracle_calls
         swaps += sum(len(r.swaps) for r in trace.records)
     assert (queries, swaps) == SEARCH_WORK[rule, family]
+
+
+# Queries seen through a wrapper that overrides only ``is_independent``:
+# one unscaled run (seed 0), one greedy and one exact search, after the
+# instance's per-edge feasibility.  Every query the program builds reaches
+# such a wrapper, whichever entry of the oracle it calls.
+PUBLIC_QUERIES = {
+    "greedy-trap": ({"k": 3}, (4, 4, 7)),
+    "set-packing": ({"n": 12, "m": 20, "k": 3, "seed": 1}, (51, 20, 341)),
+    "graphic-parity": ({"n": 6, "m": 20, "k": 3, "seed": 1}, (18, 20, 109)),
+    "k-mi-partition": ({"n": 18, "k": 3, "seed": 1}, (27, 18, 300)),
+}
+
+
+def queries_of(counted, work):
+    """What ``work`` returns, and the queries ``counted`` saw it ask."""
+    before = counted.asked
+    result = work()
+    return result, counted.asked - before
+
+
+@pytest.mark.parametrize("family", list(PUBLIC_QUERIES))
+def test_a_public_only_wrapper_sees_every_query(family):
+    params, pinned = PUBLIC_QUERIES[family]
+    base = generate(family, **params)
+    counted = PublicOnly(base.matroid)
+    inst = replace(base, matroid=counted)
+    inst.feasible_alone
+    (_, trace), run = queries_of(counted, lambda: sliding_local_search(inst, EPS, DELTA, 0))
+    _, greedy_asked = queries_of(counted, lambda: greedy(inst))
+    _, exact_asked = queries_of(counted, lambda: brute_force_optimum(inst))
+    assert run == trace.oracle_calls and greedy_asked == inst.num_edges
+    assert (run, greedy_asked, exact_asked) == pinned
 
 
 def test_hundred_edge_run_solves_and_verifies_quickly():
