@@ -127,13 +127,14 @@ def check_trace(instance: ParityInstance, trace: SolverTrace) -> dict[int, int]:
     ``TraceRefuted``, its message starting with the check's name, unless
     all of these hold:
 
+    * the scheme's epsilon and tau, if it has one, are the trace's, and
+      the trace's epsilon, delta and tau lie in the solver's ranges;
     * a degenerate trace (no scheme) belongs to an instance with no
       positive lone-feasible weight, and has no records and no edges;
       its map is empty;
-    * the scheme's epsilon and tau are the trace's, they and the trace's
-      delta lie in the solver's ranges, its heaviest feasible weight is
-      the instance's, its deepest marker stays within
-      ``MAX_MARKER_BITS``, and its level count is the least with
+    * the scheme's heaviest feasible weight is the instance's, its
+      deepest marker stays within ``MAX_MARKER_BITS``, and its level
+      count is the least with
       ``(1 - epsilon)^(levels - 1) <= delta / m`` for the trace's delta,
       checked by one pair of integer powers, cross-multiplied, rather
       than a loop whose length epsilon would set;
@@ -154,20 +155,19 @@ def check_trace(instance: ParityInstance, trace: SolverTrace) -> dict[int, int]:
     numerators, den = instance.weight_numerators, instance.weight_denominator
     lone = [j for j in range(instance.num_edges) if instance.feasible_alone[j]]
     heaviest = max((numerators[j] for j in lone), default=0)
-    scheme = trace.scheme
+    scheme, epsilon, tau, delta = trace.scheme, trace.epsilon, trace.tau, trace.delta
+    if scheme is not None and (scheme.epsilon, scheme.tau) != (epsilon, tau):
+        raise TraceRefuted("parameters: the scheme's epsilon and tau are not the trace's")
+    en, ed, dn, dd = epsilon.numerator, epsilon.denominator, delta.numerator, delta.denominator
+    if not (0 < 2 * en < ed and 0 < dn < dd and 0 <= tau.numerator * ed < en * tau.denominator):
+        raise TraceRefuted("parameter ranges: epsilon, delta or tau is out of range")
     if scheme is None:
         # A degenerate run searched nothing, so it must have nothing to show.
         if heaviest or trace.records or trace.final_weight:
             raise TraceRefuted("degenerate trace: the instance or the run is not degenerate")
         return {}
 
-    epsilon, tau, levels, delta = scheme.epsilon, scheme.tau, scheme.levels, trace.delta
-    if (epsilon, tau) != (trace.epsilon, trace.tau):
-        raise TraceRefuted("parameters: the scheme's epsilon and tau are not the trace's")
-    en, ed, dn, dd = epsilon.numerator, epsilon.denominator, delta.numerator, delta.denominator
-    if not (0 < 2 * en < ed and 0 < dn < dd and 0 <= tau.numerator * ed < en * tau.denominator):
-        raise TraceRefuted("parameter ranges: epsilon, delta or tau is out of range")
-    top = scheme.max_feasible_weight
+    levels, top = scheme.levels, scheme.max_feasible_weight
     if heaviest == 0 or top.numerator * den != heaviest * top.denominator:
         raise TraceRefuted("heaviest weight: not the instance's positive lone-feasible one")
     if levels < 1 or marker_bits(epsilon, tau, top, levels) > MAX_MARKER_BITS:

@@ -9,10 +9,12 @@ checkable on concrete runs:
   re-verified through the oracle.
 * ``refine_laminar``: refine such an exchange so the pieces partition a
   given exchange set for S, by contracting away the rest of T.
-* ``build_conflict_trace``: replay a solver trace against an exact
-  optimum and produce a nested chain of blocked optimum vertices, one
-  layer per weight interval that added solution vertices, that explains
-  which optimum edges the solution displaced and where.
+* ``build_conflict_trace``: replay a checked solver trace against an
+  exact optimum and choose a nested chain of blocked optimum vertices,
+  one set per weight interval that added solution vertices, that
+  explains which optimum edges the solution displaced and where.  A
+  ``ConflictTrace`` stores the run, the optimum, gamma and that chain,
+  derives its layers and padded optimum, and is verified on the chain.
 * ``near_marker_probability``: exact probability, over the random
   shift, of an optimum edge landing within a relative ``gamma`` of the
   marker above it.
@@ -47,7 +49,6 @@ from .solver import (
     SolverTrace,
     SwapMove,
     compute_markers,
-    indices_in_order,
 )
 
 CLASS_SINGLE = "single"
@@ -237,17 +238,14 @@ class ConflictTraceError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimumEdgeReport:
-    """How one optimum edge relates to the blocked-vertex chain."""
+    """How one padded optimum edge relates to the blocked-vertex chain."""
 
-    edge: int
     original_edge: int | None
     vertices: frozenset[int]
     weight: Fraction
     own_interval: int
-    first_blocked: int | None
     conflict_size: int
     cls: str
-    upper_marker: Fraction
     near_marker: bool | None
 
 
@@ -263,53 +261,95 @@ def _first_block(vertices: frozenset[int], layers: Sequence[Layer]) -> tuple[int
 
 @dataclass(frozen=True)
 class ConflictTrace:
-    """Nested blocked-vertex chain; each optimum edge's classification follows from it.
+    """A run's nested chain of blocked optimum vertices, and what follows from it.
 
-    ``layers`` holds one ``(index, added, blocked)`` entry per record of
-    the run that added edges, in increasing interval index: ``added`` is
-    the solution vertices accepted in that interval, and ``blocked`` the
-    optimum vertices blocked up to it.  Each blocked set grows on the one
-    before it by exactly ``len(added)`` vertices, stays inside the
-    (dummy-padded) optimum vertex set, and leaves the rest of the optimum
-    compatible with the solution vertices added so far.  An interval that
-    added nothing blocks nothing new and has no layer.  ``edges`` is the
-    padded optimum, each entry its original id (None for a dummy),
-    vertices, weight and own interval.  Every positive-weight optimum edge
-    is blocked no later than its own interval: inside it with one contact
-    (single), inside it with several (double), or already in an earlier
-    interval.
+    It stores the instance, the run's trace (checked by
+    ``build_conflict_trace``), the optimum's edge ids, gamma and the chain
+    ``blocked``: per record that added edges, in increasing index, the
+    optimum vertices blocked up to that interval.  The chain is all the
+    construction chooses; ``scheme`` is the trace's, and ``layers``, the
+    padded optimum ``edges``, ``optimum_vertices`` and ``extended_matroid``
+    are derived and cached.  Every positive-weight optimum edge is
+    blocked no later than its own interval: inside it with one contact
+    (single), inside it with several (double), or already earlier.
     """
 
+    instance: ParityInstance
+    trace: SolverTrace
+    optimum_edges: frozenset[int]
     gamma: Fraction
-    scheme: IntervalScheme
-    extended_matroid: MatroidOracle
-    optimum_vertices: frozenset[int]
-    layers: tuple[Layer, ...]
-    edges: tuple[tuple[int | None, frozenset[int], Fraction, int], ...]
+    blocked: tuple[frozenset[int], ...]
+
+    @property
+    def scheme(self) -> IntervalScheme:
+        return self.trace.scheme
+
+    @cached_property
+    def _added(self) -> tuple[tuple[int, frozenset[int]], ...]:
+        """``(index, solution vertices)`` of each record that added edges."""
+        vertices_of = self.instance.vertices_of
+        return tuple((r.index, vertices_of(r.added)) for r in self.trace.records if r.added)
+
+    @cached_property
+    def layers(self) -> tuple[Layer, ...]:
+        """``(index, added, blocked)`` per record that added edges, with its chain set."""
+        return tuple((index, added, b) for (index, added), b in zip(self._added, self.blocked))
+
+    @cached_property
+    def _padded(self) -> tuple[tuple[int | None, frozenset[int]], ...]:
+        """``(id, vertices)`` of each optimum edge, then of full-arity dummies of fresh coloop
+        vertices (id None) up to the run's added vertex count; edges are disjoint, so counts add."""
+        inst = self.instance
+        padded = [(j, inst.edges[j]) for j in sorted(self.optimum_edges)]
+        short = sum(len(added) for _, added in self._added) - sum(len(v) for _, v in padded)
+        for vertex in range(inst.num_vertices, inst.num_vertices + short, inst.arity):
+            padded.append((None, frozenset(range(vertex, vertex + inst.arity))))
+        return tuple(padded)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int | None, frozenset[int], Fraction, int], ...]:
+        """The padded optimum: (original id, None for a dummy; vertices; weight; own
+        interval); a dummy sits in the closed interval ``levels + 1``."""
+        weights, scheme = self.instance.weights, self.scheme
+        return tuple(
+            (j, verts, weights[j], scheme.interval_of(weights[j]))
+            if j is not None
+            else (None, verts, Fraction(0), scheme.levels + 1)
+            for j, verts in self._padded
+        )
+
+    @cached_property
+    def optimum_vertices(self) -> frozenset[int]:
+        return frozenset().union(*(verts for _, verts in self._padded))
+
+    @cached_property
+    def extended_matroid(self) -> MatroidOracle:
+        """The instance's matroid, plus a free part for the dummies' vertices."""
+        extra = sum(len(verts) for j, verts in self._padded if j is None)
+        matroid = self.instance.matroid
+        return DirectSumMatroid([matroid, FreeMatroid(extra)]) if extra else matroid
 
     @cached_property
     def reports(self) -> tuple[OptimumEdgeReport, ...]:
         """Each padded optimum edge, classified by where the chain first blocks it;
         ``ConflictTraceError`` if that is after its own interval."""
         reports: list[OptimumEdgeReport] = []
-        for idx, (orig, verts, weight, own) in enumerate(self.edges):
+        for orig, verts, weight, own in self.edges:
             first, conflict = _first_block(verts, self.layers)
+            near = None
             if first is None:
                 cls = CLASS_UNBLOCKED
             elif first == own:
                 cls = CLASS_SINGLE if conflict == 1 else CLASS_DOUBLE
             elif first < own:
                 cls = CLASS_BLOCKED_EARLIER
+                near = (1 + self.gamma) * weight >= self.scheme.marker(own - 1)
             else:
                 raise ConflictTraceError(
                     f"optimum edge {orig} blocked after its own interval; "
                     "was the trace verified locally optimal?"
                 )
-            marker = self.scheme.marker(own - 1)
-            near = (1 + self.gamma) * weight >= marker if cls == CLASS_BLOCKED_EARLIER else None
-            reports.append(
-                OptimumEdgeReport(idx, orig, verts, weight, own, first, conflict, cls, marker, near)
-            )
+            reports.append(OptimumEdgeReport(orig, verts, weight, own, conflict, cls, near))
         return tuple(reports)
 
     def singles_weight(self) -> Fraction:
@@ -360,93 +400,60 @@ def build_conflict_trace(
 ) -> ConflictTrace:
     """Explain an exact optimum against a finished solver run.
 
-    The optimum's vertex set is padded with zero-weight dummy edges
-    (fresh coloop vertices, one edge of full arity at a time) until it is
-    at least as large as the solution's.  Then, interval by interval, an
-    exchange inside the remaining optimum vertices is carved out for the
-    newly accepted solution vertices; vertices shared between solution
-    and optimum are forced into their own interval's layer so shared
-    edges are blocked on time.  The classification of every (padded)
-    optimum edge, ``ConflictTrace.reports``, follows from that chain; it
-    is worked out before returning, so an edge blocked after its own
-    interval raises ``ConflictTraceError`` here.
+    The trace must pass ``check_trace``, have a scheme, and the optimum be
+    feasible.  Then, interval by interval, an exchange inside the
+    remaining padded optimum vertices is carved out for the newly
+    accepted solution vertices; vertices shared between solution and
+    optimum are forced into their own interval's set, so shared edges are
+    blocked on time.  The classification of every padded optimum edge,
+    ``ConflictTrace.reports``, follows from that chain; it is worked out
+    before returning, so an edge blocked after its own interval raises
+    ``ConflictTraceError`` here.
     """
     gamma = Fraction(gamma)
     if gamma < 0:
         raise ExchangeInputError("gamma must be nonnegative")
     try:
-        own = check_trace(instance, trace)
+        check_trace(instance, trace)
     except (TraceMismatch, TraceRefuted) as exc:
         raise ExchangeInputError(f"trace does not belong to the instance: {exc}") from exc
     if trace.scheme is None:
         raise ExchangeInputError("degenerate trace has no interval structure")
     if not instance.is_feasible(optimum.edges):
         raise ExchangeInputError("claimed optimum is not feasible")
-    scheme = trace.scheme
 
-    added = [(r.index, instance.vertices_of(r.added)) for r in trace.records if r.added]
-    solution_vertices = frozenset().union(*(verts for _, verts in added))
-
-    # Optimum edges are feasible alone; dummies weigh 0, in the closed interval.
-    edges: list[tuple[int | None, frozenset[int], Fraction, int]] = [
-        (j, instance.edges[j], instance.weights[j], own[j]) for j in sorted(optimum.edges)
-    ]
-    optimum_vertices = set(instance.vertices_of(optimum.edges))
-    next_vertex = instance.num_vertices
-    while len(optimum_vertices) < len(solution_vertices):
-        dummy = frozenset(range(next_vertex, next_vertex + instance.arity))
-        edges.append((None, dummy, Fraction(0), scheme.levels + 1))
-        optimum_vertices |= dummy
-        next_vertex += instance.arity
-    if next_vertex > instance.num_vertices:
-        extended = DirectSumMatroid(
-            [instance.matroid, FreeMatroid(next_vertex - instance.num_vertices)]
-        )
-    else:
-        extended = instance.matroid
-    optimum_frozen = frozenset(optimum_vertices)
-
+    draft = ConflictTrace(instance, trace, optimum.edges, gamma, ())
+    extended, optimum_vertices = draft.extended_matroid, draft.optimum_vertices
     # check_trace found every grown prefix independent, so no exchange contracts it.
-    layers: list[Layer] = []
+    chain: list[frozenset[int]] = []
     prefix: frozenset[int] = frozenset()
     blocked: frozenset[int] = frozenset()
-    for index, verts in added:
-        blocked |= _single_part_exchange(extended, prefix, verts, optimum_frozen - blocked)
+    for _, verts in draft._added:
+        blocked |= _single_part_exchange(extended, prefix, verts, optimum_vertices - blocked)
         prefix |= verts
-        layers.append((index, verts, blocked))
+        chain.append(blocked)
 
-    ct = ConflictTrace(
-        gamma=gamma,
-        scheme=scheme,
-        extended_matroid=extended,
-        optimum_vertices=optimum_frozen,
-        layers=tuple(layers),
-        edges=tuple(edges),
-    )
+    ct = ConflictTrace(instance, trace, optimum.edges, gamma, tuple(chain))
     ct.reports  # classify now, so a late-blocked edge raises here
     return ct
 
 
 def verify_conflict_trace(ct: ConflictTrace) -> list[str]:
-    """Independent re-check of every conflict-trace invariant.
+    """Independent re-check of the blocked chain; returns its problems, none if it is sound.
 
-    Returns a list of human-readable problems; empty means the trace is
-    sound.  Uses only oracle calls and the stored sets, never the
-    construction internals.  Each layer must add vertices of the ground
-    set that no earlier layer added; a set leaving the ground set is
-    reported, not asked.  Per optimum edge it checks only what the
-    classification does not derive: the weight lies in the marker range,
-    the own interval is its weight's, and a positive weight is blocked no
-    later than that interval.
+    The instance, run and optimum are those ``build_conflict_trace``
+    checked, so what derives from them holds by construction.  By oracle
+    calls and set arithmetic alone: there is one blocked set per record
+    that added edges (else one problem, asked nothing); each set holds
+    the one before it, stays inside the padded optimum vertex set and
+    grows by as many vertices as its record added; the vertices added so
+    far with the unblocked optimum are independent, from the empty prefix
+    on; and every positive-weight optimum edge is blocked no later than
+    its own interval.
     """
-    if not indices_in_order([index for index, _, _ in ct.layers], ct.scheme.levels):
-        return ["layer intervals do not increase strictly inside 1..levels+1"]
-    ground = ct.extended_matroid.ground
-    if not ct.optimum_vertices <= ground:
-        return ["padded optimum vertex set leaves the ground set"]
-    outside = [index for index, added, _ in ct.layers if not added <= ground]
-    if outside:
-        return [f"interval {index}: layer adds vertices outside the ground set" for index in outside]
+    sets, records = len(ct.blocked), len(ct._added)
+    if sets != records:
+        return [f"blocked chain has {sets} sets for {records} records that added edges"]
 
     problems: list[str] = []
     prefix: frozenset[int] = frozenset()
@@ -458,10 +465,6 @@ def verify_conflict_trace(ct: ConflictTrace) -> list[str]:
     if not independent:
         problems.append("padded optimum vertex set is not independent")
     for index, added, blocked in ct.layers:
-        if not added:
-            problems.append(f"interval {index}: layer adds no solution vertex")
-        if added & prefix:
-            problems.append(f"interval {index}: layer adds vertices an earlier layer added")
         if not previous <= blocked:
             problems.append(f"blocked sets not nested at interval {index}")
         if not blocked <= ct.optimum_vertices:
@@ -480,11 +483,6 @@ def verify_conflict_trace(ct: ConflictTrace) -> list[str]:
             problems.append(f"interval {index}: prefix plus unblocked optimum is dependent")
 
     for idx, (_, verts, weight, own) in enumerate(ct.edges):
-        try:
-            if ct.scheme.interval_of(weight) != own:
-                problems.append(f"optimum edge {idx}: own interval {own} is not its weight's")
-        except ValueError:  # negative, or above marker 0
-            problems.append(f"optimum edge {idx}: weight {weight} is outside the marker range")
         first, _ = _first_block(verts, ct.layers)
         if weight > 0 and (first is None or first > own):
             problems.append(

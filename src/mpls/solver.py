@@ -149,10 +149,12 @@ class IntervalScheme:
         return s + 1
 
     def interval_of(self, w: Fraction) -> int:
-        """Index of the interval containing weight ``w``."""
+        """Index of the interval containing weight ``w``; marker 0 is ``a*q / (b*p)``."""
         w = w if isinstance(w, Fraction) else Fraction(w)
-        j = self._deepest_at_or_above(w.numerator, w.denominator)
-        if w.numerator < 0 or (j == 0 and w > self.marker(0)):
+        c, d = w.numerator, w.denominator
+        j = self._deepest_at_or_above(c, d)
+        a, b, p, q = self._integers
+        if c < 0 or (j == 0 and c * b * p > a * q * d):
             raise ValueError(f"weight {w} outside the marker range")
         return j + 1
 
@@ -703,11 +705,6 @@ def trace_to_json_obj(trace: SolverTrace) -> dict[str, Any]:
     }
 
 
-def indices_in_order(indices: Sequence[int], levels: int) -> bool:
-    """Whether record indices increase strictly inside 1..levels+1."""
-    return all(a < b for a, b in zip((0, *indices), (*indices, levels + 2)))
-
-
 def _edge_ids(values: Any) -> tuple[int, ...]:
     ids = tuple(values)
     if not all(type(j) is int for j in ids):
@@ -729,14 +726,14 @@ def trace_from_json_obj(obj: dict[str, Any]) -> SolverTrace:
     ``final_edges`` and ``oracle_calls`` keys and the per-record
     ``upper``/``lower`` keys of older files are ignored, since the trace
     derives them.  The document must name the occupied-interval record
-    layout, and tau must be a rational, since every run draws one.  With
-    a scheme, the record indices must increase strictly inside
-    1..levels+1, epsilon, delta and tau must lie in the solver's ranges,
-    and the deepest marker, bounded by ``marker_bits``, must stay within
-    ``MAX_MARKER_BITS``.  The rule
-    must be one of ``SWAP_RULES``, the seed an integer, every record's
-    ``oracle_calls`` a nonnegative integer and every edge id, added or
-    swapped, an integer.
+    layout, and tau must be a rational, since every run draws one.
+    Epsilon, delta and tau must lie in the solver's ranges, with or
+    without a scheme.  With a scheme, the record indices must increase
+    strictly inside 1..levels+1 (checked before the ranges), and the
+    deepest marker, bounded by ``marker_bits``, must stay within
+    ``MAX_MARKER_BITS``.  The rule must be one of ``SWAP_RULES``, the
+    seed an integer, every record's ``oracle_calls`` a nonnegative
+    integer and every edge id, added or swapped, an integer.
     """
     try:
         if "record_layout" not in obj or obj["record_layout"] != RECORD_LAYOUT:
@@ -757,19 +754,22 @@ def trace_from_json_obj(obj: dict[str, Any]) -> SolverTrace:
             for r in obj["records"]
         )
         scheme_obj = obj["scheme"]
-        scheme = None
         if scheme_obj is not None:
             levels = scheme_obj["levels"]
             if type(levels) is not int or levels < 1:
                 raise FormatError(f"levels must be a positive integer, got {levels!r}")
             indices = [r.index for r in records]
-            if not all(type(i) is int for i in indices) or not indices_in_order(indices, levels):
+            if not all(type(i) is int for i in indices) or not all(
+                a < b for a, b in zip((0, *indices), (*indices, levels + 2))
+            ):
                 raise FormatError("record indices must increase strictly inside 1..levels+1")
-            en, ed = epsilon.numerator, epsilon.denominator
-            if not (0 < 2 * en < ed and 0 < delta.numerator < delta.denominator):
-                raise FormatError("epsilon must lie in (0, 1/2) and delta in (0, 1)")
-            if not 0 <= tau.numerator * ed < en * tau.denominator:
-                raise FormatError("tau must lie in [0, epsilon)")
+        en, ed = epsilon.numerator, epsilon.denominator
+        if not (0 < 2 * en < ed and 0 < delta.numerator < delta.denominator):
+            raise FormatError("epsilon must lie in (0, 1/2) and delta in (0, 1)")
+        if not 0 <= tau.numerator * ed < en * tau.denominator:
+            raise FormatError("tau must lie in [0, epsilon)")
+        scheme = None
+        if scheme_obj is not None:
             heaviest = parse_fraction(scheme_obj["max_feasible_weight"])
             if marker_bits(epsilon, tau, heaviest, levels) > MAX_MARKER_BITS:
                 raise FormatError(f"{levels} levels would exceed {MAX_MARKER_BITS} bits per marker")

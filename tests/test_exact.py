@@ -28,7 +28,7 @@ from mpls.instance import (
     make_disjoint,
 )
 from mpls.matroids import FreeMatroid, MatroidOracle, PartitionMatroid, UniformMatroid
-from mpls.serialization import instance_signature, matroid_from_descriptor
+from mpls.serialization import FormatError, instance_signature, matroid_from_descriptor
 from mpls.solver import (
     MAX_MARKER_BITS,
     IntervalRecord,
@@ -37,6 +37,8 @@ from mpls.solver import (
     compute_markers,
     marker_bits,
     sliding_local_search,
+    trace_from_json_obj,
+    trace_to_json_obj,
 )
 
 EPS = Fraction("0.3873")
@@ -411,6 +413,32 @@ def test_forged_trace_is_refuted(forge, check):
         check_trace(inst, forge(inst, trace))
 
 
+@pytest.mark.parametrize(
+    "changes, loader_refusal",
+    [
+        ({"epsilon": "7", "delta": "-3", "tau": "99"}, "epsilon must lie"),
+        ({"epsilon": "7"}, "epsilon must lie"),
+        ({"delta": "-3"}, "epsilon must lie"),
+        ({"tau": "99"}, "tau must lie"),
+    ],
+    ids=["all-three", "epsilon", "delta", "tau"],
+)
+def test_a_degenerate_trace_with_parameters_out_of_range_is_refused(changes, loader_refusal):
+    # Zero weights give a degenerate run: no scheme, no records.
+    edges, weights = (frozenset({0}), frozenset({1})), (Fraction(0),) * 2
+    zero = ParityInstance(2, edges, weights, FreeMatroid(2), 1)
+    _, trace = sliding_local_search(zero, Fraction(1, 4), Fraction(1, 100), 0)
+    assert trace.scheme is None and verify_local_optimum(zero, trace)
+    obj = dict(trace_to_json_obj(trace), **changes)
+    with pytest.raises(FormatError, match=f"^{loader_refusal}"):
+        trace_from_json_obj(obj)
+    forged = dataclasses.replace(trace, **{k: Fraction(v) for k, v in changes.items()})
+    with pytest.raises(TraceRefuted, match="^parameter ranges:"):
+        check_trace(zero, forged)
+    assert not verify_local_optimum(zero, forged)
+    assert_same_as_fraction_form(zero, forged)
+
+
 def test_a_level_count_over_the_marker_budget_is_refuted_before_any_power():
     # The level-count check would raise 1 - epsilon to the power 10^9 - 1.
     inst = generate("set-packing", n=9, m=8, k=2, seed=5)
@@ -575,24 +603,25 @@ def test_every_mutation_is_refuted_or_a_true_local_optimum(data):
 def fraction_check_trace(instance, trace):
     """Reference copy of ``check_trace`` in ``Fraction`` arithmetic, the form
     it had before it moved to integer numerators; deliberately left as it was,
-    but for delta, which it takes from the trace since the scheme holds none."""
+    but for delta, which it takes from the trace since the scheme holds none,
+    and for the range check, which now comes before the degenerate branch."""
     if trace.instance_signature != instance_signature(instance):
         raise TraceMismatch("trace was produced for a different instance")
     weights, numerators = instance.weights, instance.weight_numerators
     den = instance.weight_denominator
     lone = [j for j in range(instance.num_edges) if instance.feasible_alone[j]]
     heaviest = Fraction(max((numerators[j] for j in lone), default=0), den)
-    scheme = trace.scheme
+    scheme, epsilon, tau, delta = trace.scheme, trace.epsilon, trace.tau, trace.delta
+    if scheme is not None and (scheme.epsilon, scheme.tau) != (epsilon, tau):
+        raise TraceRefuted("parameters: the scheme's epsilon and tau are not the trace's")
+    if not (0 < epsilon < Fraction(1, 2) and 0 < delta < 1 and 0 <= tau < epsilon):
+        raise TraceRefuted("parameter ranges: epsilon, delta or tau is out of range")
     if scheme is None:
         if heaviest or trace.records or trace.final_weight:
             raise TraceRefuted("degenerate trace: the instance or the run is not degenerate")
         return {}
 
-    epsilon, tau, levels, delta = scheme.epsilon, scheme.tau, scheme.levels, trace.delta
-    if (epsilon, tau) != (trace.epsilon, trace.tau):
-        raise TraceRefuted("parameters: the scheme's epsilon and tau are not the trace's")
-    if not (0 < epsilon < Fraction(1, 2) and 0 < delta < 1 and 0 <= tau < epsilon):
-        raise TraceRefuted("parameter ranges: epsilon, delta or tau is out of range")
+    levels = scheme.levels
     if heaviest == 0 or scheme.max_feasible_weight != heaviest:
         raise TraceRefuted("heaviest weight: not the instance's positive lone-feasible one")
     if levels < 1 or marker_bits(epsilon, tau, heaviest, levels) > MAX_MARKER_BITS:

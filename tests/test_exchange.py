@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpls import campaigns
+from mpls import campaigns, exact, exchange
 from mpls.campaigns import (
     _campaign_instance,
     k4_report,
@@ -33,7 +33,7 @@ from mpls.generators import generate
 from mpls.instance import ParityInstance, Solution
 from mpls.matroids import FreeMatroid, PartitionMatroid, UniformMatroid
 from mpls.serialization import parse_fraction
-from mpls.solver import SwapMove, compute_markers, sliding_local_search
+from mpls.solver import SWAP_RULES, SwapMove, compute_markers, sliding_local_search
 from conftest import PublicOnly
 
 EPS = Fraction("0.3873")
@@ -140,21 +140,38 @@ def test_conflict_trace_of_recovered_run():
     assert ct.singles_weight() <= sol.weight
 
 
+class Recording(PublicOnly):
+    """Counts the queries, as ``PublicOnly`` does, and keeps each queried set."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.queries = []
+
+    def is_independent(self, subset):
+        self.queries.append(frozenset(subset))
+        return super().is_independent(subset)
+
+
+def counted_conflict(ct):
+    """``ct`` on a copy of its instance whose matroid records the verifier's queries."""
+    inst = ct.instance
+    counted = Recording(inst.matroid)
+    copy = ParityInstance(inst.num_vertices, inst.edges, inst.weights, counted, inst.arity)
+    return dataclasses.replace(ct, instance=copy), counted
+
+
 def test_conflict_trace_verifier_catches_tampering():
     _, _, ct = trap_conflict(0)
-    index, added, blocked = ct.layers[-1]
-    shrunk = (*ct.layers[:-1], (index, added, blocked - {min(blocked)}))
-    assert verify_conflict_trace(dataclasses.replace(ct, layers=shrunk)) != []
-    # A layer that adds nothing is never built, and is refused.
-    empty = (*ct.layers, (index + 1, frozenset(), blocked))
-    assert verify_conflict_trace(dataclasses.replace(ct, layers=empty)) == [
-        f"interval {index + 1}: layer adds no solution vertex"
-    ]
-    orig, verts, weight, own = ct.edges[0]
-    edges = ((orig, verts, weight, own + 1), *ct.edges[1:])
-    assert verify_conflict_trace(dataclasses.replace(ct, edges=edges)) == [
-        f"optimum edge 0: own interval {own + 1} is not its weight's"
-    ]
+    *earlier, last = ct.blocked
+    shrunk = (*earlier, last - {min(last)})
+    assert verify_conflict_trace(dataclasses.replace(ct, blocked=shrunk)) != []
+    # A chain one set long or one set short is one problem, found without a query.
+    for chain, sets in (((*ct.blocked, last), 2), (ct.blocked[:-1], 0)):
+        forged, counted = counted_conflict(dataclasses.replace(ct, blocked=chain))
+        assert verify_conflict_trace(forged) == [
+            f"blocked chain has {sets} sets for 1 records that added edges"
+        ]
+        assert counted.asked == 0
 
 
 def two_layer_conflict():
@@ -170,45 +187,32 @@ def two_layer_conflict():
     return ct
 
 
-def test_conflict_trace_verifier_refuses_a_layer_that_adds_earlier_vertices():
+def test_conflict_trace_verifier_reports_a_chain_that_is_not_nested_or_grows_wrongly():
     ct = two_layer_conflict()
-    (_, first_added, _), (index, _, blocked) = ct.layers
-    forged = dataclasses.replace(ct, layers=(ct.layers[0], (index, first_added, blocked)))
+    first, second = ct.blocked
+    forged = dataclasses.replace(ct, blocked=(first, second - {min(first)}))
     assert verify_conflict_trace(forged) == [
-        "interval 3: layer adds vertices an earlier layer added"
+        "blocked sets not nested at interval 3",
+        "interval 3: layer grew by 2, solution added 3 vertices",
+        "interval 3: prefix plus unblocked optimum is dependent",
+    ]
+    forged = dataclasses.replace(ct, blocked=(first, first))
+    assert verify_conflict_trace(forged) == [
+        "interval 3: layer grew by 0, solution added 3 vertices",
+        "interval 3: prefix plus unblocked optimum is dependent",
     ]
 
 
 def test_conflict_trace_verifier_reports_vertices_outside_the_ground_set_unasked():
     ct = two_layer_conflict()
-    index, _, blocked = ct.layers[1]
-    counted = PublicOnly(ct.extended_matroid)
-    forged = dataclasses.replace(
-        ct,
-        extended_matroid=counted,
-        layers=(ct.layers[0], (index, frozenset({1000, 1001, 1002}), blocked)),
-    )
+    first, _ = ct.blocked
+    outside = frozenset({1000, 1001, 1002})
+    forged, counted = counted_conflict(dataclasses.replace(ct, blocked=(first, first | outside)))
     assert verify_conflict_trace(forged) == [
-        "interval 3: layer adds vertices outside the ground set"
+        "blocked set of interval 3 leaves the optimum vertices",
+        "interval 3: prefix plus unblocked optimum is dependent",
     ]
-    padded = ct.optimum_vertices | {1000}
-    forged = dataclasses.replace(ct, extended_matroid=counted, optimum_vertices=padded)
-    assert verify_conflict_trace(forged) == ["padded optimum vertex set leaves the ground set"]
-    assert counted.asked == 0
-
-
-@pytest.mark.parametrize("weight", [10**9, -1], ids=["above-marker-0", "negative"])
-def test_conflict_trace_verifier_reports_a_weight_outside_the_marker_range(weight):
-    inst = generate("set-packing", n=10, m=10, k=3, seed=3)
-    _, trace = sliding_local_search(inst, EPS, DELTA, 1)
-    ct = build_conflict_trace(inst, trace, brute_force_optimum(inst).optimum, GAMMA)
-    assert verify_conflict_trace(ct) == []
-    orig, verts, _, own = ct.edges[0]
-    assert weight > ct.scheme.marker(0) or weight < 0
-    forged = dataclasses.replace(ct, edges=((orig, verts, weight, own), *ct.edges[1:]))
-    assert verify_conflict_trace(forged) == [
-        f"optimum edge 0: weight {weight} is outside the marker range"
-    ]
+    assert counted.queries and not any(query & outside for query in counted.queries)
 
 
 # Each forgery, with the check of exact.check_trace that refuses it.
@@ -286,8 +290,8 @@ def test_conflict_trace_verifier_asks_an_empty_layer_nothing():
     _, trace = sliding_local_search(inst, EPS, DELTA, 0)
     assert [(r.index, r.added) for r in trace.records] == [(1, (0,)), (2, ())]
     assert [(index, added) for index, added, _ in ct.layers] == [(1, inst.edges[0])]
-    counted = PublicOnly(ct.extended_matroid)
-    assert verify_conflict_trace(dataclasses.replace(ct, extended_matroid=counted)) == []
+    counted_ct, counted = counted_conflict(ct)
+    assert verify_conflict_trace(counted_ct) == []
     assert counted.asked == 2
 
 
@@ -307,10 +311,53 @@ def test_conflict_trace_pads_a_small_optimum_with_coloop_edges():
     assert verify_conflict_trace(ct) == []
 
 
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("greedy-trap", {"k": 3, "rho": Fraction(3, 10)}),
+        ("set-packing", {"n": 7, "m": 6, "k": 3}),
+        ("graphic-parity", {"n": 4, "m": 5, "k": 2}),
+        ("k-mi-partition", {"n": 4, "k": 2}),
+    ],
+)
+def test_each_derived_own_interval_is_the_one_check_trace_maps(family, params):
+    built = 0
+    for seed in range(6):
+        # The greedy trap is one fixed instance; its runs differ by shift seed.
+        inst = generate(family, **params, **({} if family == "greedy-trap" else {"seed": seed}))
+        optimum = brute_force_optimum(inst).optimum
+        for rule in SWAP_RULES:
+            _, trace = sliding_local_search(inst, EPS, DELTA, seed, rule)
+            if trace.scheme is None:
+                continue
+            own = check_trace(inst, trace)
+            ct = build_conflict_trace(inst, trace, optimum, GAMMA)
+            derived = [(orig, interval) for orig, _, _, interval in ct.edges if orig is not None]
+            assert derived == [(j, own[j]) for j in sorted(optimum.edges)]
+            assert verify_conflict_trace(ct) == []
+            built += 1
+    assert built >= 6
+
+
 def test_trace_campaign_verifies_every_run():
     report = trace_campaign(runs=10, seed=5, epsilon=EPS, delta=DELTA, gamma=GAMMA)
     assert report["successes"] == 10
     assert report["failures"] == []
+
+
+def test_trace_campaign_checks_a_passing_run_twice(monkeypatch):
+    # Once in verify_local_optimum and once in build_conflict_trace.
+    checks = []
+
+    def counted_check(*args):
+        checks.append(args)
+        return check_trace(*args)
+
+    for module in (campaigns, exact, exchange):
+        monkeypatch.setattr(module, "check_trace", counted_check)
+    report = trace_campaign(runs=4, seed=5, epsilon=EPS, delta=DELTA, gamma=GAMMA)
+    assert report["successes"] == 4 and report["degenerate_skipped"] == 0
+    assert len(checks) == 2 * 4
 
 
 def test_trace_campaign_names_the_check_a_forged_trace_fails(monkeypatch):
