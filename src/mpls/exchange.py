@@ -442,15 +442,19 @@ def verify_conflict_trace(ct: ConflictTrace) -> list[str]:
     """Independent re-check of the blocked chain; returns its problems, none if it is sound.
 
     The instance, run and optimum are those ``build_conflict_trace``
-    checked, so what derives from them holds by construction.  By oracle
-    calls and set arithmetic alone: there is one blocked set per record
-    that added edges (else one problem, asked nothing); each set holds
-    the one before it, stays inside the padded optimum vertex set and
-    grows by as many vertices as its record added; the vertices added so
-    far with the unblocked optimum are independent, from the empty prefix
-    on; and every positive-weight optimum edge is blocked no later than
-    its own interval.
+    checked, so what derives from them holds by construction, once the
+    optimum's ids are known to be edges of the instance (else one problem
+    naming the others, asked nothing).  By oracle calls and set arithmetic
+    alone: there is one blocked set per record that added edges (else one
+    problem, asked nothing); each set holds the one before it, stays
+    inside the padded optimum vertex set and grows by as many vertices as
+    its record added; the vertices added so far with the unblocked optimum
+    are independent, from the empty prefix on; and every positive-weight
+    optimum edge is blocked no later than its own interval.
     """
+    unknown = sorted(j for j in ct.optimum_edges if not 0 <= j < ct.instance.num_edges)
+    if unknown:
+        return [f"optimum edge ids {unknown} are not edges of the instance"]
     sets, records = len(ct.blocked), len(ct._added)
     if sets != records:
         return [f"blocked chain has {sets} sets for {records} records that added edges"]

@@ -281,8 +281,10 @@ class SolverTrace:
     the search can decide without a query are not issued: a pre-check
     already asked in the same interval, a pair containing a single
     addition that stayed infeasible with every interval edge of the
-    solution removed, the removal of that whole pool, and, under
-    ``best-gain``, an addition that cannot beat the best gain found so far.
+    solution removed, the removal of that whole pool, removing nothing
+    or a set lighter than its floor beside a single that has a floor
+    (``_swap_search`` says when one does), and, under ``best-gain``, an
+    addition that cannot beat the best gain found so far.
     """
 
     instance_signature: str
@@ -353,6 +355,7 @@ def _swap_search(
     sol_verts: frozenset[int],
     stripped: frozenset[int],
     fits: dict[tuple[int, ...], bool],
+    floor: dict[int, int],
     interval_ids: Sequence[int],
     rule: str,
     indep: Callable[[frozenset[int]], bool],
@@ -380,6 +383,18 @@ def _swap_search(
     independence is closed downward.  Removing the whole pool leaves
     ``stripped``, so that removal needs no query beyond the pre-check.
 
+    ``floor`` maps a single addition whose search found the removal of
+    nothing dependent to the limit that search ended with: every removal
+    set lighter than it was refuted with the single, so the solution less
+    any such set, plus the single, is dependent.  A pair holding that
+    single contains it, so its empty removal and every removal set
+    lighter than its singles' larger floor are skipped, and the whole
+    pair when that floor reaches its limit; a single whose floor reaches
+    its limit is skipped too.  The floors stay true while the solution
+    only grows, since the solution less a set then contains an earlier
+    solution less a lighter one.  The caller clears ``floor`` after a
+    move that removes edges.
+
     Removal sets that cannot pay for the addition are never built.  Edge
     weights are nonnegative, so a removal size stops the size loop once
     its lightest sets already lose at least the gain, and inside a size
@@ -388,8 +403,10 @@ def _swap_search(
     excess over the best move so far, since only a strictly larger gain
     can replace it; an addition with no excess is skipped before its
     pre-check, and one that fits with nothing removed admits no better
-    removal set.  These cuts skip only moves the enumeration would
-    reject, so the move returned is the same as with every set built.
+    removal set.  The limit falls only to the loss of a set found
+    independent, so a floor states the same fact under both rules.
+    These cuts skip only moves the enumeration would reject, so the move
+    returned is the same as with every set built.
     """
     wn = instance.weight_numerators
     edges = instance.edges
@@ -415,6 +432,13 @@ def _swap_search(
             limit = gain_add if best is None else gain_add - best[0]
             if limit <= 0:
                 continue  # cannot strictly improve, or cannot beat the best
+            # Removal sets lighter than ``known`` are known to fail, and so
+            # is removing nothing unless ``known`` is -1.
+            known = floor.get(add[0], -1)
+            if size == 2:
+                known = max(known, floor.get(add[1], -1))
+            if known >= limit:
+                continue  # every removal set that could pay for it fails
             add_verts = edges[add[0]] if size == 1 else edges[add[0]] | edges[add[1]]
             fit = fits.get(add)
             if fit is None:
@@ -426,15 +450,16 @@ def _swap_search(
             # in; the addition shares no vertex with the pool.
             grown = sol_verts | add_verts
             # Remove nothing; with an empty pool that is the pre-check itself.
-            if whole:
-                queries += 1
-            if not whole or indep(grown):
-                if first_lex:
-                    return queries, (add, (), gain_add, grown)
-                best = (gain_add, add, (), grown)
-                continue  # no removal set loses less than nothing
+            if known < 0:
+                if whole:
+                    queries += 1
+                if not whole or indep(grown):
+                    if first_lex:
+                        return queries, (add, (), gain_add, grown)
+                    best = (gain_add, add, (), grown)
+                    continue  # no removal set loses less than nothing
             for r, loss in zip(pool, pool_w):  # one removal
-                if loss >= limit:
+                if not known <= loss < limit:
                     continue
                 after = grown - edges[r]
                 if whole > 1:
@@ -445,9 +470,7 @@ def _swap_search(
                     return queries, (add, (r,), gain_add - loss, after)
                 best = (gain_add - loss, add, (r,), after)
                 limit = loss  # only a lighter removal set beats this move
-            if max_remove < 2:
-                continue
-            if not lightest:
+            if max_remove >= 2 and not lightest:
                 lightest = list(accumulate(sorted(pool_w)[:max_remove], initial=0))
                 pool_sets = [edges[j] for j in pool]
             for rem_size in range(2, max_remove + 1):
@@ -456,8 +479,8 @@ def _swap_search(
                 for pos, loss, after in _light_combinations(
                     pool_w, pool_sets, grown, rem_size, limit
                 ):
-                    if loss >= limit:
-                        continue  # the best gain rose during this walk
+                    if not known <= loss < limit:
+                        continue  # known to fail, or the best gain rose during this walk
                     if rem_size < whole:
                         queries += 1
                         if not indep(after):
@@ -467,6 +490,8 @@ def _swap_search(
                         return queries, (add, rem, gain_add - loss, after)
                     best = (gain_add - loss, add, rem, after)
                     limit = loss
+            if size == 1:
+                floor[add[0]] = limit
     if best is None:
         return queries, None
     return queries, (best[1], best[2], best[0], best[3])
@@ -543,15 +568,17 @@ def sliding_local_search(
         ids.sort()
         # The solution holds no edge of the interval yet, so its vertex set
         # is the one every pre-check of the interval extends.
-        stripped, fits, swaps, calls = sol_verts, {}, [], 0
+        stripped, fits, floor, swaps, calls = sol_verts, {}, {}, [], 0
         while True:  # apply improving swaps until none remains
             queries, found = _swap_search(
-                instance, sol_set, sol_verts, stripped, fits, ids, rule, indep
+                instance, sol_set, sol_verts, stripped, fits, floor, ids, rule, indep
             )
             calls += queries
             if found is None:
                 break
             add, rem, gain_num, sol_verts = found
+            if rem:
+                floor.clear()  # the solution shrank, so a refuted single may fit now
             sol_set.difference_update(rem)
             sol_set.update(add)
             swaps.append(SwapMove(add, rem, Fraction(gain_num, den)))

@@ -215,6 +215,17 @@ def test_conflict_trace_verifier_reports_vertices_outside_the_ground_set_unasked
     assert counted.queries and not any(query & outside for query in counted.queries)
 
 
+@pytest.mark.parametrize("ids", [frozenset({99}), frozenset({-1})], ids=["id-99", "id-minus-1"])
+def test_conflict_trace_verifier_reports_unknown_optimum_ids_unasked(ids):
+    # Python indexing would read -1 as the last edge, and 99 would raise.
+    ct = two_layer_conflict()
+    forged, counted = counted_conflict(dataclasses.replace(ct, optimum_edges=ids))
+    assert verify_conflict_trace(forged) == [
+        f"optimum edge ids {sorted(ids)} are not edges of the instance"
+    ]
+    assert counted.asked == 0
+
+
 # Each forgery, with the check of exact.check_trace that refuses it.
 FORGERIES = {
     "id-99": "added edges",

@@ -85,6 +85,7 @@ def find_improving_swap(instance, solution_edges, weight_range, rule=FIRST_LEX):
         instance.vertices_of(sol),
         instance.vertices_of(sol.difference(ids)),
         {},
+        {},
         ids,
         rule,
         indep,
@@ -793,9 +794,11 @@ def test_oracle_count_ignores_instance_warmup():
     assert cold == warm
 
 
-def reference_swap_search(instance, sol_set, sol_verts, _stripped, _fits, interval_ids, rule, oracle):
+def reference_swap_search(
+    instance, sol_set, sol_verts, _stripped, _fits, _floor, interval_ids, rule, oracle
+):
     """Swap search that builds every removal set, applies no loss cut and
-    keeps no pre-check answer; it counts its queries as the solver's does."""
+    keeps no pre-check answer or floor; it counts its queries as the solver's does."""
     asked = []
 
     def indep(vs):
@@ -951,16 +954,51 @@ def test_each_pre_check_is_asked_once_per_interval(rule):
                 prefix |= inst.vertices_of(r.added)
 
 
+def test_a_single_refuted_before_a_pure_addition_is_not_asked_again():
+    # x, y and z share one interval, and y meets x.  y's search fails: x
+    # is too heavy to remove.  z then joins with nothing removed, so y's
+    # next search could only test sets that contain one already refuted.
+    x, y, z = 0, 1, 2
+    weights = [Fraction(10), Fraction("9.9"), Fraction("9.8")]
+    inst = make_disjoint(5, [{0, 1}, {1, 2}, {3, 4}], weights, FreeMatroid(5), 2)
+    recorded = Recorded(inst.matroid)
+    inst = replace(inst, matroid=recorded)
+    inst.feasible_alone  # asked first, so only the search's queries are recorded
+    recorded.queried = queried = []
+    _, trace = sliding_local_search(inst, EPS, DELTA, seed=1)
+    (record,) = trace.records
+    assert [(m.add, m.remove) for m in record.swaps] == [((x,), ()), ((z,), ())]
+    # Pre-checks, then the solution with the single; no {x, z} + y at the end.
+    of = inst.vertices_of
+    assert queried == [of({x}), of({y}), of({x, y}), of({z}), of({x, z})]
+
+
+def test_a_removal_move_frees_a_single_refuted_before_it(monkeypatch):
+    # y meets only x; p and q each meet x too.  y, p and q are refuted
+    # beside x, then the pair (p, q) replaces x, after which y fits.
+    x, p, q, y = 0, 1, 2, 3
+    edges = [{0, 1, 2}, {0, 3, 4}, {1, 5, 6}, {2, 7, 8}]
+    weights = [Fraction(10), Fraction(9), Fraction(9), Fraction("9.9")]
+    inst = make_disjoint(9, edges, weights, FreeMatroid(9), 3)
+    _, trace = sliding_local_search(inst, EPS, DELTA, seed=1)
+    (record,) = trace.records
+    assert [(m.add, m.remove) for m in record.swaps] == [((x,), ()), ((p, q), (x,)), ((y,), ())]
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_swap_search", reference_swap_search)
+        _, reference = sliding_local_search(inst, EPS, DELTA, seed=1)
+    assert trace.records[0].swaps == reference.records[0].swaps
+
+
 # Queries and swaps summed over ten scaled runs at the benchmark's
 # solve-large sizes, instance and shift both seeded 0..9.  A change to the
 # search that keeps its moves and its queries keeps these sums.
 SEARCH_WORK = {
-    (FIRST_LEX, "set-packing"): (881, 204),
-    (FIRST_LEX, "graphic-parity"): (2063, 85),
-    (FIRST_LEX, "k-mi-partition"): (1042, 219),
-    (BEST_GAIN, "set-packing"): (1197, 113),
-    (BEST_GAIN, "graphic-parity"): (2079, 38),
-    (BEST_GAIN, "k-mi-partition"): (1454, 123),
+    (FIRST_LEX, "set-packing"): (760, 204),
+    (FIRST_LEX, "graphic-parity"): (1579, 85),
+    (FIRST_LEX, "k-mi-partition"): (826, 219),
+    (BEST_GAIN, "set-packing"): (1013, 113),
+    (BEST_GAIN, "graphic-parity"): (1581, 38),
+    (BEST_GAIN, "k-mi-partition"): (1065, 123),
 }
 SOLVE_LARGE_SIZES = {
     "set-packing": {"n": 60, "m": 40, "k": 2},
@@ -980,15 +1018,34 @@ def test_the_search_asks_and_swaps_as_pinned(rule, family):
     assert (queries, swaps) == SEARCH_WORK[rule, family]
 
 
+@pytest.mark.parametrize("rule", [FIRST_LEX, BEST_GAIN])
+def test_floors_keep_the_unpruned_moves_at_solve_large_sizes(monkeypatch, rule):
+    # The scaled runs of SEARCH_WORK.  A removal move clears the floors,
+    # and a further search of its interval always follows it; the corpus
+    # must hold such moves.
+    removals = 0
+    for family, sizes in SOLVE_LARGE_SIZES.items():
+        for seed in range(10):
+            inst = scale_weights(generate(family, seed=seed, **sizes), Fraction(1, 10))
+            _, pruned = sliding_local_search(inst, EPS, DELTA, seed, rule)
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_swap_search", reference_swap_search)
+                _, reference = sliding_local_search(inst, EPS, DELTA, seed, rule)
+            assert [r.swaps for r in pruned.records] == [r.swaps for r in reference.records]
+            assert pruned.oracle_calls <= reference.oracle_calls
+            removals += sum(bool(move.remove) for r in pruned.records for move in r.swaps)
+    assert removals > 0
+
+
 # Queries seen through a wrapper that overrides only ``is_independent``:
 # one unscaled run (seed 0), one greedy and one exact search, after the
 # instance's per-edge feasibility.  Every query the program builds reaches
 # such a wrapper, whichever entry of the oracle it calls.
 PUBLIC_QUERIES = {
     "greedy-trap": ({"k": 3}, (4, 4, 7)),
-    "set-packing": ({"n": 12, "m": 20, "k": 3, "seed": 1}, (51, 20, 341)),
+    "set-packing": ({"n": 12, "m": 20, "k": 3, "seed": 1}, (47, 20, 341)),
     "graphic-parity": ({"n": 6, "m": 20, "k": 3, "seed": 1}, (18, 20, 109)),
-    "k-mi-partition": ({"n": 18, "k": 3, "seed": 1}, (27, 18, 300)),
+    "k-mi-partition": ({"n": 18, "k": 3, "seed": 1}, (25, 18, 300)),
 }
 
 
@@ -1055,6 +1112,6 @@ def test_tail_swap_search_memory_stays_flat():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert trace.oracle_calls == 7081
+    assert trace.oracle_calls == 6770
     assert peak < 1_000_000
 
