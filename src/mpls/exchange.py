@@ -392,6 +392,10 @@ def _single_part_exchange(
     return frozenset(pick)
 
 
+# The cached values of a ConflictTrace that do not depend on its chain.
+_CHAIN_FREE = ("_added", "_padded", "optimum_vertices", "extended_matroid")
+
+
 def build_conflict_trace(
     instance: ParityInstance,
     trace: SolverTrace,
@@ -434,6 +438,8 @@ def build_conflict_trace(
         chain.append(blocked)
 
     ct = ConflictTrace(instance, trace, optimum.edges, gamma, tuple(chain))
+    # What the draft derived does not depend on the chain; hand it on, not derive it again.
+    ct.__dict__.update((name, draft.__dict__[name]) for name in _CHAIN_FREE)
     ct.reports  # classify now, so a late-blocked edge raises here
     return ct
 

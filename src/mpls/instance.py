@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .matroids import DirectSumMatroid, MatroidOracle, VertexCopyMatroid
 
@@ -145,7 +145,10 @@ class ParityInstance:
         return self.matroid.is_independent(self.vertices_of(self._known_ids(edge_ids)))
 
     def solution(self, edge_ids: Iterable[int]) -> Solution:
-        ids = self._known_ids(edge_ids)
+        return self._solution(self._known_ids(edge_ids))
+
+    def _solution(self, ids: Collection[int]) -> Solution:
+        """The solution of ids already known to be edges of the instance, taken unchecked."""
         wn = self.weight_numerators
         return Solution(ids, Fraction(sum(wn[j] for j in ids), self.weight_denominator))
 

@@ -15,7 +15,12 @@ shift are exact rationals, so interval membership and improvement tests
 never see floating point.  The marker ladder follows from four values
 (epsilon, the shift, the heaviest feasible weight and the level count,
 which delta sets); a trace stores those, and a marker is computed from
-them only when asked for, so no ladder is ever built.
+them only when asked for, so no ladder is ever built.  The heaviest
+weight and the level count do not depend on the shift: they are
+prepared once per ``(instance, epsilon, delta)``, with the bit sizes the
+marker budget needs, and kept in one slot on the instance, as its
+signature is.  A run checks its parameters once, on entry, then draws
+its shift and tests that shift's budget with one integer comparison.
 """
 
 from __future__ import annotations
@@ -190,6 +195,12 @@ def _gallop(
     return s, num, den
 
 
+def _over_budget(shrink_bits: int) -> LadderBudgetError:
+    return LadderBudgetError(
+        f"1 - epsilon of {shrink_bits} bits needs markers of more than {MAX_MARKER_BITS} bits"
+    )
+
+
 def _level_count(shrink: Fraction, tail: Fraction, max_levels: int) -> int:
     """One more than the least s with ``shrink^s <= tail``, for ``shrink = 1 - epsilon``.
 
@@ -201,10 +212,62 @@ def _level_count(shrink: Fraction, tail: Fraction, max_levels: int) -> int:
     limit = max(max_levels - 1, 0)
     last_above, _, _ = _gallop(squares, 0, 1, 1, limit, lambda num, den: num * td > den * tn)
     if last_above + 2 > max_levels:
-        raise LadderBudgetError(
-            f"1 - epsilon of {_bits(shrink)} bits needs markers of more than {MAX_MARKER_BITS} bits"
-        )
+        raise _over_budget(_bits(shrink))
     return last_above + 2
+
+
+@dataclass(frozen=True)
+class _Ladder:
+    """The shift-free half of an instance's marker ladder for one ``(epsilon, delta)``,
+    or, in ``refusal``, the type and message of the error preparing it raised."""
+
+    epsilon: Fraction
+    delta: Fraction
+    heaviest: Fraction | None = None
+    heaviest_bits: int = 0
+    shrink_bits: int = 0
+    levels: int = 0
+    refusal: tuple[type[ValueError], str] | None = None
+
+    def scheme(self, tau: Fraction) -> IntervalScheme:
+        """The ladder at shift ``tau`` in [0, epsilon); raises the preparation's error, or
+        LadderBudgetError if this shift's ``marker_bits`` exceed ``MAX_MARKER_BITS``."""
+        if self.refusal is not None:
+            kind, message = self.refusal
+            raise kind(message)
+        if self.levels * self.shrink_bits + _bits(tau) + self.heaviest_bits > MAX_MARKER_BITS:
+            raise _over_budget(self.shrink_bits)
+        return IntervalScheme(self.heaviest, self.epsilon, tau, self.levels)
+
+
+def _ladder(instance: ParityInstance, epsilon: Fraction, delta: Fraction) -> _Ladder:
+    """The instance's prepared ladder for ``(epsilon, delta)``.
+
+    It is kept in one slot on the instance, as ``instance_signature``
+    keeps its hash, and another ``(epsilon, delta)`` replaces it.  A
+    shift adds at least one bit to a marker's size (tau = 0 adds one), so
+    levels past the budget at one bit are past it at every shift, and the
+    level count is found without building a power beyond it.
+    """
+    ladder = instance.__dict__.get("_ladder")
+    if ladder is not None and (ladder.epsilon, ladder.delta) == (epsilon, delta):
+        return ladder
+    try:
+        order = instance._lone_order
+        if not order:
+            raise DegenerateInstanceError("no edge is feasible on its own")
+        heaviest = instance.weight_numerators[order[0]]
+        if heaviest == 0:
+            raise DegenerateInstanceError("all feasible edges have zero weight")
+        weight = Fraction(heaviest, instance.weight_denominator)
+        shrink = 1 - epsilon
+        spare = MAX_MARKER_BITS - 1 - _bits(weight)
+        levels = _level_count(shrink, delta / instance.num_edges, spare // _bits(shrink))
+        ladder = _Ladder(epsilon, delta, weight, _bits(weight), _bits(shrink), levels)
+    except (DegenerateInstanceError, LadderBudgetError) as exc:
+        ladder = _Ladder(epsilon, delta, refusal=(type(exc), str(exc)))
+    instance.__dict__["_ladder"] = ladder
+    return ladder
 
 
 def compute_markers(
@@ -218,6 +281,7 @@ def compute_markers(
     The ladder starts from the heaviest weight among edges that are
     feasible on their own.  The number of levels is the smallest that
     pushes the residual geometric tail below ``delta`` relative weight.
+    The shift-free part comes from the instance's prepared ladder.
 
     Raises DegenerateInstanceError when no edge is feasible alone or the
     best feasible weight is zero, and LadderBudgetError when the deepest
@@ -230,22 +294,7 @@ def compute_markers(
         raise ValueError("delta must lie in (0, 1)")
     if not 0 <= tau < epsilon:
         raise ValueError("the shift must lie in [0, epsilon)")
-
-    order = instance._lone_order
-    if not order:
-        raise DegenerateInstanceError("no edge is feasible on its own")
-    heaviest = instance.weight_numerators[order[0]]
-    if heaviest == 0:
-        raise DegenerateInstanceError("all feasible edges have zero weight")
-    heaviest_weight = Fraction(heaviest, instance.weight_denominator)
-    shrink = 1 - epsilon
-    spare = MAX_MARKER_BITS - _bits(tau) - _bits(heaviest_weight)
-    return IntervalScheme(
-        max_feasible_weight=heaviest_weight,
-        epsilon=epsilon,
-        tau=tau,
-        levels=_level_count(shrink, delta / instance.num_edges, spare // _bits(shrink)),
-    )
+    return _ladder(instance, epsilon, delta).scheme(tau)
 
 
 @dataclass(frozen=True)
@@ -543,18 +592,29 @@ def sliding_local_search(
 
     Requires ``epsilon`` in (0, 1/2): beyond that the interval ladder is
     still well defined but the approximation argument is not, so it is
-    rejected here rather than silently accepted.
+    rejected here rather than silently accepted.  Epsilon, delta, the
+    rule and the seed, a plain ``int``, are checked once, on entry, in
+    integers.  The shift-free half of the ladder is prepared once per
+    ``(instance, epsilon, delta)`` and kept in a slot on the instance, so
+    a run on an instance already prepared only draws its shift, tests
+    that shift's marker budget and searches.
     """
-    epsilon, delta = Fraction(epsilon), Fraction(delta)
-    if not 0 < epsilon < Fraction(1, 2):
+    epsilon = epsilon if type(epsilon) is Fraction else Fraction(epsilon)
+    delta = delta if type(delta) is Fraction else Fraction(delta)
+    if not 0 < 2 * epsilon.numerator < epsilon.denominator:
         raise ValueError("epsilon must lie in (0, 1/2)")
     if rule not in SWAP_RULES:
         raise ValueError(f"unknown swap rule {rule!r}")
+    if not 0 < delta.numerator < delta.denominator:
+        raise ValueError("delta must lie in (0, 1)")
+    if type(seed) is not int:
+        raise ValueError(f"the seed must be an integer, got {seed!r}")
 
+    ladder = _ladder(instance, epsilon, delta)
     signature = instance_signature(instance)
     tau = _draw_shift(epsilon, seed)
     try:
-        scheme = compute_markers(instance, epsilon, delta, tau)
+        scheme = ladder.scheme(tau)
     except DegenerateInstanceError:
         scheme = None
     occupied = {} if scheme is None else _place_edges(instance, scheme)
@@ -591,7 +651,7 @@ def sliding_local_search(
             )
         )
 
-    solution = instance.solution(sol_set)
+    solution = instance._solution(sol_set)
     trace = SolverTrace(
         instance_signature=signature,
         epsilon=epsilon,
@@ -616,7 +676,7 @@ def greedy(instance: ParityInstance) -> Solution:
         if instance.matroid._independent(trial):
             sol.add(j)
             verts = trial
-    return instance.solution(sol)
+    return instance._solution(sol)
 
 
 def scale_weights(instance: ParityInstance, epsilon_scale: Fraction) -> ParityInstance:
@@ -655,7 +715,13 @@ def sliding_runs(
     seed: int | str,
     rule: str = FIRST_LEX,
 ) -> Iterator[tuple[Solution, SolverTrace]]:
-    """Yield ``runs`` sliding runs one after another, seeded from ``random.Random(seed)``."""
+    """Yield ``runs`` sliding runs one after another, seeded from ``random.Random(seed)``.
+
+    ``runs`` must be a plain ``int``.  The runs share the instance's
+    prepared ladder, as any runs on one instance do.
+    """
+    if type(runs) is not int:
+        raise ValueError(f"the number of runs must be an integer, got {runs!r}")
     if runs < 1:
         raise ValueError("need at least one run")
     derive = random.Random(seed)

@@ -1,5 +1,7 @@
 import dataclasses
+from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from mpls.exact import TraceRefuted, brute_force_optimum, check_trace, verify_lo
 from mpls.exchange import (
     CLASS_BLOCKED_EARLIER,
     CLASS_DOUBLE,
+    ConflictTrace,
     ExchangeBudgetError,
     ExchangeInputError,
     find_rota_exchange,
@@ -185,6 +188,22 @@ def two_layer_conflict():
     ]
     assert verify_conflict_trace(ct) == []
     return ct
+
+
+def test_a_build_derives_each_chain_free_value_once(monkeypatch):
+    derived = Counter()
+    for name in ("_added", "_padded", "optimum_vertices", "extended_matroid"):
+        derive = ConflictTrace.__dict__[name].func
+
+        def counted(ct, name=name, derive=derive):
+            derived[name] += 1
+            return derive(ct)
+
+        prop = cached_property(counted)
+        prop.__set_name__(ConflictTrace, name)
+        monkeypatch.setattr(ConflictTrace, name, prop)
+    two_layer_conflict()  # builds, then verifies the built trace
+    assert derived == {"_added": 1, "_padded": 1, "optimum_vertices": 1, "extended_matroid": 1}
 
 
 def test_conflict_trace_verifier_reports_a_chain_that_is_not_nested_or_grows_wrongly():

@@ -13,14 +13,15 @@ from hypothesis import given, settings, strategies as st
 
 from mpls import solver
 from mpls.exact import brute_force_optimum, verify_local_optimum
-from mpls.generators import build_doc, generate
-from mpls.instance import ParityInstance, make_disjoint
+from mpls.generators import build_doc, generate, random_partition_matroids
+from mpls.instance import ParityInstance, from_matroid_intersection, make_disjoint
 from mpls.matroids import FreeMatroid, PartitionMatroid, UniformMatroid
 from mpls.serialization import FormatError, dumps_canonical, format_fraction, instance_signature
 from mpls.solver import (
     BEST_GAIN,
     FIRST_LEX,
     MAX_MARKER_BITS,
+    SWAP_RULES,
     DegenerateInstanceError,
     IntervalScheme,
     LadderBudgetError,
@@ -1115,3 +1116,165 @@ def test_tail_swap_search_memory_stays_flat():
     assert trace.oracle_calls == 6770
     assert peak < 1_000_000
 
+
+
+def fresh(inst):
+    """The same instance as a new object, with nothing cached or prepared on it."""
+    return replace(inst)
+
+
+def reference_run(instance, epsilon, delta, seed, rule):
+    """A sliding run whose scheme comes from the public ``compute_markers`` for the
+    run's tau, on a fresh copy of the instance, and whose solution is checked."""
+    tau = solver._draw_shift(epsilon, seed)
+    try:
+        scheme = compute_markers(fresh(instance), epsilon, delta, tau)
+    except DegenerateInstanceError:
+        scheme = None
+    occupied = {} if scheme is None else solver._place_edges(instance, scheme)
+    indep = instance.matroid.is_independent
+    sol_set, sol_verts, records = set(), frozenset(), []
+    for index, ids in occupied.items():
+        ids.sort()
+        stripped, fits, floor, swaps, calls = sol_verts, {}, {}, [], 0
+        while True:
+            queries, found = solver._swap_search(
+                instance, sol_set, sol_verts, stripped, fits, floor, ids, rule, indep
+            )
+            calls += queries
+            if found is None:
+                break
+            add, rem, gain_num, sol_verts = found
+            if rem:
+                floor.clear()
+            sol_set.difference_update(rem)
+            sol_set.update(add)
+            swaps.append(SwapMove(add, rem, Fraction(gain_num, instance.weight_denominator)))
+        added = tuple(sorted(sol_set.intersection(ids)))
+        records.append(solver.IntervalRecord(index, added, tuple(swaps), calls))
+    solution = instance.solution(sol_set)
+    trace = solver.SolverTrace(
+        instance_signature(instance), epsilon, delta, seed, tau, rule, scheme, tuple(records),
+        solution.weight,
+    )
+    return solution, trace
+
+
+def outcome(run, *args):
+    """A run's solution and trace, or the type and message of what it raised."""
+    try:
+        return run(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# One instance of each generator family and one matroid intersection; the
+# Hypothesis test runs them at many (epsilon, delta), so their slots change.
+PREPARED = [
+    generate("greedy-trap", k=3),
+    generate("set-packing", n=9, m=8, k=3, seed=0),
+    generate("graphic-parity", n=5, m=8, k=3, seed=1),
+    generate("k-mi-partition", n=6, k=3, seed=2),
+    from_matroid_intersection(
+        random_partition_matroids(7, 2, 3), [Fraction(j * j % 11, 3) for j in range(7)]
+    ),
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(range(len(PREPARED))),
+    st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=2000).filter(
+        lambda e: 0 < e < Fraction(1, 2)
+    ),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda d: 0 < d < 1),
+    st.lists(st.integers(0, 2**63), min_size=1, max_size=3),
+)
+def test_a_prepared_run_equals_the_run_on_compute_markers(index, epsilon, delta, seeds):
+    inst = PREPARED[index]
+    for rule in SWAP_RULES:
+        for seed in seeds:
+            expected = outcome(reference_run, inst, epsilon, delta, seed, rule)
+            assert outcome(sliding_local_search, inst, epsilon, delta, seed, rule) == expected
+
+
+def test_a_replaced_slot_gives_the_runs_of_a_fresh_instance():
+    inst = generate("graphic-parity", n=5, m=8, k=3, seed=4)
+    first, second = (EPS, DELTA), (Fraction(1, 10), Fraction(1, 1000))
+    for epsilon, delta in (first, second, first, (EPS, second[1])):
+        for seed in (0, 5):
+            run = sliding_local_search(inst, epsilon, delta, seed)
+            assert run == sliding_local_search(fresh(inst), epsilon, delta, seed)
+        assert compute_markers(inst, epsilon, delta, Fraction(0)) == compute_markers(
+            fresh(inst), epsilon, delta, Fraction(0)
+        )
+        # The instance keeps one prepared ladder, the last one asked for.
+        kept = [value for value in vars(inst).values() if isinstance(value, solver._Ladder)]
+        assert [(ladder.epsilon, ladder.delta) for ladder in kept] == [(epsilon, delta)]
+
+
+def test_an_over_budget_ladder_is_refused_alike_on_every_call():
+    inst = generate("set-packing", n=7, m=6, k=3, seed=0)
+    tiny = Fraction(1, 10**9)
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(LadderBudgetError) as run:
+            sliding_local_search(inst, tiny, DELTA, seed=0)
+        with pytest.raises(LadderBudgetError) as markers:
+            compute_markers(inst, tiny, DELTA, Fraction(0))
+        messages |= {str(run.value), str(markers.value)}
+    assert len(messages) == 1
+
+
+def test_a_degenerate_instance_is_degenerate_on_every_call():
+    for inst in (free_singles([0, 0, 0]), singles_with_loops([1, 2], [0, 1])):
+        messages = set()
+        for seed in range(3):
+            sol, trace = sliding_local_search(inst, EPS, DELTA, seed)
+            assert (sol.edges, sol.weight) == (frozenset(), 0)
+            assert (trace.scheme, trace.records) == (None, ())
+            with pytest.raises(DegenerateInstanceError) as markers:
+                compute_markers(inst, EPS, DELTA, Fraction(0))
+            messages.add(str(markers.value))
+        assert len(messages) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100), max_denominator=10**4),
+    st.fractions(min_value=Fraction(1, 10**4), max_value=Fraction(99, 100)),
+    st.integers(0, 2**53 - 1),
+    st.integers(-40, 40),
+)
+def test_the_budget_of_each_shift_is_the_level_counts(epsilon, delta, bits, offset):
+    """Under a budget near the deepest marker's size, a shift's ladder is refused
+    exactly when ``_level_count`` with that shift's level allowance refuses it,
+    with the same message."""
+    inst = generate("set-packing", n=9, m=8, k=3, seed=0)
+    tau = Fraction(epsilon.numerator * bits, epsilon.denominator << 53)
+    heaviest = max(w for w, ok in zip(inst.weights, inst.feasible_alone) if ok)
+    shrink, tail = 1 - epsilon, delta / inst.num_edges
+    levels = solver._level_count(shrink, tail, 10**9)
+    budget = solver.marker_bits(epsilon, tau, heaviest, levels) + offset
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "MAX_MARKER_BITS", budget)
+        allowance = (budget - solver._bits(tau) - solver._bits(heaviest)) // solver._bits(shrink)
+        expected = outcome(solver._level_count, shrink, tail, allowance)
+        got = outcome(lambda: compute_markers(fresh(inst), epsilon, delta, tau).levels)
+    assert got == expected
+
+
+@pytest.mark.parametrize("seed", [2.5, True, "3"])
+def test_a_run_refuses_a_seed_its_trace_could_not_store(seed):
+    inst = generate("set-packing", n=9, m=8, k=3, seed=0)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        sliding_local_search(inst, EPS, DELTA, seed)
+
+
+@pytest.mark.parametrize("runs", [2.5, True, 3.0])
+def test_sliding_runs_refuse_a_run_count_that_is_not_an_int(runs):
+    inst = generate("set-packing", n=9, m=8, k=3, seed=0)
+    with pytest.raises(ValueError, match="number of runs must be an integer"):
+        list(sliding_runs(inst, EPS, DELTA, runs, 0))
+    with pytest.raises(ValueError, match="number of runs must be an integer"):
+        best_of_runs(inst, EPS, DELTA, runs, 0)
