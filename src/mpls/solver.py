@@ -7,7 +7,11 @@ Intervals without an edge have nothing to search.  Inside an interval it
 repeatedly applies improving swaps: add at most two non-solution edges of
 the interval, remove at most ``2 * arity`` solution edges of the same
 interval, subject to feasibility and a strict weight increase.  Edges
-accepted in earlier (heavier) intervals are never removed again.
+accepted in earlier (heavier) intervals are never removed again.  Each
+interval keeps one search state across its moves (``_Interval``): its
+candidates, its pool with the pool's weights and vertex sets, and what
+the search remembers; a move updates the state in place, so no search
+derives it from the solution, and the solution is the union of the pools.
 
 All weight arithmetic is exact.  Edge weights are compared through
 integer numerators over a common denominator; markers and the random
@@ -26,6 +30,7 @@ its shift and tests that shift's budget with one integer comparison.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -398,39 +403,88 @@ def _light_combinations(
             return
 
 
+class _Interval:
+    """The swap search's state in one occupied interval, kept across its moves.
+
+    ``ids`` are the interval's edges, ascending.  ``cand`` and ``pool``
+    split them into the edges outside and inside the solution, each
+    ascending; ``pool_w`` and ``pool_sets`` hold the pool's weight
+    numerators and vertex sets, aligned with ``pool``.  ``lightest`` is
+    empty until the search first needs removal sets of two or more edges;
+    it then holds the loss of the s lightest pool edges at index s.
+    ``stripped`` is the solution's vertex set outside the interval, fixed
+    while the interval is searched, and ``verts`` the whole solution's.
+    ``fits`` and ``floor`` are the search's memory of pre-checks and
+    refuted singles (see ``_swap_search``).
+
+    The run builds one state when it enters an interval, with the
+    interval's edges all candidates, and ``apply`` updates it in place
+    after each move, so a search derives nothing from the solution.
+    """
+
+    def __init__(self, instance: ParityInstance, ids: Iterable[int], verts: frozenset[int]):
+        self.ids = tuple(sorted(ids))
+        self.cand = list(self.ids)
+        self.pool: list[int] = []
+        self.pool_w: list[int] = []
+        self.pool_sets: list[frozenset[int]] = []
+        self.lightest: list[int] = []
+        self.stripped = self.verts = verts
+        self.fits: dict[tuple[int, ...], bool] = {}
+        self.floor: dict[int, int] = {}
+        self._wn, self._edges = instance.weight_numerators, instance.edges
+
+    def apply(self, add: Iterable[int], rem: Iterable[int], verts: frozenset[int]) -> None:
+        """Move ``rem`` from the pool to the candidates and ``add`` the other way, by
+        bisection, leaving the solution on ``verts``.  Every move drops ``lightest``,
+        and one that removes edges clears ``floor``: the solution shrank, so a
+        refuted single may fit now."""
+        cand, pool, pool_w, pool_sets = self.cand, self.pool, self.pool_w, self.pool_sets
+        for r in rem:
+            i = bisect_left(pool, r)
+            del pool[i], pool_w[i], pool_sets[i]
+            insort(cand, r)
+        for j in add:
+            del cand[bisect_left(cand, j)]
+            i = bisect_left(pool, j)
+            pool.insert(i, j)
+            pool_w.insert(i, self._wn[j])
+            pool_sets.insert(i, self._edges[j])
+        if rem:
+            self.floor.clear()
+        self.lightest = []
+        self.verts = verts
+
+
 def _swap_search(
     instance: ParityInstance,
-    sol_set: set[int],
-    sol_verts: frozenset[int],
-    stripped: frozenset[int],
-    fits: dict[tuple[int, ...], bool],
-    floor: dict[int, int],
-    interval_ids: Sequence[int],
+    interval: _Interval,
     rule: str,
     indep: Callable[[frozenset[int]], bool],
 ) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...], int, frozenset[int]] | None]:
     """Find an improving swap inside one interval, or None, with the queries asked.
 
-    Candidate additions are interval edges outside the solution, at most
-    two at a time; removals come only from interval edges currently in
-    the solution, at most ``2 * arity`` of them.  ``interval_ids`` must be
-    ascending.  ``first-lex`` accepts the first improving pair in
+    Candidate additions are the interval's edges outside the solution
+    (``interval.cand``), at most two at a time; removals come only from
+    its edges in the solution (``interval.pool``), at most ``2 * arity``
+    of them.  ``first-lex`` accepts the first improving pair in
     enumeration order (additions by size then id order, removals by size
     then id order); ``best-gain`` scans everything and keeps the maximum
     gain, breaking ties toward the lexicographically smallest move, which
     is the earliest in that order.  The move comes with the vertex set it
     was found independent on, the solution's vertex set after the swap.
-    The count is of the calls made to ``indep``.
+    The count is of the calls made to ``indep``.  The search reads the
+    interval's kept state and writes only ``fits``, ``floor`` and
+    ``lightest``; the caller applies the move.
 
-    ``stripped`` is the solution's vertex set outside the interval, which
-    stays fixed while the interval is searched.  An addition is pruned
-    outright if it is dependent on ``stripped``, the weakest requirement
-    any removal choice could meet.  ``fits`` maps each addition
-    pre-checked so far in this interval to that answer, so no pre-check
-    is asked twice.  Pairs are drawn only from the singles not known to
-    fail: a pair's vertex set contains each of its singles', and
-    independence is closed downward.  Removing the whole pool leaves
-    ``stripped``, so that removal needs no query beyond the pre-check.
+    An addition is pruned outright if it is dependent on
+    ``interval.stripped``, the weakest requirement any removal choice
+    could meet.  ``fits`` maps each addition pre-checked so far in this
+    interval to that answer, so no pre-check is asked twice.  Pairs are
+    drawn only from the singles not known to fail: a pair's vertex set
+    contains each of its singles', and independence is closed downward.
+    Removing the whole pool leaves ``stripped``, so that removal needs no
+    query beyond the pre-check.
 
     ``floor`` maps a single addition whose search found the removal of
     nothing dependent to the limit that search ended with: every removal
@@ -441,8 +495,8 @@ def _swap_search(
     pair when that floor reaches its limit; a single whose floor reaches
     its limit is skipped too.  The floors stay true while the solution
     only grows, since the solution less a set then contains an earlier
-    solution less a lighter one.  The caller clears ``floor`` after a
-    move that removes edges.
+    solution less a lighter one.  A move that removes edges clears
+    ``floor``.
 
     Removal sets that cannot pay for the addition are never built.  Edge
     weights are nonnegative, so a removal size stops the size loop once
@@ -457,19 +511,16 @@ def _swap_search(
     These cuts skip only moves the enumeration would reject, so the move
     returned is the same as with every set built.
     """
-    wn = instance.weight_numerators
-    edges = instance.edges
-    cand = [j for j in interval_ids if j not in sol_set]
+    cand = interval.cand
     if not cand:
         return 0, None
-    pool = [j for j in interval_ids if j in sol_set]
-    pool_w = [wn[j] for j in pool]
+    wn = instance.weight_numerators
+    edges = instance.edges
+    pool, pool_w = interval.pool, interval.pool_w
+    stripped, sol_verts, fits, floor = interval.stripped, interval.verts, interval.fits, interval.floor
     whole = len(pool)
     max_remove = min(2 * instance.arity, whole)
-    # Built when removal pairs are first needed: lightest[s] is the loss of
-    # the s lightest pool edges, a lower bound on the loss of any s removals.
-    lightest: list[int] = []
-    pool_sets: list[frozenset[int]] = []
+    lightest = interval.lightest
     first_lex = rule == FIRST_LEX
     queries = 0
     best: tuple[int, tuple[int, ...], tuple[int, ...], frozenset[int]] | None = None
@@ -520,13 +571,14 @@ def _swap_search(
                 best = (gain_add - loss, add, (r,), after)
                 limit = loss  # only a lighter removal set beats this move
             if max_remove >= 2 and not lightest:
-                lightest = list(accumulate(sorted(pool_w)[:max_remove], initial=0))
-                pool_sets = [edges[j] for j in pool]
+                lightest = interval.lightest = list(
+                    accumulate(sorted(pool_w)[:max_remove], initial=0)
+                )
             for rem_size in range(2, max_remove + 1):
                 if lightest[rem_size] >= limit:
                     break
                 for pos, loss, after in _light_combinations(
-                    pool_w, pool_sets, grown, rem_size, limit
+                    pool_w, interval.pool_sets, grown, rem_size, limit
                 ):
                     if not known <= loss < limit:
                         continue  # known to fail, or the best gain rose during this walk
@@ -597,7 +649,11 @@ def sliding_local_search(
     integers.  The shift-free half of the ladder is prepared once per
     ``(instance, epsilon, delta)`` and kept in a slot on the instance, so
     a run on an instance already prepared only draws its shift, tests
-    that shift's marker budget and searches.
+    that shift's marker budget and searches.  Each occupied interval gets
+    one ``_Interval`` state when the run enters it; every move found by
+    ``_swap_search`` is applied to that state in place, the interval's
+    record adds its final pool, and the solution is the union of the
+    pools.
     """
     epsilon = epsilon if type(epsilon) is Fraction else Fraction(epsilon)
     delta = delta if type(delta) is Fraction else Fraction(delta)
@@ -621,37 +677,34 @@ def sliding_local_search(
 
     den = instance.weight_denominator
     indep = instance.matroid._independent  # unions of instance edges need no ground-set check
-    sol_set: set[int] = set()
-    sol_verts: frozenset[int] = frozenset()
+    verts: frozenset[int] = frozenset()
+    chosen: list[int] = []
     records: list[IntervalRecord] = []
     for index, ids in occupied.items():  # in increasing index order
-        ids.sort()
         # The solution holds no edge of the interval yet, so its vertex set
         # is the one every pre-check of the interval extends.
-        stripped, fits, floor, swaps, calls = sol_verts, {}, {}, [], 0
+        interval = _Interval(instance, ids, verts)
+        swaps, calls = [], 0
         while True:  # apply improving swaps until none remains
-            queries, found = _swap_search(
-                instance, sol_set, sol_verts, stripped, fits, floor, ids, rule, indep
-            )
+            queries, found = _swap_search(instance, interval, rule, indep)
             calls += queries
             if found is None:
                 break
-            add, rem, gain_num, sol_verts = found
-            if rem:
-                floor.clear()  # the solution shrank, so a refuted single may fit now
-            sol_set.difference_update(rem)
-            sol_set.update(add)
+            add, rem, gain_num, after = found
+            interval.apply(add, rem, after)
             swaps.append(SwapMove(add, rem, Fraction(gain_num, den)))
+        verts, added = interval.verts, tuple(interval.pool)
+        chosen += added
         records.append(
             IntervalRecord(
                 index=index,
-                added=tuple(sorted(sol_set.intersection(ids))),
+                added=added,
                 swaps=tuple(swaps),
                 oracle_calls=calls,
             )
         )
 
-    solution = instance._solution(sol_set)
+    solution = instance._solution(chosen)
     trace = SolverTrace(
         instance_signature=signature,
         epsilon=epsilon,
@@ -717,11 +770,14 @@ def sliding_runs(
 ) -> Iterator[tuple[Solution, SolverTrace]]:
     """Yield ``runs`` sliding runs one after another, seeded from ``random.Random(seed)``.
 
-    ``runs`` must be a plain ``int``.  The runs share the instance's
-    prepared ladder, as any runs on one instance do.
+    ``runs`` must be a plain ``int`` and ``seed`` a plain ``int`` or
+    ``str``, so the same arguments always give the same runs.  The runs
+    share the instance's prepared ladder, as any runs on one instance do.
     """
     if type(runs) is not int:
         raise ValueError(f"the number of runs must be an integer, got {runs!r}")
+    if type(seed) not in (int, str):
+        raise ValueError(f"the seed must be an integer or a string, got {seed!r}")
     if runs < 1:
         raise ValueError("need at least one run")
     derive = random.Random(seed)
@@ -734,7 +790,7 @@ def best_of_runs(
     epsilon: Fraction,
     delta: Fraction,
     runs: int,
-    seed: int,
+    seed: int | str,
     rule: str = FIRST_LEX,
     max_workers: int | None = None,
 ) -> Solution:

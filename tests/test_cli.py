@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import random
 import re
@@ -239,6 +240,34 @@ def test_trace_out_writes_the_pinned_text(tmp_path):
     assert path.read_text(encoding="utf-8") == TRAP_TRACE
     _, trace = sliding_local_search(generate("greedy-trap", k=3), DEFAULT_EPSILON, DEFAULT_DELTA, 0)
     assert dumps_canonical(trace_to_json_obj(trace)) == TRAP_TRACE
+
+
+# sha256 of the `mpls solve --gen FAMILY ... --seed 1 --swap-rule RULE --trace-out`
+# text at the benchmark's solve-large sizes.  A change to the search that keeps
+# its moves, queries and trace layout keeps these bytes.
+SOLVE_LARGE_TRACES = {
+    ("first-lex", "set-packing"): "31884a00ed148f5d6c3619c11751f7afa42898ff53af2ae029563ac0692513c5",
+    ("first-lex", "graphic-parity"): "d05405066024d518f4aca4be15b0a34cb64aa3db122d0bb6d9f6631a1faa1cef",
+    ("first-lex", "k-mi-partition"): "9a1c71e280a54ed4f0be2b96279460e30d100cf7d905f66ce37ac4c5cdc9e120",
+    ("best-gain", "set-packing"): "555ef954a4e4c9524baa10d0a3f85e305b5e8e208f119e2df943b6faf5ed9ed1",
+    ("best-gain", "graphic-parity"): "f0f948aa4a9b7849e8d9b933fabd2fce91a0a5678950777d5a169c9d14ce66f1",
+    ("best-gain", "k-mi-partition"): "2047d643ccf042bbd32a71c24491e2798e8b910d89f2061e17e7792d5c57d7fa",
+}
+SOLVE_LARGE_ARGS = {
+    "set-packing": ["--n", "60", "--m", "40", "--k", "2"],
+    "graphic-parity": ["--n", "16", "--m", "48", "--k", "3"],
+    "k-mi-partition": ["--n", "32", "--k", "2"],
+}
+
+
+@pytest.mark.parametrize("rule, family", list(SOLVE_LARGE_TRACES))
+def test_trace_out_at_solve_large_sizes_writes_the_pinned_text(tmp_path, rule, family):
+    path = tmp_path / "trace.json"
+    argv = ["solve", "--gen", family, *SOLVE_LARGE_ARGS[family], "--seed", "1", "--swap-rule", rule]
+    assert main([*argv, "--out", str(tmp_path / "rec.json"), "--trace-out", str(path)]) == 0
+    text = path.read_text(encoding="utf-8")
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SOLVE_LARGE_TRACES[rule, family]
+    assert text == dumps_canonical(trace_to_json_obj(trace_from_json_obj(json.loads(text))))
 
 
 @pytest.mark.parametrize("flags", [["--algo", "greedy"], ["--runs", "2"]], ids=["greedy", "runs"])

@@ -5,7 +5,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import floor
 
 import pytest
@@ -74,23 +74,17 @@ def find_improving_swap(instance, solution_edges, weight_range, rule=FIRST_LEX):
         for j in range(instance.num_edges)
         if instance.feasible_alone[j] and weight_range.contains(instance.weights[j])
     ]
+    held = [j for j in ids if j in sol]
+    state = solver._Interval(instance, ids, instance.vertices_of(sol.difference(ids)))
+    state.apply(held, (), instance.vertices_of(sol))
+    assert_kept(instance, state)
     asked = []
 
     def indep(vs):
         asked.append(vs)
         return instance.matroid.is_independent(vs)
 
-    queries, found = solver._swap_search(
-        instance,
-        sol,
-        instance.vertices_of(sol),
-        instance.vertices_of(sol.difference(ids)),
-        {},
-        {},
-        ids,
-        rule,
-        indep,
-    )
+    queries, found = solver._swap_search(instance, state, rule, indep)
     assert queries == len(asked)
     if found is None:
         return None
@@ -795,26 +789,44 @@ def test_oracle_count_ignores_instance_warmup():
     assert cold == warm
 
 
-def reference_swap_search(
-    instance, sol_set, sol_verts, _stripped, _fits, _floor, interval_ids, rule, oracle
-):
+def assert_kept(instance, state):
+    """The interval state ``state`` equals its recomputation from its edges and the
+    solution's vertex set: edges are disjoint, so j is held iff its vertices are."""
+    wn, edges = instance.weight_numerators, instance.edges
+    assert list(state.ids) == sorted(set(state.ids))
+    held = [j for j in state.ids if edges[j] <= state.verts]
+    assert state.pool == held
+    assert state.cand == [j for j in state.ids if j not in held]
+    assert state.pool_w == [wn[j] for j in held]
+    assert state.pool_sets == [edges[j] for j in held]
+    assert state.verts == state.stripped.union(*state.pool_sets)
+    assert not state.stripped & instance.vertices_of(state.ids)
+    max_remove = min(2 * instance.arity, len(held))
+    lightest = list(accumulate(sorted(state.pool_w)[:max_remove], initial=0))
+    assert state.lightest in ([], lightest)
+
+
+def reference_swap_search(instance, state, rule, oracle):
     """Swap search that builds every removal set, applies no loss cut and
-    keeps no pre-check answer or floor; it counts its queries as the solver's does."""
+    keeps no pre-check answer or floor; it counts its queries as the solver's
+    does.  It derives the interval's pool and candidates from the solution
+    and checks that the kept state holds the same."""
+    assert_kept(instance, state)
     asked = []
 
     def indep(vs):
         asked.append(vs)
         return oracle(vs)
 
-    found = _reference_move(instance, sol_set, sol_verts, interval_ids, rule, indep)
+    found = _reference_move(instance, state.verts, state.ids, rule, indep)
     return len(asked), found
 
 
-def _reference_move(instance, sol_set, sol_verts, interval_ids, rule, indep):
+def _reference_move(instance, sol_verts, interval_ids, rule, indep):
     wn = instance.weight_numerators
     edges = instance.edges
-    cand = [j for j in interval_ids if j not in sol_set]
-    pool = [j for j in interval_ids if j in sol_set]
+    pool = [j for j in interval_ids if edges[j] <= sol_verts]
+    cand = [j for j in interval_ids if j not in pool]
     if not cand:
         return None
 
@@ -1038,6 +1050,70 @@ def test_floors_keep_the_unpruned_moves_at_solve_large_sizes(monkeypatch, rule):
     assert removals > 0
 
 
+def partition_intersection(seed):
+    """A 2-matroid intersection of random partition matroids on 12 elements."""
+    rng = random.Random(seed)
+    weights = [Fraction(rng.randint(0, 99), 7) for _ in range(12)]
+    return from_matroid_intersection(random_partition_matroids(12, 2, seed), weights)
+
+
+# Instances of every generator family and a 2-matroid intersection, by seed.
+KEPT_STATE_FAMILIES = {
+    "greedy-trap": lambda seed: generate("greedy-trap", k=2 + seed % 3),
+    "set-packing": lambda seed: generate("set-packing", n=24, m=16, k=2, seed=seed),
+    "graphic-parity": lambda seed: generate("graphic-parity", n=8, m=20, k=3, seed=seed),
+    "k-mi-partition": lambda seed: generate("k-mi-partition", n=14, k=2, seed=seed),
+    "intersection": partition_intersection,
+}
+
+
+def checked_state_traces(inst, seeds, rule):
+    """The traces of sliding runs whose interval state is checked against its
+    recomputation before and after every search, so after every move; each
+    trace must equal the unchecked run's."""
+    search = solver._swap_search
+
+    def checked(instance, state, rule, indep):
+        assert_kept(instance, state)
+        found = search(instance, state, rule, indep)
+        assert_kept(instance, state)
+        return found
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "_swap_search", checked)
+        traces = [sliding_local_search(inst, EPS, DELTA, seed, rule)[1] for seed in seeds]
+    assert traces == [sliding_local_search(inst, EPS, DELTA, seed, rule)[1] for seed in seeds]
+    return traces
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(sorted(KEPT_STATE_FAMILIES)),
+    st.integers(0, 2**16),
+    st.booleans(),
+    st.lists(st.integers(0, 2**63), min_size=1, max_size=3),
+)
+def test_the_kept_interval_state_equals_its_recomputation(family, seed, scaled, shifts):
+    inst = KEPT_STATE_FAMILIES[family](seed)
+    if scaled:
+        inst = scale_weights(inst, Fraction(1, 10))
+    for rule in SWAP_RULES:
+        checked_state_traces(inst, shifts, rule)
+
+
+def test_the_kept_state_is_checked_across_removal_and_pair_moves():
+    # First-lex makes removal moves on every family, and best-gain pair
+    # moves, so the state is checked after both kinds.
+    for family, build in KEPT_STATE_FAMILIES.items():
+        moves = {FIRST_LEX: [], BEST_GAIN: []}
+        for seed in range(4):
+            for rule, found in moves.items():
+                for trace in checked_state_traces(build(seed), range(3), rule):
+                    found += [move for r in trace.records for move in r.swaps]
+        assert any(move.remove for move in moves[FIRST_LEX]), family
+        assert any(len(move.add) == 2 for move in moves[BEST_GAIN]), family
+
+
 # Queries seen through a wrapper that overrides only ``is_independent``:
 # one unscaled run (seed 0), one greedy and one exact search, after the
 # instance's per-edge feasibility.  Every query the program builds reaches
@@ -1133,26 +1209,22 @@ def reference_run(instance, epsilon, delta, seed, rule):
         scheme = None
     occupied = {} if scheme is None else solver._place_edges(instance, scheme)
     indep = instance.matroid.is_independent
-    sol_set, sol_verts, records = set(), frozenset(), []
+    verts, chosen, records = frozenset(), [], []
     for index, ids in occupied.items():
-        ids.sort()
-        stripped, fits, floor, swaps, calls = sol_verts, {}, {}, [], 0
+        state = solver._Interval(instance, ids, verts)
+        swaps, calls = [], 0
         while True:
-            queries, found = solver._swap_search(
-                instance, sol_set, sol_verts, stripped, fits, floor, ids, rule, indep
-            )
+            queries, found = solver._swap_search(instance, state, rule, indep)
             calls += queries
             if found is None:
                 break
-            add, rem, gain_num, sol_verts = found
-            if rem:
-                floor.clear()
-            sol_set.difference_update(rem)
-            sol_set.update(add)
+            add, rem, gain_num, after = found
+            state.apply(add, rem, after)
             swaps.append(SwapMove(add, rem, Fraction(gain_num, instance.weight_denominator)))
-        added = tuple(sorted(sol_set.intersection(ids)))
-        records.append(solver.IntervalRecord(index, added, tuple(swaps), calls))
-    solution = instance.solution(sol_set)
+        verts = state.verts
+        chosen += state.pool
+        records.append(solver.IntervalRecord(index, tuple(state.pool), tuple(swaps), calls))
+    solution = instance.solution(chosen)
     trace = solver.SolverTrace(
         instance_signature(instance), epsilon, delta, seed, tau, rule, scheme, tuple(records),
         solution.weight,
@@ -1278,3 +1350,26 @@ def test_sliding_runs_refuse_a_run_count_that_is_not_an_int(runs):
         list(sliding_runs(inst, EPS, DELTA, runs, 0))
     with pytest.raises(ValueError, match="number of runs must be an integer"):
         best_of_runs(inst, EPS, DELTA, runs, 0)
+
+
+@pytest.mark.parametrize(
+    "seed", [None, True, 2.5, (1, 2), b"3"], ids=["none", "bool", "float", "tuple", "bytes"]
+)
+def test_sliding_runs_refuse_a_seed_that_is_not_an_int_or_str(seed):
+    # None would draw fresh seeds on every call; the others are not plain
+    # ints or strings, whatever ``random`` makes of them.
+    inst = generate("set-packing", n=9, m=8, k=3, seed=0)
+    with pytest.raises(ValueError, match="seed must be an integer or a string"):
+        list(sliding_runs(inst, EPS, DELTA, 2, seed))
+    with pytest.raises(ValueError, match="seed must be an integer or a string"):
+        best_of_runs(inst, EPS, DELTA, 2, seed)
+
+
+@pytest.mark.parametrize("seed", [7, "bench:3:1"])
+def test_sliding_runs_repeat_their_runs_for_the_same_seed(seed):
+    inst = generate("graphic-parity", n=5, m=8, k=3, seed=2)
+    first = list(sliding_runs(inst, EPS, DELTA, 3, seed))
+    assert list(sliding_runs(fresh(inst), EPS, DELTA, 3, seed)) == first
+    assert best_of_runs(inst, EPS, DELTA, 3, seed) == max(
+        (sol for sol, _ in first), key=lambda sol: sol.weight
+    )
