@@ -15,7 +15,14 @@ from typing import Any, Callable
 
 from .instance import ParityInstance
 from .matroids import PartitionMatroid
-from .serialization import MAX_VERTICES, FormatError, InstanceDoc, format_fraction, parse_fraction
+from .serialization import (
+    MAX_VERTICES,
+    FormatError,
+    InstanceDoc,
+    _check_weight_bits,
+    format_fraction,
+    parse_fraction,
+)
 
 
 class GeneratorError(ValueError):
@@ -56,11 +63,11 @@ def greedy_trap_doc(k: int = 3, rho: Fraction | int | str = Fraction(3, 10)) -> 
     exceeds rho, after which a pair-for-one swap escapes the trap.
     """
     _check_integers(k=k)
-    if type(rho) is not Fraction:
-        try:  # an int, or a string read exactly; a float or a boolean is refused
-            rho = parse_fraction(rho)
-        except FormatError as exc:
-            raise GeneratorError(f"rho: {exc}") from None
+    try:  # rho read exactly (a float or a boolean is refused), in weights the loader takes
+        rho = rho if type(rho) is Fraction else parse_fraction(rho)
+        _check_weight_bits([Fraction(1), 1 - rho])
+    except FormatError as exc:
+        raise GeneratorError(f"rho: {exc}") from None
     if k < 1:
         raise GeneratorError("k must be positive")
     if not 0 <= rho < 1:

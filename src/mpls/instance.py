@@ -134,18 +134,12 @@ class ParityInstance:
             feasible_alone=self.feasible_alone,
         )
 
-    def _known_ids(self, edge_ids: Iterable[int]) -> frozenset[int]:
+    def is_feasible(self, edge_ids: Iterable[int]) -> bool:
         ids = frozenset(edge_ids)
         m = len(self.edges)
         if not all(type(j) is int and 0 <= j < m for j in ids):
             raise InstanceError("unknown edge id")
-        return ids
-
-    def is_feasible(self, edge_ids: Iterable[int]) -> bool:
-        return self.matroid.is_independent(self.vertices_of(self._known_ids(edge_ids)))
-
-    def solution(self, edge_ids: Iterable[int]) -> Solution:
-        return self._solution(self._known_ids(edge_ids))
+        return self.matroid.is_independent(self.vertices_of(ids))
 
     def _solution(self, ids: Collection[int]) -> Solution:
         """The solution of ids already known to be edges of the instance, taken unchecked."""

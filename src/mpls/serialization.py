@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 from .instance import ParityInstance, make_disjoint
 from .matroids import (
@@ -50,6 +50,20 @@ _EXPONENT = re.compile(r"[eE][+-]?([0-9_]+)")
 # has one, adds at most log2(10) - 1 < 2.33 bits per denominator bit:
 # about 10,000 bits, some 3,000 digits, in any printed sum or ratio.
 MAX_WEIGHT_BITS = 3000
+
+
+def _check_weight_bits(weights: Sequence[Fraction]) -> None:
+    """Refuse weights whose denominators' lcm, or any weight over it, exceeds the budget."""
+    common = 1
+    for w in weights:
+        common = lcm(common, w.denominator)
+        if common.bit_length() > MAX_WEIGHT_BITS:
+            raise FormatError(f"weight denominators have an lcm beyond {MAX_WEIGHT_BITS} bits")
+    if any(
+        (abs(w.numerator) * (common // w.denominator)).bit_length() > MAX_WEIGHT_BITS
+        for w in weights
+    ):
+        raise FormatError(f"a weight over their lcm exceeds {MAX_WEIGHT_BITS} bits")
 
 
 # Most vertices an instance may declare, and most vertex-edge incidences
@@ -234,16 +248,7 @@ class InstanceDoc:
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad instance document: {exc}") from exc
-        common = 1
-        for w in doc.edge_weights:
-            common = lcm(common, w.denominator)
-            if common.bit_length() > MAX_WEIGHT_BITS:
-                raise FormatError(f"weight denominators have an lcm beyond {MAX_WEIGHT_BITS} bits")
-        if any(
-            (abs(w.numerator) * (common // w.denominator)).bit_length() > MAX_WEIGHT_BITS
-            for w in doc.edge_weights
-        ):
-            raise FormatError(f"a weight over their lcm exceeds {MAX_WEIGHT_BITS} bits")
+        _check_weight_bits(doc.edge_weights)
         return doc
 
     def normalize(self) -> ParityInstance:

@@ -21,10 +21,10 @@ never see floating point.  The marker ladder follows from four values
 which delta sets); a trace stores those, and a marker is computed from
 them only when asked for, so no ladder is ever built.  The heaviest
 weight and the level count do not depend on the shift: they are
-prepared once per ``(instance, epsilon, delta)``, with the bit sizes the
-marker budget needs, and kept in one slot on the instance, as its
-signature is.  A run checks its parameters once, on entry, then draws
-its shift and tests that shift's budget with one integer comparison.
+prepared once per ``(instance, epsilon, delta)`` and kept in one slot on
+the instance, as its signature is.  A run checks its parameters once, on
+entry, then draws its shift and tests that shift's budget with
+``marker_bits``.
 """
 
 from __future__ import annotations
@@ -221,58 +221,43 @@ def _level_count(shrink: Fraction, tail: Fraction, max_levels: int) -> int:
     return last_above + 2
 
 
-@dataclass(frozen=True)
-class _Ladder:
-    """The shift-free half of an instance's marker ladder for one ``(epsilon, delta)``,
-    or, in ``refusal``, the type and message of the error preparing it raised."""
+def _ladder(instance: ParityInstance, epsilon: Fraction, delta: Fraction) -> tuple[Fraction, int]:
+    """The heaviest lone-feasible weight and the level count for ``(epsilon, delta)``.
 
-    epsilon: Fraction
-    delta: Fraction
-    heaviest: Fraction | None = None
-    heaviest_bits: int = 0
-    shrink_bits: int = 0
-    levels: int = 0
-    refusal: tuple[type[ValueError], str] | None = None
-
-    def scheme(self, tau: Fraction) -> IntervalScheme:
-        """The ladder at shift ``tau`` in [0, epsilon); raises the preparation's error, or
-        LadderBudgetError if this shift's ``marker_bits`` exceed ``MAX_MARKER_BITS``."""
-        if self.refusal is not None:
-            kind, message = self.refusal
-            raise kind(message)
-        if self.levels * self.shrink_bits + _bits(tau) + self.heaviest_bits > MAX_MARKER_BITS:
-            raise _over_budget(self.shrink_bits)
-        return IntervalScheme(self.heaviest, self.epsilon, tau, self.levels)
-
-
-def _ladder(instance: ParityInstance, epsilon: Fraction, delta: Fraction) -> _Ladder:
-    """The instance's prepared ladder for ``(epsilon, delta)``.
-
-    It is kept in one slot on the instance, as ``instance_signature``
-    keeps its hash, and another ``(epsilon, delta)`` replaces it.  A
-    shift adds at least one bit to a marker's size (tau = 0 adds one), so
-    levels past the budget at one bit are past it at every shift, and the
-    level count is found without building a power beyond it.
+    A prepared pair is kept in one slot on the instance as ``((epsilon,
+    delta), (heaviest, levels))``, the way ``instance_signature`` keeps
+    its hash; another pair replaces it, and a refusal leaves it as it
+    was.  A shift adds at least one bit to a marker's size (tau = 0 adds
+    one), so levels past the budget at one bit are past it at every
+    shift, and the level count is found without building a power beyond
+    it.  Raises DegenerateInstanceError or LadderBudgetError.
     """
-    ladder = instance.__dict__.get("_ladder")
-    if ladder is not None and (ladder.epsilon, ladder.delta) == (epsilon, delta):
-        return ladder
-    try:
-        order = instance._lone_order
-        if not order:
-            raise DegenerateInstanceError("no edge is feasible on its own")
-        heaviest = instance.weight_numerators[order[0]]
-        if heaviest == 0:
-            raise DegenerateInstanceError("all feasible edges have zero weight")
-        weight = Fraction(heaviest, instance.weight_denominator)
-        shrink = 1 - epsilon
-        spare = MAX_MARKER_BITS - 1 - _bits(weight)
-        levels = _level_count(shrink, delta / instance.num_edges, spare // _bits(shrink))
-        ladder = _Ladder(epsilon, delta, weight, _bits(weight), _bits(shrink), levels)
-    except (DegenerateInstanceError, LadderBudgetError) as exc:
-        ladder = _Ladder(epsilon, delta, refusal=(type(exc), str(exc)))
-    instance.__dict__["_ladder"] = ladder
-    return ladder
+    kept = instance.__dict__.get("_ladder")
+    if kept is not None and kept[0] == (epsilon, delta):
+        return kept[1]
+    order = instance._lone_order
+    if not order:
+        raise DegenerateInstanceError("no edge is feasible on its own")
+    heaviest = instance.weight_numerators[order[0]]
+    if heaviest == 0:
+        raise DegenerateInstanceError("all feasible edges have zero weight")
+    weight = Fraction(heaviest, instance.weight_denominator)
+    shrink = 1 - epsilon
+    spare = MAX_MARKER_BITS - 1 - _bits(weight)
+    levels = _level_count(shrink, delta / instance.num_edges, spare // _bits(shrink))
+    instance.__dict__["_ladder"] = ((epsilon, delta), (weight, levels))
+    return weight, levels
+
+
+def _scheme(
+    instance: ParityInstance, epsilon: Fraction, delta: Fraction, tau: Fraction
+) -> IntervalScheme:
+    """The instance's ladder at shift ``tau`` in [0, epsilon); raises what ``_ladder``
+    raises, or LadderBudgetError if this shift's ``marker_bits`` exceed the budget."""
+    heaviest, levels = _ladder(instance, epsilon, delta)
+    if marker_bits(epsilon, tau, heaviest, levels) > MAX_MARKER_BITS:
+        raise _over_budget(_bits(1 - epsilon))
+    return IntervalScheme(heaviest, epsilon, tau, levels)
 
 
 def compute_markers(
@@ -299,7 +284,7 @@ def compute_markers(
         raise ValueError("delta must lie in (0, 1)")
     if not 0 <= tau < epsilon:
         raise ValueError("the shift must lie in [0, epsilon)")
-    return _ladder(instance, epsilon, delta).scheme(tau)
+    return _scheme(instance, epsilon, delta, tau)
 
 
 @dataclass(frozen=True)
@@ -409,11 +394,9 @@ class _Interval:
     ``ids`` are the interval's edges, ascending.  ``cand`` and ``pool``
     split them into the edges outside and inside the solution, each
     ascending; ``pool_w`` and ``pool_sets`` hold the pool's weight
-    numerators and vertex sets, aligned with ``pool``.  ``lightest`` is
-    empty until the search first needs removal sets of two or more edges;
-    it then holds the loss of the s lightest pool edges at index s.
-    ``stripped`` is the solution's vertex set outside the interval, fixed
-    while the interval is searched, and ``verts`` the whole solution's.
+    numerators and vertex sets, aligned with ``pool``.  ``stripped`` is
+    the solution's vertex set outside the interval, fixed while the
+    interval is searched, and ``verts`` the whole solution's.
     ``fits`` and ``floor`` are the search's memory of pre-checks and
     refuted singles (see ``_swap_search``).
 
@@ -428,7 +411,6 @@ class _Interval:
         self.pool: list[int] = []
         self.pool_w: list[int] = []
         self.pool_sets: list[frozenset[int]] = []
-        self.lightest: list[int] = []
         self.stripped = self.verts = verts
         self.fits: dict[tuple[int, ...], bool] = {}
         self.floor: dict[int, int] = {}
@@ -436,9 +418,8 @@ class _Interval:
 
     def apply(self, add: Iterable[int], rem: Iterable[int], verts: frozenset[int]) -> None:
         """Move ``rem`` from the pool to the candidates and ``add`` the other way, by
-        bisection, leaving the solution on ``verts``.  Every move drops ``lightest``,
-        and one that removes edges clears ``floor``: the solution shrank, so a
-        refuted single may fit now."""
+        bisection, leaving the solution on ``verts``.  A move that removes edges
+        clears ``floor``: the solution shrank, so a refuted single may fit now."""
         cand, pool, pool_w, pool_sets = self.cand, self.pool, self.pool_w, self.pool_sets
         for r in rem:
             i = bisect_left(pool, r)
@@ -452,7 +433,6 @@ class _Interval:
             pool_sets.insert(i, self._edges[j])
         if rem:
             self.floor.clear()
-        self.lightest = []
         self.verts = verts
 
 
@@ -474,8 +454,8 @@ def _swap_search(
     is the earliest in that order.  The move comes with the vertex set it
     was found independent on, the solution's vertex set after the swap.
     The count is of the calls made to ``indep``.  The search reads the
-    interval's kept state and writes only ``fits``, ``floor`` and
-    ``lightest``; the caller applies the move.
+    interval's kept state and writes only ``fits`` and ``floor``; the
+    caller applies the move.
 
     An addition is pruned outright if it is dependent on
     ``interval.stripped``, the weakest requirement any removal choice
@@ -520,7 +500,9 @@ def _swap_search(
     stripped, sol_verts, fits, floor = interval.stripped, interval.verts, interval.fits, interval.floor
     whole = len(pool)
     max_remove = min(2 * instance.arity, whole)
-    lightest = interval.lightest
+    # Built when removal pairs are first needed: lightest[s] is the loss of
+    # the s lightest pool edges, a lower bound on the loss of any s removals.
+    lightest: list[int] = []
     first_lex = rule == FIRST_LEX
     queries = 0
     best: tuple[int, tuple[int, ...], tuple[int, ...], frozenset[int]] | None = None
@@ -571,9 +553,7 @@ def _swap_search(
                 best = (gain_add - loss, add, (r,), after)
                 limit = loss  # only a lighter removal set beats this move
             if max_remove >= 2 and not lightest:
-                lightest = interval.lightest = list(
-                    accumulate(sorted(pool_w)[:max_remove], initial=0)
-                )
+                lightest = list(accumulate(sorted(pool_w)[:max_remove], initial=0))
             for rem_size in range(2, max_remove + 1):
                 if lightest[rem_size] >= limit:
                     break
@@ -666,11 +646,10 @@ def sliding_local_search(
     if type(seed) is not int:
         raise ValueError(f"the seed must be an integer, got {seed!r}")
 
-    ladder = _ladder(instance, epsilon, delta)
     signature = instance_signature(instance)
     tau = _draw_shift(epsilon, seed)
     try:
-        scheme = ladder.scheme(tau)
+        scheme = _scheme(instance, epsilon, delta, tau)
     except DegenerateInstanceError:
         scheme = None
     occupied = {} if scheme is None else _place_edges(instance, scheme)
@@ -695,14 +674,7 @@ def sliding_local_search(
             swaps.append(SwapMove(add, rem, Fraction(gain_num, den)))
         verts, added = interval.verts, tuple(interval.pool)
         chosen += added
-        records.append(
-            IntervalRecord(
-                index=index,
-                added=added,
-                swaps=tuple(swaps),
-                oracle_calls=calls,
-            )
-        )
+        records.append(IntervalRecord(index, added, tuple(swaps), calls))
 
     solution = instance._solution(chosen)
     trace = SolverTrace(

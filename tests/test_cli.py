@@ -83,9 +83,11 @@ def test_gen_count_writes_each_seed_in_turn(tmp_path, capsys):
 
 def test_gen_flag_error_creates_no_file(tmp_path, capsys):
     path = tmp_path / "never.json"
-    assert main(["gen", "--gen", "set-packing", "--k", "0", "--out", str(path)]) == 1
-    assert not path.exists()
-    assert capsys.readouterr().err.count("\n") == 1
+    # 1e-1000 is a rational the flag reads, but 1 - rho is past the loader's weight budget.
+    for flags in (["--gen", "set-packing", "--k", "0"], ["--gen", "greedy-trap", "--rho", "1e-1000"]):
+        assert main(["gen", *flags, "--out", str(path)]) == 1
+        assert not path.exists()
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_gen_memory_does_not_grow_with_count(tmp_path):

@@ -300,7 +300,7 @@ def test_conflict_trace_refuses_negative_gamma_degenerate_run_and_infeasible_opt
     optimum = brute_force_optimum(inst).optimum
     with pytest.raises(ExchangeInputError, match="gamma must be nonnegative"):
         build_conflict_trace(inst, trace, optimum, Fraction(-1, 10**9))
-    everything = inst.solution(range(inst.num_edges))
+    everything = Solution(range(inst.num_edges), sum(inst.weights))
     assert not inst.is_feasible(everything.edges)
     with pytest.raises(ExchangeInputError, match="claimed optimum is not feasible"):
         build_conflict_trace(inst, trace, everything, GAMMA)
@@ -310,7 +310,7 @@ def test_conflict_trace_refuses_negative_gamma_degenerate_run_and_infeasible_opt
     _, degenerate = sliding_local_search(zero, EPS, DELTA, 0)
     assert degenerate.scheme is None and check_trace(zero, degenerate) == {}
     with pytest.raises(ExchangeInputError, match="degenerate trace has no interval structure"):
-        build_conflict_trace(zero, degenerate, zero.solution(()), GAMMA)
+        build_conflict_trace(zero, degenerate, Solution((), 0), GAMMA)
 
 
 def test_conflict_trace_verifier_asks_an_empty_layer_nothing():

@@ -11,7 +11,7 @@ from mpls.generators import (
     random_partition_matroids,
 )
 from mpls.matroids import PartitionMatroid
-from mpls.serialization import dumps_canonical
+from mpls.serialization import InstanceDoc, dumps_canonical
 
 
 def test_greedy_trap_shape():
@@ -113,6 +113,14 @@ def test_greedy_trap_reads_rho_exactly():
     for rho in ("3/10", "0.3", "3e-1"):
         assert dumps_canonical(build_doc("greedy-trap", k=2, rho=rho).to_json_obj()) == expected
     assert build_doc("greedy-trap", k=2, rho=0).edge_weights == (Fraction(1),) * 3
+
+
+def test_greedy_trap_refuses_a_rho_the_loader_would_refuse():
+    # 1 - rho has a 3,001-bit denominator, past MAX_WEIGHT_BITS; one bit less loads.
+    with pytest.raises(GeneratorError, match="^rho: weight denominators have an lcm beyond"):
+        build_doc("greedy-trap", k=3, rho=Fraction(1, 2**3000))
+    obj = build_doc("greedy-trap", k=3, rho=Fraction(1, 2**2999)).to_json_obj()
+    assert InstanceDoc.from_json_obj(obj).to_json_obj() == obj
 
 
 @pytest.mark.parametrize("family", ["set-packing", "graphic-parity", "k-mi-partition"])
