@@ -2,8 +2,9 @@
 
 One exhaustive search, branch-and-bound in integer weights on the normal
 form, computes the canonical optimum: maximum weight, ties broken toward
-the lexicographically smallest sorted edge-id tuple.  ``EXACT_LIMIT``
-caps the exponential work.
+the lexicographically smallest sorted edge-id tuple.  A k-matroid
+intersection is searched on its parity reduction.  ``EXACT_LIMIT`` caps
+the exponential work.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .instance import ParityInstance, Solution
+from .instance import ParityInstance, Solution, from_matroid_intersection
 from .matroids import MatroidOracle
 from .serialization import instance_signature
 from .solver import MAX_MARKER_BITS, SolverTrace, marker_bits
 
-# Most edges (or intersection elements) an exhaustive search accepts.
+# Most edges (an intersection's elements) the exhaustive search accepts.
 EXACT_LIMIT = 20
 
 
@@ -92,27 +93,15 @@ def brute_force_intersection(
     matroids: Sequence[MatroidOracle],
     weights: Sequence[Fraction],
 ) -> Solution:
-    """Max-weight common independent set of several matroids, by enumeration.
+    """Canonical max-weight common independent set of several matroids.
 
-    Elements play the role of edge ids; the same canonical tie-break as
-    the parity brute force applies.
+    ``brute_force_optimum`` on the parity form that
+    ``from_matroid_intersection`` builds, whose edge j is element j, so
+    the same tie-break and ``EXACT_LIMIT`` apply.  The reduction refuses
+    no matroids, a ground set other than ``0..n-1`` or a negative weight
+    with ``InstanceError`` before any query.
     """
-    n = len(weights)
-    if n > EXACT_LIMIT:
-        raise SizeLimitExceeded(f"{n} elements exceeds the exact limit of {EXACT_LIMIT}")
-    best_key: tuple[int, ...] | None = None
-    best_weight = Fraction(0)
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            s = frozenset(combo)
-            if all(m.is_independent(s) for m in matroids):
-                w = sum((Fraction(weights[j]) for j in combo), Fraction(0))
-                if w > best_weight or (
-                    w == best_weight and (best_key is None or combo < best_key)
-                ):
-                    best_weight = w
-                    best_key = combo
-    return Solution(frozenset(best_key or ()), best_weight)
+    return brute_force_optimum(from_matroid_intersection(matroids, weights)).optimum
 
 
 class TraceRefuted(ValueError):

@@ -27,9 +27,8 @@ from mpls.exact import (
     verify_local_optimum,
 )
 from mpls.generators import build_doc, generate, random_partition_matroids
-from mpls.instance import from_matroid_intersection
 from mpls.solver import scale_weights, sliding_local_search
-from test_exact import flat_scan_optimum, raw_fields
+from test_exact import flat_scan_intersection, flat_scan_optimum, raw_fields
 
 EPSILON = Fraction("0.3873")
 WIDE_EPSILON = Fraction("0.49")
@@ -250,9 +249,8 @@ def test_criterion_10_reductions_preserve_optima():
         n, k = rng.randint(2, 5), rng.choice((2, 3))
         matroids = random_partition_matroids(n, k, rng.getrandbits(32))
         weights = [Fraction(rng.randint(0, 50), rng.choice((1, 2, 4, 10))) for _ in range(n)]
-        direct = brute_force_intersection(matroids, weights)
-        via_parity = brute_force_optimum(from_matroid_intersection(matroids, weights)).optimum
-        assert direct == via_parity
+        # The reference asks each matroid directly; the library searches the reduction.
+        assert brute_force_intersection(matroids, weights) == flat_scan_intersection(matroids, weights)
     print("criterion 10: 100 normalizations + 100 intersection reductions preserved optima")
 
 

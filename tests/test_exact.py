@@ -24,10 +24,15 @@ from mpls.generators import generate, random_partition_matroids
 from mpls.instance import (
     ParityInstance,
     Solution,
-    from_matroid_intersection,
     make_disjoint,
 )
-from mpls.matroids import FreeMatroid, MatroidOracle, PartitionMatroid, UniformMatroid
+from mpls.matroids import (
+    FreeMatroid,
+    GraphicMatroid,
+    MatroidOracle,
+    PartitionMatroid,
+    UniformMatroid,
+)
 from mpls.serialization import FormatError, instance_signature, matroid_from_descriptor
 from mpls.solver import (
     MAX_MARKER_BITS,
@@ -107,6 +112,21 @@ def flat_scan_optimum(instance):
                 best_weight = w
                 best_key = combo
     return Solution(frozenset(best_key or ()), best_weight), explored
+
+
+def flat_scan_intersection(matroids, weights):
+    """Reference optimum of a k-matroid intersection: a flat scan over every
+    element subset that asks each matroid directly, with no reduction.
+    """
+    best_key, best_weight = (), Fraction(0)
+    for size in range(1, len(weights) + 1):
+        for combo in combinations(range(len(weights)), size):
+            w = sum((weights[j] for j in combo), Fraction(0))
+            if (w > best_weight or (w == best_weight and combo < best_key)) and all(
+                m.is_independent(combo) for m in matroids
+            ):
+                best_key, best_weight = combo, w
+    return Solution(frozenset(best_key), best_weight)
 
 
 def test_enumeration_and_branch_and_bound_agree():
@@ -192,20 +212,45 @@ def test_size_limits():
     assert result.optimum.weight == Fraction(210)
     assert result.optimum.edges == frozenset(range(20))
 
-    with pytest.raises(SizeLimitExceeded, match="^21 elements exceeds the exact limit of 20$"):
+    # An intersection's elements are the edges of its parity reduction.
+    with pytest.raises(SizeLimitExceeded, match="^21 edges exceeds the exact limit of 20$"):
         brute_force_intersection([FreeMatroid(21)], [Fraction(1)] * 21)
 
 
-def test_intersection_enumeration_matches_parity_reduction():
-    for seed in range(10):
-        rng = random.Random(seed)
-        matroids = random_partition_matroids(5, 2, seed)
-        weights = [Fraction(rng.randint(0, 40), 4) for _ in range(5)]
-        direct = brute_force_intersection(matroids, weights)
-        via_parity = brute_force_optimum(
-            from_matroid_intersection(matroids, weights)
-        ).optimum
-        assert direct == via_parity
+@st.composite
+def mixed_intersections(draw):
+    """1 to 3 uniform, graphic or partition matroids on up to 8 elements, with
+    weights 0-3 over 1-2, so ties and zero weights are common."""
+    n = draw(st.integers(0, 8))
+    matroids = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("uniform", "graphic", "partition")))
+        if kind == "uniform":
+            matroids.append(UniformMatroid(n, draw(st.integers(0, n))))
+        elif kind == "graphic":
+            ends = st.tuples(st.integers(0, 3), st.integers(0, 3))
+            matroids.append(GraphicMatroid(4, draw(st.lists(ends, min_size=n, max_size=n))))
+        else:
+            matroids.append(random_partition_matroids(n, 1, draw(st.integers(0, 2**32 - 1)))[0])
+    weights = [Fraction(draw(st.integers(0, 3)), draw(st.integers(1, 2))) for _ in range(n)]
+    return matroids, weights
+
+
+@given(mixed_intersections())
+def test_intersection_enumeration_matches_parity_reduction(case):
+    matroids, weights = case
+    assert brute_force_intersection(matroids, weights) == flat_scan_intersection(matroids, weights)
+
+
+def test_intersection_search_asks_each_matroid_at_most_once_per_node():
+    # k-mi-partition writes the same matroids as one partition matroid over
+    # copy blocks, so both forms run the same 333-node search; a flat scan
+    # asks up to 2**18 subsets.
+    inst = generate("k-mi-partition", n=18, k=3, seed=0)
+    seed = random.Random(0).getrandbits(32)
+    matroids = [PublicOnly(m) for m in random_partition_matroids(18, 3, seed)]
+    assert brute_force_intersection(matroids, inst.weights) == brute_force_optimum(inst).optimum
+    assert all(0 < m.asked <= 333 for m in matroids)
 
 
 def test_solver_traces_verify_as_locally_optimal():

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from mpls.exact import brute_force_intersection
 from mpls.generators import generate
 from mpls.instance import InstanceError, ParityInstance, from_matroid_intersection
 from mpls.matroids import (
@@ -48,6 +49,23 @@ REFUSALS = {
     "intersection-ground": (
         lambda: from_matroid_intersection([FreeMatroid(2), FreeMatroid(3)], [1, 2]),
         InstanceError, "matroid 1 is not on the shared ground set",
+    ),
+    # The intersection optimum is searched on the reduction, so it refuses alike.
+    "optimum-of-no-intersection": (
+        lambda: brute_force_intersection([], [Fraction(1)]),
+        InstanceError, "need at least one matroid",
+    ),
+    "optimum-on-a-wider-ground": (
+        lambda: brute_force_intersection([FreeMatroid(3)], [1, 2]),
+        InstanceError, "matroid 0 is not on the shared ground set",
+    ),
+    "optimum-on-a-narrower-ground": (
+        lambda: brute_force_intersection([FreeMatroid(2), FreeMatroid(1)], [1, 2]),
+        InstanceError, "matroid 1 is not on the shared ground set",
+    ),
+    "optimum-of-a-negative-weight": (
+        lambda: brute_force_intersection([FreeMatroid(2)], [1, -2]),
+        InstanceError, "edge weights must be nonnegative",
     ),
     "free-negative": (lambda: FreeMatroid(-1), ValueError, "ground size must be nonnegative"),
     "uniform-negative-size": (lambda: UniformMatroid(-1, 0), ValueError, "need n >= 0"),
