@@ -5,7 +5,7 @@ weighted matroid k-parity and weighted k-matroid intersection.
 """
 
 from .exact import (
-    EXACT_LIMIT,
+    EXACT_BUDGET,
     ExactResult,
     SizeLimitExceeded,
     TraceMismatch,

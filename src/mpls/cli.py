@@ -199,7 +199,7 @@ def _ratio_floor(arity: int, scaled: bool, scale_epsilon: Fraction) -> Fraction:
 
 
 def _optimum_weight(inst: ParityInstance) -> Fraction | None:
-    """The exact optimum weight, or None for an instance past ``EXACT_LIMIT``."""
+    """The exact optimum weight, or None when the search passes ``EXACT_BUDGET``."""
     try:
         return brute_force_optimum(inst).optimum.weight
     except SizeLimitExceeded:

@@ -3,8 +3,9 @@
 One exhaustive search, branch-and-bound in integer weights on the normal
 form, computes the canonical optimum: maximum weight, ties broken toward
 the lexicographically smallest sorted edge-id tuple.  A k-matroid
-intersection is searched on its parity reduction.  ``EXACT_LIMIT`` caps
-the exponential work.
+intersection is searched on its parity reduction.  The search skips the
+edges that the instance's structural conflict table rules out, and
+``EXACT_BUDGET`` bounds its work, whatever the instance's size.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from .matroids import MatroidOracle
 from .serialization import instance_signature
 from .solver import MAX_MARKER_BITS, SolverTrace, marker_bits
 
-# Most edges (an intersection's elements) the exhaustive search accepts.
-EXACT_LIMIT = 20
+# Most steps the exact search takes: each node, each vertex of a set it
+# asks the oracle about and each edge of a conflict group it reads is one.
+EXACT_BUDGET = 2**22
 
 
 class SizeLimitExceeded(ValueError):
@@ -41,50 +43,92 @@ def brute_force_optimum(instance: ParityInstance) -> ExactResult:
     """Canonical exact optimum, by depth-first include/exclude, heaviest edge first.
 
     Weights are the instance's integer numerators over their common
-    denominator, so every sum and bound is an integer operation.  Edges
-    are decided by decreasing weight, ties by id, and a subtree is cut
-    when even all of its remaining weight could not reach the best found
-    so far.  The cut is strict (``weight + suffix < best``), and every
-    prefix of a feasible set is feasible, so each maximum-weight feasible
-    set is still reached as a node; comparing the sorted id tuple of each
-    node at least as heavy as the best therefore yields the same
-    canonical optimum as any other visiting order.  Only ``explored``
-    depends on the order.  Edges of the normal form are disjoint, so a
-    set is feasible exactly when its vertex union is independent.
+    denominator, so every sum and bound is an integer operation.  Only
+    edges feasible alone are decided, by decreasing weight, ties by id;
+    the first edge taken therefore needs no query.  An edge taken blocks
+    the later edges it conflicts with (``ParityInstance.conflicts``),
+    which are then passed over without a query or a node.  A subtree is
+    cut when even all of its remaining unblocked weight could not reach
+    the best found so far.  The cut is strict (``weight + rest < best``),
+    and every prefix of a feasible set is feasible, holds only edges
+    feasible alone and no conflicting pair, so each maximum-weight
+    feasible set is still reached as a node;
+    comparing the sorted id tuple of each node at least as heavy as the
+    best therefore yields the same canonical optimum as any other
+    visiting order.  Only ``explored``, the node count, depends on the
+    order.  Edges of the normal form are disjoint, so a set is feasible
+    exactly when its vertex union is independent.
+
+    The search keeps its own stack, so its depth is not Python's
+    recursion limit, and it raises ``SizeLimitExceeded`` once it passes
+    ``EXACT_BUDGET`` steps, a count that does not depend on the machine.
     """
-    edges, matroid = instance.edges, instance.matroid
-    m = len(edges)
-    if m > EXACT_LIMIT:
-        raise SizeLimitExceeded(f"{m} edges exceeds the exact limit of {EXACT_LIMIT}")
+    edges, matroid, conflicts = instance.edges, instance.matroid, instance.conflicts
+    order = instance._lone_order
+    n = len(order)
     numerators = instance.weight_numerators
-    order = sorted(range(m), key=lambda j: (-numerators[j], j))
-    suffix = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + numerators[order[i]]
+    weight_at = [numerators[j] for j in order]
+    position = [-1] * len(edges)  # of each lone-feasible edge in ``order``
+    for p, j in enumerate(order):
+        position[j] = p
+    blocked = bytearray(n)
 
     best_weight = 0
     best_key: tuple[int, ...] = ()
-    explored = 0
-
-    def visit(i: int, chosen: list[int], used: frozenset[int], weight: int) -> None:
-        nonlocal best_weight, best_key, explored
+    explored = steps = 0
+    chosen: list[int] = []
+    used: set[int] = set()  # the vertices of ``chosen``
+    # Per chosen edge: its position, the weight and rest before it, and the positions it blocked.
+    taken: list[tuple[int, int, int, list[int]]] = []
+    # The node: decide positions from i on, holding ``weight``, with ``rest``
+    # the weight of the unblocked positions from i on.
+    i, weight, rest = 0, 0, sum(weight_at)
+    while True:
+        steps += 1
+        if steps > EXACT_BUDGET:
+            raise SizeLimitExceeded(
+                f"the exact search passed its budget of {EXACT_BUDGET} steps after {explored} nodes"
+            )
         explored += 1
         if weight >= best_weight:
             key = tuple(sorted(chosen))
             if weight > best_weight or key < best_key:
                 best_weight = weight
                 best_key = key
-        if i == m or weight + suffix[i] < best_weight:
-            return
-        j = order[i]
-        grown = used | edges[j]
-        if matroid._independent(grown):  # a union of the instance's edges
-            chosen.append(j)
-            visit(i + 1, chosen, grown, weight + numerators[j])
-            chosen.pop()
-        visit(i + 1, chosen, used, weight)
+        if weight + rest >= best_weight:
+            while i < n and blocked[i]:
+                i += 1
+            if i < n:
+                j, w = order[i], weight_at[i]
+                used.update(edges[j])
+                if chosen:
+                    steps += len(used)
+                if not chosen or matroid._independent(used):  # a union of the instance's edges
+                    newly: list[int] = []
+                    left = rest - w
+                    for group in conflicts[j]:
+                        steps += len(group)
+                        for e in group:
+                            q = position[e]
+                            if q > i and not blocked[q]:
+                                blocked[q] = 1
+                                newly.append(q)
+                                left -= weight_at[q]
+                    taken.append((i, weight, rest, newly))
+                    chosen.append(j)
+                    i, weight, rest = i + 1, weight + w, left
+                    continue
+                used.difference_update(edges[j])
+                i, rest = i + 1, rest - w  # the edge left out
+                continue
+        if not taken:
+            break
+        p, weight, rest, newly = taken.pop()
+        used.difference_update(edges[chosen.pop()])
+        for q in newly:
+            blocked[q] = 0
+        i, rest = p + 1, rest - weight_at[p]  # the edge left out
 
-    visit(0, [], frozenset(), 0)
     weight = Fraction(best_weight, instance.weight_denominator)
     return ExactResult(optimum=Solution(frozenset(best_key), weight), explored=explored)
 
@@ -97,7 +141,7 @@ def brute_force_intersection(
 
     ``brute_force_optimum`` on the parity form that
     ``from_matroid_intersection`` builds, whose edge j is element j, so
-    the same tie-break and ``EXACT_LIMIT`` apply.  The reduction refuses
+    the same tie-break and ``EXACT_BUDGET`` apply.  The reduction refuses
     no matroids, a ground set other than ``0..n-1`` or a negative weight
     with ``InstanceError`` before any query.
     """

@@ -112,6 +112,25 @@ class ParityInstance:
         return tuple(self.matroid.is_independent(e) for e in self.edges)
 
     @cached_property
+    def conflicts(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """For each edge, the groups of edges it can never share a solution with.
+
+        Any two edges of a group hold elements of one of the matroid's
+        ``_parallel_classes``, so their union is dependent; the edge itself
+        is in each of its groups.  A group is one tuple shared by all its
+        edges, so the table grows with the instance, not with the number
+        of conflicting pairs.  No query is asked.
+        """
+        edge_of = {v: j for j, e in enumerate(self.edges) for v in e}
+        groups: list[list[tuple[int, ...]]] = [[] for _ in self.edges]
+        for cls in self.matroid._parallel_classes():
+            group = tuple(sorted({edge_of[v] for v in cls}))
+            if len(group) > 1:
+                for j in group:
+                    groups[j].append(group)
+        return tuple(map(tuple, groups))
+
+    @cached_property
     def _lone_order(self) -> tuple[int, ...]:
         """The edges feasible on their own, heaviest first, ties by id."""
         wn = self.weight_numerators
@@ -121,11 +140,12 @@ class ParityInstance:
     def _reweighted(self, weights: Iterable[Fraction]) -> ParityInstance:
         """This instance with other weights, of which only the weights are checked.
 
-        Lone feasibility depends on the edges and the matroid alone, so it
-        carries over; the signature covers the weights and does not, and
-        neither does the lone order, since new weights may tie and reorder.
+        Lone feasibility and the conflicts, once built, depend on the edges
+        and the matroid alone, so they carry over; the signature covers the
+        weights and does not, and neither does the lone order, since new
+        weights may tie and reorder.
         """
-        return _built(
+        new = _built(
             num_vertices=self.num_vertices,
             edges=self.edges,
             weights=_check_weights(weights, len(self.edges)),
@@ -133,6 +153,9 @@ class ParityInstance:
             arity=self.arity,
             feasible_alone=self.feasible_alone,
         )
+        if "conflicts" in self.__dict__:
+            new.__dict__["conflicts"] = self.conflicts
+        return new
 
     def is_feasible(self, edge_ids: Iterable[int]) -> bool:
         ids = frozenset(edge_ids)

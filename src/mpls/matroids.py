@@ -10,12 +10,17 @@ copying them, and is immutable after construction.
 turns it into a frozenset.  A combinator calls its base's unchecked
 ``_independent``, so a query is validated once, at the outer oracle.
 Oracles count nothing: a solver run counts its queries in its trace.
+
+``_parallel_classes`` states, from an oracle's structure and never from
+its answers, groups of elements any two of which are dependent together.
+Two such elements form a circuit, or one is a loop, so no independent
+set holds both.  Any part of that relation is sound to state.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Collection, Iterable, Sequence
 
 
 # Largest modulus a linear matroid accepts; trial division up to its
@@ -45,7 +50,9 @@ class MatroidOracle:
     inside ``ground``; it must not modify the set.  The public entry
     point validates the query and delegates.  A wrapper that overrides
     only ``is_independent`` is still answered through that override when
-    a combinator queries it.
+    a combinator queries it.  Such a wrapper that keeps the oracle it
+    answers for as ``base``, on its own ground set, is taken for a proxy
+    and states its base's parallel classes.
     """
 
     __slots__ = ("ground",)
@@ -67,6 +74,20 @@ class MatroidOracle:
     def _independent(self, subset: AbstractSet[int]) -> bool:
         # Reached only by a wrapper that overrides ``is_independent`` alone.
         return self.is_independent(subset)
+
+    def _parallel_classes(self) -> Iterable[Collection[int]]:
+        """Pairwise disjoint groups of elements, any two in one group dependent together.
+
+        Stated from structure alone; an oracle may state fewer, or none.
+        """
+        base = getattr(self, "base", None)
+        if (
+            type(self)._independent is MatroidOracle._independent
+            and isinstance(base, MatroidOracle)
+            and base.ground == self.ground
+        ):
+            return base._parallel_classes()
+        return ()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(|ground|={len(self.ground)})"
@@ -99,6 +120,9 @@ class UniformMatroid(MatroidOracle):
 
     def _independent(self, subset: AbstractSet[int]) -> bool:
         return len(subset) <= self.r
+
+    def _parallel_classes(self) -> Iterable[Collection[int]]:
+        return (self.ground,) if self.r == 1 else ()
 
 
 class PartitionMatroid(MatroidOracle):
@@ -139,6 +163,9 @@ class PartitionMatroid(MatroidOracle):
             counts[b] = c
         return True
 
+    def _parallel_classes(self) -> Iterable[Collection[int]]:
+        return (b for b, c in zip(self.blocks, self.capacities) if c == 1)
+
 
 class GraphicMatroid(MatroidOracle):
     """Ground elements are edges of a graph; independent iff they form a forest."""
@@ -174,6 +201,13 @@ class GraphicMatroid(MatroidOracle):
                 return False  # closes a cycle (covers self-loops too)
             parent[u] = v
         return True
+
+    def _parallel_classes(self) -> Iterable[Collection[int]]:
+        ends: dict[tuple[int, int], list[int]] = {}  # non-loop edges by their end points
+        for idx, (u, v) in enumerate(self.graph_edges):
+            if u != v:
+                ends.setdefault((min(u, v), max(u, v)), []).append(idx)
+        return ends.values()
 
 
 class LinearMatroid(MatroidOracle):
@@ -221,6 +255,16 @@ class LinearMatroid(MatroidOracle):
             inv = pow(x, -1, p)
             pivots.append((row, [(inv * y) % p for y in col]))
         return True
+
+    def _parallel_classes(self) -> Iterable[Collection[int]]:
+        p = self.prime
+        scaled: dict[tuple[int, ...], list[int]] = {}  # nonzero columns by their multiple led by 1
+        for i, col in enumerate(self.columns):
+            lead = next((x for x in col if x), 0)
+            if lead:
+                inv = pow(lead, -1, p)
+                scaled.setdefault(tuple(inv * x % p for x in col), []).append(i)
+        return scaled.values()
 
 
 class ContractedMatroid(MatroidOracle):
@@ -278,6 +322,13 @@ class DirectSumMatroid(MatroidOracle):
                 return False
         return True
 
+    def _parallel_classes(self) -> Iterable[Collection[int]]:
+        return (
+            [x + offset for x in group]
+            for part, _, offset in self._slices
+            for group in part._parallel_classes()
+        )
+
 
 class VertexCopyMatroid(MatroidOracle):
     """Copies of base elements: at most one copy each, originals independent.
@@ -307,3 +358,13 @@ class VertexCopyMatroid(MatroidOracle):
                 return False
             seen.add(o)
         return self.base._independent(seen)
+
+    def _parallel_classes(self) -> Iterable[Collection[int]]:
+        # Copies of one original, or of originals in one base group, share a key.
+        key: dict[int, int] = {}
+        for group in self.base._parallel_classes():
+            key.update(dict.fromkeys(group, next(iter(group), None)))
+        copies: dict[int, list[int]] = {}
+        for c, o in self.copy_to_original.items():
+            copies.setdefault(key.get(o, o), []).append(c)
+        return copies.values()

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from mpls import cli
+from mpls import cli, exact
 from mpls.cli import DEFAULT_DELTA, DEFAULT_EPSILON, DEFAULT_SCALE_EPSILON, main
 from mpls.exact import TraceMismatch, check_trace, verify_local_optimum
 from mpls.generators import generate
@@ -118,16 +118,19 @@ def test_exact_on_greedy_trap(capsys):
     assert rec["status"] == "ok"
     assert rec["weight"] == "2.1"
     assert rec["edges"] == [1, 2, 3]
-    assert rec["explored"] == 12
+    assert rec["explored"] == 9
     assert "method" not in rec
 
 
 def test_exact_skips_oversized_instances(capsys):
+    # 5,000 edges: the search ends at its budget, and its depth is no recursion limit.
     code, out = run(
-        capsys, ["exact", "--gen", "set-packing", "--n", "9", "--m", "25", "--k", "2"]
+        capsys, ["exact", "--gen", "set-packing", "--n", "300", "--m", "5000", "--k", "3"]
     )
     assert code == 0
-    assert json.loads(out)["status"] == "skipped"
+    rec = json.loads(out)
+    assert rec["status"] == "skipped"
+    assert rec["reason"].startswith("the exact search passed its budget of 4194304 steps")
 
 
 def test_greedy_algo_has_no_shift(capsys):
@@ -317,7 +320,8 @@ def assert_one_error_line(capsys):
     assert captured.err.count("\n") == 1
 
 
-def test_badprob_on_an_oversized_instance_exits_one_with_one_error_line(capsys):
+def test_badprob_on_an_oversized_instance_exits_one_with_one_error_line(capsys, monkeypatch):
+    monkeypatch.setattr(exact, "EXACT_BUDGET", 1000)  # a refusal without the full budget's work
     argv = ["verify", "badprob", "--gen", "set-packing", "--n", "30", "--m", "30", "--k", "3"]
     assert main(argv) == 1
     assert_one_error_line(capsys)
@@ -336,7 +340,8 @@ def test_badprob_on_zero_weights_exits_one_with_one_error_line(tmp_path, capsys)
     assert_one_error_line(capsys)
 
 
-def test_oversized_instances_are_still_skipped_by_solve_and_bench(capsys):
+def test_oversized_instances_are_still_skipped_by_solve_and_bench(capsys, monkeypatch):
+    monkeypatch.setattr(exact, "EXACT_BUDGET", 1000)  # a refusal without the full budget's work
     big = ["--gen", "set-packing", "--n", "30", "--m", "30", "--k", "3"]
     code, out = run(capsys, ["solve", *big, "--exact"])
     assert code == 0

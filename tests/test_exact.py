@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import PublicOnly
+from test_matroids import oracles
 from mpls.exact import (
-    EXACT_LIMIT,
+    EXACT_BUDGET,
     SizeLimitExceeded,
     TraceMismatch,
     TraceRefuted,
@@ -24,6 +25,7 @@ from mpls.generators import generate, random_partition_matroids
 from mpls.instance import (
     ParityInstance,
     Solution,
+    from_matroid_intersection,
     make_disjoint,
 )
 from mpls.matroids import (
@@ -41,6 +43,7 @@ from mpls.solver import (
     SwapMove,
     compute_markers,
     marker_bits,
+    scale_weights,
     sliding_local_search,
     trace_from_json_obj,
     trace_to_json_obj,
@@ -159,7 +162,7 @@ def test_subset_enumeration_visits_every_subset():
 
 @st.composite
 def overlapping_instances(draw):
-    """Up to 12 possibly overlapping edges under a random partition matroid.
+    """Up to 12 possibly overlapping edges under an oracle of any family or combinator.
 
     Weights have numerators 0-3 over denominators 1-3, so ties and zero
     weights are common.
@@ -170,26 +173,27 @@ def overlapping_instances(draw):
     weights = [
         Fraction(draw(st.integers(0, 3)), draw(st.integers(1, 3))) for _ in edges
     ]
-    block_of = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    blocks = [[v for v in range(n) if block_of[v] == b] for b in range(3)]
-    capacities = [draw(st.integers(0, len(b))) for b in blocks]
-    return RawFields(n, tuple(edges), tuple(weights), PartitionMatroid(blocks, capacities), 3)
+    return RawFields(n, tuple(edges), tuple(weights), draw(oracles(n)), 3)
 
 
 @settings(max_examples=300, deadline=None)
 @given(overlapping_instances())
 def test_branch_and_bound_matches_subset_enumeration(raw):
     norm = make_disjoint(*raw)
+    scaled = scale_weights(norm, Fraction(1, 10))  # before the table is built
     fast = brute_force_optimum(norm).optimum
     assert flat_scan_optimum(raw)[0] == fast
     assert flat_scan_optimum(norm)[0] == fast
+    # A scaled copy carries the built table over, or builds the same one.
+    carried = scale_weights(norm, Fraction(1, 10)).conflicts
+    assert carried == scaled.conflicts == make_disjoint(*raw).conflicts
 
 
 def test_branch_and_bound_visits_heaviest_edges_first():
-    # Taking edges by id order instead explores 2,434 nodes here.
+    # Taking edges by id order instead explores 710 nodes here.
     inst = generate("k-mi-partition", n=18, k=3, seed=0)
     result = brute_force_optimum(inst)
-    assert result.explored == 333
+    assert result.explored == 87
     assert sorted(result.optimum.edges) == [0, 1, 3, 4, 5, 6, 9, 12, 13, 14, 15, 16]
     assert result.optimum.weight == Fraction(71623, 100)
 
@@ -205,27 +209,34 @@ def wide_instance(m):
 
 
 def test_size_limits():
-    assert EXACT_LIMIT == 20
-    with pytest.raises(SizeLimitExceeded, match="^21 edges exceeds the exact limit of 20$"):
-        brute_force_optimum(wide_instance(21))
-    result = brute_force_optimum(wide_instance(20))
-    assert result.optimum.weight == Fraction(210)
-    assert result.optimum.edges == frozenset(range(20))
+    # No edge cap: a search deeper than the recursion limit keeps its own stack.
+    result = brute_force_optimum(wide_instance(1200))
+    assert result.optimum.weight == Fraction(1200 * 1201, 2)
+    assert result.optimum.edges == frozenset(range(1200))
+    assert result.explored == 2401
 
+    # Equal weights under a uniform matroid leave the cut nothing to prune.
+    assert EXACT_BUDGET == 2**22
+    refusal = "^the exact search passed its budget of 4194304 steps after 238303 nodes$"
+    with pytest.raises(SizeLimitExceeded, match=refusal):
+        brute_force_optimum(singles([1] * 40, UniformMatroid(40, 20)))
     # An intersection's elements are the edges of its parity reduction.
-    with pytest.raises(SizeLimitExceeded, match="^21 edges exceeds the exact limit of 20$"):
-        brute_force_intersection([FreeMatroid(21)], [Fraction(1)] * 21)
+    with pytest.raises(SizeLimitExceeded, match=refusal):
+        brute_force_intersection([UniformMatroid(40, 20)], [Fraction(1)] * 40)
 
 
 @st.composite
 def mixed_intersections(draw):
-    """1 to 3 uniform, graphic or partition matroids on up to 8 elements, with
-    weights 0-3 over 1-2, so ties and zero weights are common."""
+    """1 to 3 matroids on up to 8 elements: uniform, graphic, generated
+    partition, or any oracle ``oracles`` draws; weights 0-3 over 1-2, so
+    ties and zero weights are common."""
     n = draw(st.integers(0, 8))
     matroids = []
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(("uniform", "graphic", "partition")))
-        if kind == "uniform":
+        kind = draw(st.sampled_from(("uniform", "graphic", "partition", "any")))
+        if kind == "any":
+            matroids.append(draw(oracles(n)))
+        elif kind == "uniform":
             matroids.append(UniformMatroid(n, draw(st.integers(0, n))))
         elif kind == "graphic":
             ends = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -236,21 +247,25 @@ def mixed_intersections(draw):
     return matroids, weights
 
 
+@settings(deadline=None)
 @given(mixed_intersections())
 def test_intersection_enumeration_matches_parity_reduction(case):
     matroids, weights = case
-    assert brute_force_intersection(matroids, weights) == flat_scan_intersection(matroids, weights)
+    optimum = brute_force_intersection(matroids, weights)
+    assert optimum == flat_scan_intersection(matroids, weights)
+    assert optimum == flat_scan_optimum(from_matroid_intersection(matroids, weights))[0]
 
 
 def test_intersection_search_asks_each_matroid_at_most_once_per_node():
     # k-mi-partition writes the same matroids as one partition matroid over
-    # copy blocks, so both forms run the same 333-node search; a flat scan
+    # copy blocks, with the same capacity-1 blocks; the wrappers state their
+    # bases' blocks, so both forms run the same 87-node search; a flat scan
     # asks up to 2**18 subsets.
     inst = generate("k-mi-partition", n=18, k=3, seed=0)
     seed = random.Random(0).getrandbits(32)
     matroids = [PublicOnly(m) for m in random_partition_matroids(18, 3, seed)]
     assert brute_force_intersection(matroids, inst.weights) == brute_force_optimum(inst).optimum
-    assert all(0 < m.asked <= 333 for m in matroids)
+    assert all(0 < m.asked <= 87 for m in matroids)
 
 
 def test_solver_traces_verify_as_locally_optimal():

@@ -20,7 +20,7 @@ from mpls.matroids import (
 )
 from mpls.solver import scale_weights
 from conftest import PublicOnly
-from test_exact import RawFields, flat_scan_optimum
+from test_exact import RawFields, flat_scan_optimum, overlapping_instances
 
 
 def raw_is_feasible(raw, edge_ids):
@@ -201,6 +201,16 @@ def test_intersection_normal_forms_pass_the_public_checks(n, k, seed):
     weights = [Fraction(seed >> (4 * v) & 15, 1 + v % 3) for v in range(n)]
     matroids = random_partition_matroids(n, k, seed)
     assert_passes_public_checks(from_matroid_intersection(matroids, weights))
+
+
+@settings(max_examples=100, deadline=None)
+@given(overlapping_instances())
+def test_no_two_edges_of_a_conflict_group_are_feasible_together(raw):
+    inst = make_disjoint(*raw)
+    for j, groups in enumerate(inst.conflicts):
+        for group in groups:
+            assert j in group
+            assert all(not inst.is_feasible({j, other}) for other in group if other != j)
 
 
 def test_raw_optimum_survives_normalization():

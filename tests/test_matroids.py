@@ -453,3 +453,85 @@ def test_direct_sum_kernel_matches_the_reference(parts, data):
     oracle = DirectSumMatroid(parts)
     subset = subsets_of(data, oracle)
     assert oracle.is_independent(subset) == reference_direct_sum(parts, subset)
+
+
+@st.composite
+def oracles(draw, n, depth=2):
+    """An oracle on ``0..n-1``: a family, or a combinator over oracles drawn the same way.
+
+    Small fields, dimensions and graphs make zero and proportional columns,
+    self-loops and parallel edges common; ranks 0 and 1 and capacities 0
+    and 1 come up often.
+    """
+    kinds = ["free", "uniform", "partition", "graphic", "linear"]
+    if depth:
+        kinds += ["sum", "copies", "wrapped"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "free":
+        return FreeMatroid(n)
+    if kind == "uniform":
+        return UniformMatroid(n, draw(st.sampled_from([0, 1, 2, n])))
+    if kind == "partition":
+        block_of = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        blocks = [[v for v in range(n) if block_of[v] == b] for b in range(3)]
+        return PartitionMatroid(blocks, [draw(st.integers(0, 2)) for _ in blocks])
+    if kind == "graphic":
+        ends = st.tuples(st.integers(0, 3), st.integers(0, 3))
+        return GraphicMatroid(4, draw(st.lists(ends, min_size=n, max_size=n)))
+    if kind == "linear":
+        prime, dim = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 3))
+        column = st.lists(st.integers(-1, prime), min_size=dim, max_size=dim)
+        return LinearMatroid(prime, draw(st.lists(column, min_size=n, max_size=n)))
+    if kind == "sum":
+        a = draw(st.integers(0, n))
+        return DirectSumMatroid([draw(oracles(a, depth - 1)), draw(oracles(n - a, depth - 1))])
+    if kind == "copies":
+        originals = draw(st.integers(1, max(1, n)))
+        targets = draw(st.lists(st.integers(0, originals - 1), min_size=n, max_size=n))
+        return VertexCopyMatroid(draw(oracles(originals, depth - 1)), dict(enumerate(targets)))
+    return PublicOnly(draw(oracles(n, depth - 1)))
+
+
+def stated_groups(oracle):
+    """The groups an oracle states, as sets, checked to be disjoint and inside its ground."""
+    groups, seen = [], set()
+    for group in oracle._parallel_classes():
+        group = set(group)
+        assert group <= oracle.ground and not group & seen
+        seen |= group
+        groups.append(group)
+    return groups
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8).flatmap(oracles))
+def test_every_pair_an_oracle_states_parallel_is_dependent(oracle):
+    for group in stated_groups(oracle):
+        for pair in combinations(sorted(group), 2):
+            assert not oracle.is_independent(pair), pair
+
+
+PARALLEL_CASES = {
+    "free": (FreeMatroid(3), []),
+    "uniform rank 1": (UniformMatroid(3, 1), [{0, 1, 2}]),
+    "uniform rank 2": (UniformMatroid(3, 2), []),
+    "partition capacity 1": (PartitionMatroid([[0, 1], [2, 3], [4, 5]], [1, 2, 0]), [{0, 1}]),
+    "graphic": (GraphicMatroid(3, [(0, 1), (1, 0), (1, 1), (1, 1), (1, 2)]), [{0, 1}]),
+    "linear": (LinearMatroid(3, [[1, 2], [2, 1], [0, 0], [0, 3], [1, 0]]), [{0, 1}]),
+    "direct sum": (
+        DirectSumMatroid([UniformMatroid(2, 1), FreeMatroid(1), PartitionMatroid([[0, 1]], [1])]),
+        [{0, 1}, {3, 4}],
+    ),
+    "vertex copies": (
+        VertexCopyMatroid(GraphicMatroid(3, [(0, 1), (0, 1), (1, 2)]), {0: 0, 1: 0, 2: 1, 3: 2, 4: 2}),
+        [{0, 1, 2}, {3, 4}],
+    ),
+    "wrapper": (PublicOnly(UniformMatroid(3, 1)), [{0, 1, 2}]),
+    "contraction": (ContractedMatroid(UniformMatroid(3, 2), [0]), []),
+}
+
+
+@pytest.mark.parametrize("oracle, groups", PARALLEL_CASES.values(), ids=PARALLEL_CASES.keys())
+def test_each_family_states_its_parallel_classes(oracle, groups):
+    # Groups of one element say nothing and may be left in.
+    assert [g for g in stated_groups(oracle) if len(g) > 1] == groups

@@ -1114,12 +1114,14 @@ def test_the_kept_state_is_checked_across_removal_and_pair_moves():
 # Queries seen through a wrapper that overrides only ``is_independent``:
 # one unscaled run (seed 0), one greedy and one exact search, after the
 # instance's per-edge feasibility.  Every query the program builds reaches
-# such a wrapper, whichever entry of the oracle it calls.
+# such a wrapper, whichever entry of the oracle it calls.  The wrapper
+# states its base's parallel classes, so the exact search skips the edges
+# they rule out without asking.
 PUBLIC_QUERIES = {
-    "greedy-trap": ({"k": 3}, (4, 4, 7)),
-    "set-packing": ({"n": 12, "m": 20, "k": 3, "seed": 1}, (47, 20, 341)),
-    "graphic-parity": ({"n": 6, "m": 20, "k": 3, "seed": 1}, (18, 20, 109)),
-    "k-mi-partition": ({"n": 18, "k": 3, "seed": 1}, (25, 18, 300)),
+    "greedy-trap": ({"k": 3}, (4, 4, 2)),
+    "set-packing": ({"n": 12, "m": 20, "k": 3, "seed": 1}, (47, 20, 29)),
+    "graphic-parity": ({"n": 6, "m": 20, "k": 3, "seed": 1}, (18, 20, 11)),
+    "k-mi-partition": ({"n": 18, "k": 3, "seed": 1}, (25, 18, 46)),
 }
 
 
