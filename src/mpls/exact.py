@@ -21,7 +21,7 @@ from .serialization import instance_signature
 from .solver import MAX_MARKER_BITS, SolverTrace, marker_bits
 
 # Most steps the exact search takes: each node, each vertex of a set it
-# asks the oracle about and each edge of a conflict group it reads is one.
+# asks the oracle about and each vertex of a conflict class it reads is one.
 EXACT_BUDGET = 2**22
 
 
@@ -46,13 +46,13 @@ def brute_force_optimum(instance: ParityInstance) -> ExactResult:
     denominator, so every sum and bound is an integer operation.  Only
     edges feasible alone are decided, by decreasing weight, ties by id;
     the first edge taken therefore needs no query.  An edge taken blocks
-    the later edges it conflicts with (``ParityInstance.conflicts``),
-    which are then passed over without a query or a node.  A subtree is
-    cut when even all of its remaining unblocked weight could not reach
-    the best found so far.  The cut is strict (``weight + rest < best``),
-    and every prefix of a feasible set is feasible, holds only edges
-    feasible alone and no conflicting pair, so each maximum-weight
-    feasible set is still reached as a node;
+    the later edges that meet one of its parallel classes
+    (``ParityInstance.conflicts``), which are then passed over without a
+    query or a node.  A subtree is cut when even all of its remaining
+    unblocked weight could not reach the best found so far.  The cut is
+    strict (``weight + rest < best``), and every prefix of a feasible set
+    is feasible, holds only edges feasible alone and no conflicting pair,
+    so each maximum-weight feasible set is still reached as a node;
     comparing the sorted id tuple of each node at least as heavy as the
     best therefore yields the same canonical optimum as any other
     visiting order.  Only ``explored``, the node count, depends on the
@@ -68,9 +68,10 @@ def brute_force_optimum(instance: ParityInstance) -> ExactResult:
     n = len(order)
     numerators = instance.weight_numerators
     weight_at = [numerators[j] for j in order]
-    position = [-1] * len(edges)  # of each lone-feasible edge in ``order``
+    owner = [-1] * instance.num_vertices  # position in ``order`` of each vertex's edge
     for p, j in enumerate(order):
-        position[j] = p
+        for v in edges[j]:
+            owner[v] = p
     blocked = bytearray(n)
 
     best_weight = 0
@@ -106,10 +107,10 @@ def brute_force_optimum(instance: ParityInstance) -> ExactResult:
                 if not chosen or matroid._independent(used):  # a union of the instance's edges
                     newly: list[int] = []
                     left = rest - w
-                    for group in conflicts[j]:
-                        steps += len(group)
-                        for e in group:
-                            q = position[e]
+                    for cls in conflicts[j]:
+                        steps += len(cls)
+                        for v in cls:
+                            q = owner[v]
                             if q > i and not blocked[q]:
                                 blocked[q] = 1
                                 newly.append(q)

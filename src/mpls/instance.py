@@ -113,22 +113,25 @@ class ParityInstance:
 
     @cached_property
     def conflicts(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """For each edge, the groups of edges it can never share a solution with.
+        """For each edge, the classes of parallel vertices it holds one of.
 
-        Any two edges of a group hold elements of one of the matroid's
-        ``_parallel_classes``, so their union is dependent; the edge itself
-        is in each of its groups.  A group is one tuple shared by all its
-        edges, so the table grows with the instance, not with the number
-        of conflicting pairs.  No query is asked.
+        A class is one of the matroid's ``_parallel_classes`` that meets at
+        least two edges, as a sorted tuple; its least vertex names it.  Any
+        two of its vertices are dependent together, so two edges that meet
+        one class never share a solution, and a set holding two vertices of
+        one class is dependent.  A class is one tuple shared by all its
+        edges, so the table grows with the instance, not with the number of
+        conflicting pairs.  No query is asked.
         """
         edge_of = {v: j for j, e in enumerate(self.edges) for v in e}
-        groups: list[list[tuple[int, ...]]] = [[] for _ in self.edges]
+        classes: list[list[tuple[int, ...]]] = [[] for _ in self.edges]
         for cls in self.matroid._parallel_classes():
-            group = tuple(sorted({edge_of[v] for v in cls}))
-            if len(group) > 1:
-                for j in group:
-                    groups[j].append(group)
-        return tuple(map(tuple, groups))
+            met = {edge_of[v] for v in cls}
+            if len(met) > 1:
+                shared = tuple(sorted(cls))
+                for j in met:
+                    classes[j].append(shared)
+        return tuple(map(tuple, classes))
 
     @cached_property
     def _lone_order(self) -> tuple[int, ...]:

@@ -9,9 +9,13 @@ the interval, remove at most ``2 * arity`` solution edges of the same
 interval, subject to feasibility and a strict weight increase.  Edges
 accepted in earlier (heavier) intervals are never removed again.  Each
 interval keeps one search state across its moves (``_Interval``): its
-candidates, its pool with the pool's weights and vertex sets, and what
-the search remembers; a move updates the state in place, so no search
-derives it from the solution, and the solution is the union of the pools.
+candidates, its pool with the pool's weights and vertex sets, the pool
+edge that meets each parallel class, and what the search remembers; a
+move updates the state in place, so no search derives it from the
+solution, and the solution is the union of the pools.  Two parallel
+elements form a circuit, so the search never builds or asks about a set
+that holds two vertices of one of the matroid's parallel classes
+(``ParityInstance.conflicts``).
 
 All weight arithmetic is exact.  Edge weights are compared through
 integer numerators over a common denominator; markers and the random
@@ -34,7 +38,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .instance import ParityInstance, Solution
@@ -323,7 +327,13 @@ class SolverTrace:
     solution removed, the removal of that whole pool, removing nothing
     or a set lighter than its floor beside a single that has a floor
     (``_swap_search`` says when one does), and, under ``best-gain``, an
-    addition that cannot beat the best gain found so far.
+    addition that cannot beat the best gain found so far.  Nor is any set
+    that holds two vertices of one parallel class: the pre-check of an
+    addition that meets a class of the solution outside the interval, or
+    whose two edges meet one class; removing nothing, or any removal set
+    that keeps a pool edge meeting a class of the addition; and every
+    test of an addition whose such pool edges are more than ``2 * arity``
+    or already lose what it gains.
     """
 
     instance_signature: str
@@ -397,12 +407,19 @@ class _Interval:
     numerators and vertex sets, aligned with ``pool``.  ``stripped`` is
     the solution's vertex set outside the interval, fixed while the
     interval is searched, and ``verts`` the whole solution's.
-    ``fits`` and ``floor`` are the search's memory of pre-checks and
-    refuted singles (see ``_swap_search``).
+    ``held`` maps each parallel class that a pool edge meets, named by
+    its least vertex, to that edge; the pool is feasible, so it holds at
+    most one edge of a class, and ``held`` grows with the pool times the
+    arity, not with the conflicting pairs.  ``fits`` and ``floor`` are the
+    search's memory of pre-checks and refuted singles (see
+    ``_swap_search``).
 
     The run builds one state when it enters an interval, with the
-    interval's edges all candidates, and ``apply`` updates it in place
-    after each move, so a search derives nothing from the solution.
+    interval's edges all candidates and ``held`` empty, and ``apply``
+    updates it in place after each move, so a search derives nothing from
+    the solution.  An edge is in the solution outside the interval exactly
+    when its vertices lie in ``stripped``, so the state needs nothing more
+    from the run.
     """
 
     def __init__(self, instance: ParityInstance, ids: Iterable[int], verts: frozenset[int]):
@@ -412,25 +429,32 @@ class _Interval:
         self.pool_w: list[int] = []
         self.pool_sets: list[frozenset[int]] = []
         self.stripped = self.verts = verts
+        self.held: dict[int, int] = {}
         self.fits: dict[tuple[int, ...], bool] = {}
         self.floor: dict[int, int] = {}
         self._wn, self._edges = instance.weight_numerators, instance.edges
+        self._conflicts = instance.conflicts
 
     def apply(self, add: Iterable[int], rem: Iterable[int], verts: frozenset[int]) -> None:
         """Move ``rem`` from the pool to the candidates and ``add`` the other way, by
         bisection, leaving the solution on ``verts``.  A move that removes edges
         clears ``floor``: the solution shrank, so a refuted single may fit now."""
         cand, pool, pool_w, pool_sets = self.cand, self.pool, self.pool_w, self.pool_sets
+        held, conflicts = self.held, self._conflicts
         for r in rem:
             i = bisect_left(pool, r)
             del pool[i], pool_w[i], pool_sets[i]
             insort(cand, r)
+            for c in conflicts[r]:
+                del held[c[0]]
         for j in add:
             del cand[bisect_left(cand, j)]
             i = bisect_left(pool, j)
             pool.insert(i, j)
             pool_w.insert(i, self._wn[j])
             pool_sets.insert(i, self._edges[j])
+            for c in conflicts[j]:
+                held[c[0]] = j
         if rem:
             self.floor.clear()
         self.verts = verts
@@ -457,6 +481,21 @@ def _swap_search(
     interval's kept state and writes only ``fits`` and ``floor``; the
     caller applies the move.
 
+    No set that holds two vertices of one of the matroid's parallel
+    classes (``instance.conflicts``) is built or asked, since it is
+    dependent.  A pre-check set that holds two is refuted without a
+    query: the addition meets a class that the solution outside the
+    interval meets, or its two edges meet one class.  ``forced``, the pool
+    edges that meet a class of the addition, found through
+    ``interval.held`` in O(arity), is in every removal set built: the
+    walk takes ``forced`` and then extra edges from the rest of the pool.
+    Extras in lexicographic order merged with a fixed ``forced`` stay in
+    lexicographic order, so both rules pick the move they would pick with
+    every set built.  Removing nothing is skipped when ``forced`` is not
+    empty, and an addition is dropped before its pre-check when
+    ``forced`` holds more than ``2 * arity`` edges or alone loses at least
+    what the addition could gain.
+
     An addition is pruned outright if it is dependent on
     ``interval.stripped``, the weakest requirement any removal choice
     could meet.  ``fits`` maps each addition pre-checked so far in this
@@ -480,28 +519,27 @@ def _swap_search(
 
     Removal sets that cannot pay for the addition are never built.  Edge
     weights are nonnegative, so a removal size stops the size loop once
-    its lightest sets already lose at least the gain, and inside a size
-    the sets are walked depth first, cutting a prefix whose loss already
-    reaches the gain.  Under ``best-gain`` the gain to pay for is the
-    excess over the best move so far, since only a strictly larger gain
-    can replace it; an addition with no excess is skipped before its
-    pre-check, and one that fits with nothing removed admits no better
-    removal set.  The limit falls only to the loss of a set found
-    independent, so a floor states the same fact under both rules.
-    These cuts skip only moves the enumeration would reject, so the move
-    returned is the same as with every set built.
+    ``forced`` with the lightest extras already loses at least the gain,
+    and inside a size the sets are walked depth first, cutting a prefix
+    whose loss already reaches the gain.  Under ``best-gain`` the gain to
+    pay for is the excess over the best move so far, since only a strictly
+    larger gain can replace it; an addition with no excess is skipped
+    before its pre-check, and one that fits with ``forced`` alone removed
+    admits no better removal set.  The limit falls only to the loss of a
+    set found independent, so a floor states the same fact under both
+    rules.  These cuts skip only moves the enumeration would reject, so
+    the move returned is the same as with every set built.
     """
     cand = interval.cand
     if not cand:
         return 0, None
-    wn = instance.weight_numerators
-    edges = instance.edges
-    pool, pool_w = interval.pool, interval.pool_w
+    wn, edges, conflicts = instance.weight_numerators, instance.edges, instance.conflicts
+    pool, pool_w, pool_sets, held = interval.pool, interval.pool_w, interval.pool_sets, interval.held
     stripped, sol_verts, fits, floor = interval.stripped, interval.verts, interval.fits, interval.floor
     whole = len(pool)
     max_remove = min(2 * instance.arity, whole)
-    # Built when removal pairs are first needed: lightest[s] is the loss of
-    # the s lightest pool edges, a lower bound on the loss of any s removals.
+    # Built when two extra removals are first needed: lightest[s] is the loss
+    # of the s lightest pool edges, a lower bound on the loss of any s extras.
     lightest: list[int] = []
     first_lex = rule == FIRST_LEX
     queries = 0
@@ -522,57 +560,94 @@ def _swap_search(
             if known >= limit:
                 continue  # every removal set that could pay for it fails
             add_verts = edges[add[0]] if size == 1 else edges[add[0]] | edges[add[1]]
+            classes = conflicts[add[0]] if size == 1 else conflicts[add[0]] + conflicts[add[1]]
             fit = fits.get(add)
+            # Two vertices of one class make the pre-check set dependent, so
+            # it is not asked: a pair's edges must meet no class in common,
+            # and the addition's classes must miss ``stripped``.
+            if fit is None and classes and (
+                (size == 2 and len({c[0] for c in classes}) < len(classes))
+                or not stripped.isdisjoint(chain.from_iterable(classes))
+            ):
+                fit = fits[add] = False
+            if fit is False:
+                continue
+            # Every removal set must hold ``forced``, the pool edges parallel
+            # to the addition.  The gain, ``limit`` and ``known`` are then
+            # taken net of their loss, so they bound the loss of the extras.
+            forced: list[int] = []
+            forced_loss = 0
+            if held and classes:
+                for c in classes:
+                    e = held.get(c[0])
+                    if e is not None and e not in forced:
+                        forced.append(e)
+                        forced_loss += wn[e]
+                if forced:
+                    if len(forced) > max_remove or forced_loss >= limit:
+                        continue  # no removal set that holds them is allowed or pays
+                    forced.sort()
+                    gain_add -= forced_loss
+                    limit -= forced_loss
+                    known -= forced_loss
             if fit is None:
                 queries += 1
                 fit = fits[add] = indep(stripped | add_verts)
-            if not fit:
-                continue
+                if not fit:
+                    continue
             # Each removal set is taken out of the solution with the addition
             # in; the addition shares no vertex with the pool.
             grown = sol_verts | add_verts
-            # Remove nothing; with an empty pool that is the pre-check itself.
-            if known < 0:
-                if whole:
+            start = grown.difference(*(edges[e] for e in forced)) if forced else grown
+            extras = whole - len(forced)  # the pool edges outside ``forced``
+            # Remove ``forced`` alone, which is nothing when it is empty.  When
+            # it is the whole pool, that leaves the pre-checked set.
+            if known < 0 or (forced and known == 0):
+                if extras:
                     queries += 1
-                if not whole or indep(grown):
+                if not extras or indep(start):
                     if first_lex:
-                        return queries, (add, (), gain_add, grown)
-                    best = (gain_add, add, (), grown)
-                    continue  # no removal set loses less than nothing
-            for r, loss in zip(pool, pool_w):  # one removal
+                        return queries, (add, tuple(forced), gain_add, start)
+                    best = (gain_add, add, tuple(forced), start)
+                    continue  # every other removal set holds ``forced`` and loses more
+            rest, rest_w, rest_sets = pool, pool_w, pool_sets
+            if forced:
+                rest, rest_w, rest_sets = pool[:], pool_w[:], pool_sets[:]
+                for e in reversed(forced):
+                    i = bisect_left(pool, e)
+                    del rest[i], rest_w[i], rest_sets[i]
+            for r, loss in zip(rest, rest_w):  # one extra removal
                 if not known <= loss < limit:
                     continue
-                after = grown - edges[r]
-                if whole > 1:
+                after = start - edges[r]
+                if extras > 1:
                     queries += 1
                     if not indep(after):
                         continue
+                rem = tuple(sorted((*forced, r)))
                 if first_lex:
-                    return queries, (add, (r,), gain_add - loss, after)
-                best = (gain_add - loss, add, (r,), after)
+                    return queries, (add, rem, gain_add - loss, after)
+                best = (gain_add - loss, add, rem, after)
                 limit = loss  # only a lighter removal set beats this move
-            if max_remove >= 2 and not lightest:
+            if max_remove - len(forced) >= 2 and not lightest:
                 lightest = list(accumulate(sorted(pool_w)[:max_remove], initial=0))
-            for rem_size in range(2, max_remove + 1):
-                if lightest[rem_size] >= limit:
+            for more in range(2, max_remove - len(forced) + 1):
+                if lightest[more] >= limit:
                     break
-                for pos, loss, after in _light_combinations(
-                    pool_w, interval.pool_sets, grown, rem_size, limit
-                ):
+                for pos, loss, after in _light_combinations(rest_w, rest_sets, start, more, limit):
                     if not known <= loss < limit:
                         continue  # known to fail, or the best gain rose during this walk
-                    if rem_size < whole:
+                    if more < extras:
                         queries += 1
                         if not indep(after):
                             continue
-                    rem = tuple(pool[i] for i in pos)
+                    rem = tuple(sorted((*forced, *(rest[i] for i in pos))))
                     if first_lex:
                         return queries, (add, rem, gain_add - loss, after)
                     best = (gain_add - loss, add, rem, after)
                     limit = loss
             if size == 1:
-                floor[add[0]] = limit
+                floor[add[0]] = limit + forced_loss
     if best is None:
         return queries, None
     return queries, (best[1], best[2], best[0], best[3])

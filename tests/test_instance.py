@@ -207,10 +207,11 @@ def test_intersection_normal_forms_pass_the_public_checks(n, k, seed):
 @given(overlapping_instances())
 def test_no_two_edges_of_a_conflict_group_are_feasible_together(raw):
     inst = make_disjoint(*raw)
-    for j, groups in enumerate(inst.conflicts):
-        for group in groups:
-            assert j in group
-            assert all(not inst.is_feasible({j, other}) for other in group if other != j)
+    for j, classes in enumerate(inst.conflicts):
+        for cls in classes:
+            assert inst.edges[j] & set(cls)
+            group = [k for k, e in enumerate(inst.edges) if k != j and e & set(cls)]
+            assert group and all(not inst.is_feasible({j, other}) for other in group)
 
 
 def test_raw_optimum_survives_normalization():

@@ -15,7 +15,7 @@ from mpls import solver
 from mpls.exact import brute_force_optimum, verify_local_optimum
 from mpls.generators import build_doc, generate, random_partition_matroids
 from mpls.instance import ParityInstance, Solution, from_matroid_intersection, make_disjoint
-from mpls.matroids import FreeMatroid, PartitionMatroid, UniformMatroid
+from mpls.matroids import FreeMatroid, GraphicMatroid, PartitionMatroid, UniformMatroid
 from mpls.serialization import FormatError, dumps_canonical, format_fraction, instance_signature
 from mpls.solver import (
     BEST_GAIN,
@@ -36,6 +36,7 @@ from mpls.solver import (
     trace_to_json_obj,
 )
 from conftest import PublicOnly
+from test_exact import mixed_intersections, overlapping_instances
 
 EPS = Fraction("0.3873")
 DELTA = Fraction("0.0001")
@@ -554,14 +555,15 @@ def test_trace_files_with_stored_markers_still_load():
         r["lower"] = format_fraction(scheme.marker(r["index"]))
     assert trace_from_json_obj(obj) == trace
     # So are the stored final edges and query total, which the trace derives.
-    # The stored file's first record also counts a query after its swap,
-    # which the solver does not ask, so the per-record counts are compared
-    # apart.
+    # The stored file's first record also counts a query after its swap, and
+    # its second the pre-checks of edges that each hold a copy of a vertex
+    # of the first's; the solver asks neither, so the per-record counts are
+    # compared apart.
     inst = generate("greedy-trap", k=3)
     _, trace = sliding_local_search(inst, EPS, DELTA, seed=0)
     back = trace_from_json_obj(json.loads(STORED_TOTALS_TRACE))
     assert [r.oracle_calls for r in back.records] == [2, 3]
-    assert [r.oracle_calls for r in trace.records] == [1, 3]
+    assert [r.oracle_calls for r in trace.records] == [1, 0]
     assert uncounted(back) == uncounted(trace)
     assert (back.final_edges, back.oracle_calls) == ((0,), 5)
     assert verify_local_optimum(inst, back)
@@ -799,6 +801,7 @@ def assert_kept(instance, state):
     assert state.cand == [j for j in state.ids if j not in held]
     assert state.pool_w == [wn[j] for j in held]
     assert state.pool_sets == [edges[j] for j in held]
+    assert state.held == {c[0]: j for j in held for c in instance.conflicts[j]}
     assert state.verts == state.stripped.union(*state.pool_sets)
     assert not state.stripped & instance.vertices_of(state.ids)
 
@@ -916,18 +919,37 @@ def test_pruned_swap_search_returns_the_unpruned_move(monkeypatch, rule):
     assert checked > 50
 
 
+def assert_same_moves_as_the_reference(inst, seed, rule):
+    _, pruned = sliding_local_search(inst, EPS, DELTA, seed, rule)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "_swap_search", reference_swap_search)
+        _, reference = sliding_local_search(inst, EPS, DELTA, seed, rule)
+    assert [r.swaps for r in pruned.records] == [r.swaps for r in reference.records]
+    assert pruned.final_edges == reference.final_edges
+    assert pruned.final_weight == reference.final_weight
+    assert pruned.oracle_calls <= reference.oracle_calls
+
+
 @pytest.mark.parametrize("rule", [FIRST_LEX, BEST_GAIN])
-def test_pruned_sliding_runs_match_the_unpruned_search(monkeypatch, rule):
+def test_pruned_sliding_runs_match_the_unpruned_search(rule):
     for inst in equivalence_instances():
         for seed in (0, 3):
-            _, pruned = sliding_local_search(inst, EPS, DELTA, seed, rule)
-            with monkeypatch.context() as m:
-                m.setattr(solver, "_swap_search", reference_swap_search)
-                _, reference = sliding_local_search(inst, EPS, DELTA, seed, rule)
-            assert [r.swaps for r in pruned.records] == [r.swaps for r in reference.records]
-            assert pruned.final_edges == reference.final_edges
-            assert pruned.final_weight == reference.final_weight
-            assert pruned.oracle_calls <= reference.oracle_calls
+            assert_same_moves_as_the_reference(inst, seed, rule)
+
+
+def any_oracle_instances():
+    """Normal forms of overlapping edges, or k-matroid intersections, under
+    oracles of every family and combinator, wrappers included."""
+    return st.one_of(
+        overlapping_instances().map(lambda raw: make_disjoint(*raw)),
+        mixed_intersections().map(lambda case: from_matroid_intersection(*case)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_oracle_instances(), st.integers(0, 2**63), st.sampled_from(SWAP_RULES))
+def test_pruned_sliding_runs_match_the_unpruned_search_under_any_oracle(inst, seed, rule):
+    assert_same_moves_as_the_reference(inst, seed, rule)
 
 
 class Recorded(PublicOnly):
@@ -964,13 +986,33 @@ def test_each_pre_check_is_asked_once_per_interval(rule):
                 prefix |= inst.vertices_of(r.added)
 
 
+@settings(max_examples=150, deadline=None)
+@given(any_oracle_instances(), st.integers(0, 2**63))
+def test_no_query_of_a_run_holds_two_parallel_elements(inst, seed):
+    # The oracle's stated classes, read apart from the instance's table.
+    classes = [set(c) for c in inst.matroid._parallel_classes()]
+    recorded = Recorded(inst.matroid)
+    inst = replace(inst, matroid=recorded)
+    inst.feasible_alone  # asked first, so only the runs' queries are recorded
+    for rule in SWAP_RULES:
+        recorded.queried = queried = []
+        _, trace = sliding_local_search(inst, EPS, DELTA, seed, rule)
+        assert len(queried) == trace.oracle_calls
+        for asked in queried:
+            assert all(len(asked & c) < 2 for c in classes), (rule, sorted(asked))
+
+
 def test_a_single_refuted_before_a_pure_addition_is_not_asked_again():
-    # x, y and z share one interval, and y meets x.  y's search fails: x
-    # is too heavy to remove.  z then joins with nothing removed, so y's
-    # next search could only test sets that contain one already refuted.
+    # x, y and z share one interval.  x holds two sides of a triangle and y
+    # its third, so y depends on x through a circuit of three elements, not
+    # a parallel pair.  y's search fails: x is too heavy to remove.  z then
+    # joins with nothing removed, so y's next search could only test sets
+    # that contain one already refuted.
     x, y, z = 0, 1, 2
     weights = [Fraction(10), Fraction("9.9"), Fraction("9.8")]
-    inst = make_disjoint(5, [{0, 1}, {1, 2}, {3, 4}], weights, FreeMatroid(5), 2)
+    triangle = GraphicMatroid(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    inst = make_disjoint(4, [{0, 1}, {2}, {3}], weights, triangle, 2)
+    assert not any(inst.conflicts)
     recorded = Recorded(inst.matroid)
     inst = replace(inst, matroid=recorded)
     inst.feasible_alone  # asked first, so only the search's queries are recorded
@@ -1003,12 +1045,12 @@ def test_a_removal_move_frees_a_single_refuted_before_it(monkeypatch):
 # solve-large sizes, instance and shift both seeded 0..9.  A change to the
 # search that keeps its moves and its queries keeps these sums.
 SEARCH_WORK = {
-    (FIRST_LEX, "set-packing"): (760, 204),
-    (FIRST_LEX, "graphic-parity"): (1579, 85),
-    (FIRST_LEX, "k-mi-partition"): (826, 219),
-    (BEST_GAIN, "set-packing"): (1013, 113),
-    (BEST_GAIN, "graphic-parity"): (1581, 38),
-    (BEST_GAIN, "k-mi-partition"): (1065, 123),
+    (FIRST_LEX, "set-packing"): (347, 204),
+    (FIRST_LEX, "graphic-parity"): (328, 85),
+    (FIRST_LEX, "k-mi-partition"): (402, 219),
+    (BEST_GAIN, "set-packing"): (490, 113),
+    (BEST_GAIN, "graphic-parity"): (336, 38),
+    (BEST_GAIN, "k-mi-partition"): (608, 123),
 }
 SOLVE_LARGE_SIZES = {
     "set-packing": {"n": 60, "m": 40, "k": 2},
@@ -1115,13 +1157,13 @@ def test_the_kept_state_is_checked_across_removal_and_pair_moves():
 # one unscaled run (seed 0), one greedy and one exact search, after the
 # instance's per-edge feasibility.  Every query the program builds reaches
 # such a wrapper, whichever entry of the oracle it calls.  The wrapper
-# states its base's parallel classes, so the exact search skips the edges
-# they rule out without asking.
+# states its base's parallel classes, so the run and the exact search skip
+# the sets they rule out without asking.
 PUBLIC_QUERIES = {
-    "greedy-trap": ({"k": 3}, (4, 4, 2)),
-    "set-packing": ({"n": 12, "m": 20, "k": 3, "seed": 1}, (47, 20, 29)),
-    "graphic-parity": ({"n": 6, "m": 20, "k": 3, "seed": 1}, (18, 20, 11)),
-    "k-mi-partition": ({"n": 18, "k": 3, "seed": 1}, (25, 18, 46)),
+    "greedy-trap": ({"k": 3}, (1, 4, 2)),
+    "set-packing": ({"n": 12, "m": 20, "k": 3, "seed": 1}, (6, 20, 29)),
+    "graphic-parity": ({"n": 6, "m": 20, "k": 3, "seed": 1}, (8, 20, 11)),
+    "k-mi-partition": ({"n": 18, "k": 3, "seed": 1}, (11, 18, 46)),
 }
 
 
@@ -1178,19 +1220,50 @@ def tail_instance(dust, seed):
     return make_disjoint(n, edges, weights, FreeMatroid(n), 3)
 
 
+def test_the_tail_instance_takes_only_the_removals_its_copies_name():
+    # Each grain holds a copy of a vertex of three dust edges, so it fits
+    # only with those three removed.  The copies are parallel, so those are
+    # the only removal sets the search builds.
+    inst = tail_instance(40, seed=3)
+    start = time.perf_counter()
+    sol, trace = sliding_local_search(inst, EPS, DELTA, seed=1)
+    assert time.perf_counter() - start < 1
+    assert sum(len(r.swaps) for r in trace.records) == 50
+    assert sol.weight == Fraction(50000000450969, 50000000000000)
+
+
+def crowded_instance(dust, seed):
+    """Unscaled uniform-matroid k=3 instance with a crowded tail and no parallel pair.
+
+    One edge of weight 1 on three vertices, ``dust`` one-vertex edges of
+    weight about 1e-12, and ten grain edges of weight 1e-9 on three vertices
+    each, all disjoint.  The rank holds the heavy edge and every dust edge,
+    so a grain fits only in place of three dust edges, and every circuit
+    has ``dust + 4`` elements.
+    """
+    rng = random.Random(seed)
+    n = 3 + dust + 30
+    edges = [{0, 1, 2}, *({3 + i} for i in range(dust))]
+    edges += [set(range(n - 3 * g, n - 3 * g + 3)) for g in range(10, 0, -1)]
+    weights = [Fraction(1)] + [Fraction(rng.randint(50, 150), 10**14) for _ in range(dust)]
+    weights += [Fraction(1, 10**9)] * 10
+    return make_disjoint(n, edges, weights, UniformMatroid(n, 3 + dust), 3)
+
+
 def test_tail_swap_search_memory_stays_flat():
     # Many solution edges share the tail interval, so the swap search walks
-    # thousands of removal sets; it must not hold one vertex set per set.
-    inst = tail_instance(20, seed=3)
+    # thousands of removal sets, none of which the parallel classes rule
+    # out; it must not hold one vertex set per set.
+    inst = crowded_instance(20, seed=3)
+    assert not any(inst.conflicts)
     tracemalloc.start()
     try:
         _, trace = sliding_local_search(inst, EPS, DELTA, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert trace.oracle_calls == 6770
+    assert trace.oracle_calls == 1899
     assert peak < 1_000_000
-
 
 
 def fresh(inst):
