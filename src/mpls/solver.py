@@ -322,18 +322,19 @@ class SolverTrace:
     cached lookups such as per-edge feasibility are excluded so the count
     is identical no matter how often the instance was used before.  Tests
     the search can decide without a query are not issued: a pre-check
-    already asked in the same interval, a pair containing a single
-    addition that stayed infeasible with every interval edge of the
-    solution removed, the removal of that whole pool, removing nothing
-    or a set lighter than its floor beside a single that has a floor
-    (``_swap_search`` says when one does), and, under ``best-gain``, an
-    addition that cannot beat the best gain found so far.  Nor is any set
-    that holds two vertices of one parallel class: the pre-check of an
-    addition that meets a class of the solution outside the interval, or
-    whose two edges meet one class; removing nothing, or any removal set
-    that keeps a pool edge meeting a class of the addition; and every
-    test of an addition whose such pool edges are more than ``2 * arity``
-    or already lose what it gains.
+    already answered in the same interval, or one whose addition's first
+    removal test held; for the rest of the interval, a single addition
+    that stayed infeasible with every interval edge of the solution
+    removed, and every pair that holds it; the removal of that whole
+    pool, removing nothing or a set lighter than its floor beside a
+    single that has a floor (``_swap_search`` says when one does), and,
+    under ``best-gain``, an addition that cannot beat the best gain found
+    so far.  Nor is any set that holds two vertices of one parallel
+    class: the pre-check of an addition that meets a class of the
+    solution outside the interval, or whose two edges meet one class;
+    removing nothing, or any removal set that keeps a pool edge meeting a
+    class of the addition; and every test of an addition whose such pool
+    edges are more than ``2 * arity`` or already lose what it gains.
     """
 
     instance_signature: str
@@ -401,12 +402,13 @@ def _light_combinations(
 class _Interval:
     """The swap search's state in one occupied interval, kept across its moves.
 
-    ``ids`` are the interval's edges, ascending.  ``cand`` and ``pool``
-    split them into the edges outside and inside the solution, each
-    ascending; ``pool_w`` and ``pool_sets`` hold the pool's weight
-    numerators and vertex sets, aligned with ``pool``.  ``stripped`` is
-    the solution's vertex set outside the interval, fixed while the
-    interval is searched, and ``verts`` the whole solution's.
+    ``ids`` are the interval's edges, ascending.  ``pool`` holds those in
+    the solution and ``cand`` those outside it not known to fail, each
+    ascending: a single refuted in ``fits`` leaves ``cand`` for good,
+    since ``stripped`` is fixed.  ``pool_w`` and ``pool_sets`` hold the
+    pool's weight numerators and vertex sets, aligned with ``pool``.
+    ``stripped`` is the solution's vertex set outside the interval, fixed
+    while the interval is searched, and ``verts`` the whole solution's.
     ``held`` maps each parallel class that a pool edge meets, named by
     its least vertex, to that edge; the pool is feasible, so it holds at
     most one edge of a class, and ``held`` grows with the pool times the
@@ -469,23 +471,24 @@ def _swap_search(
     """Find an improving swap inside one interval, or None, with the queries asked.
 
     Candidate additions are the interval's edges outside the solution
-    (``interval.cand``), at most two at a time; removals come only from
-    its edges in the solution (``interval.pool``), at most ``2 * arity``
-    of them.  ``first-lex`` accepts the first improving pair in
-    enumeration order (additions by size then id order, removals by size
-    then id order); ``best-gain`` scans everything and keeps the maximum
-    gain, breaking ties toward the lexicographically smallest move, which
-    is the earliest in that order.  The move comes with the vertex set it
-    was found independent on, the solution's vertex set after the swap.
-    The count is of the calls made to ``indep``.  The search reads the
-    interval's kept state and writes only ``fits`` and ``floor``; the
-    caller applies the move.
+    not known to fail (``interval.cand``), at most two at a time;
+    removals come only from its edges in the solution
+    (``interval.pool``), at most ``2 * arity`` of them.  ``first-lex``
+    accepts the first improving pair in enumeration order (additions by
+    size then id order, removals by size then id order); ``best-gain``
+    scans everything and keeps the maximum gain, breaking ties toward the
+    lexicographically smallest move, which is the earliest in that order.
+    The move comes with the vertex set it was found independent on, the
+    solution's vertex set after the swap.  The count is of the calls made
+    to ``indep``.  The search reads the interval's kept state and writes
+    only ``cand``, ``fits`` and ``floor``; the caller applies the move.
 
     No set that holds two vertices of one of the matroid's parallel
     classes (``instance.conflicts``) is built or asked, since it is
     dependent.  A pre-check set that holds two is refuted without a
     query: the addition meets a class that the solution outside the
-    interval meets, or its two edges meet one class.  ``forced``, the pool
+    interval meets, or its two edges meet one class; a pair's refutation
+    costs O(arity) and is recomputed, not stored.  ``forced``, the pool
     edges that meet a class of the addition, found through
     ``interval.held`` in O(arity), is in every removal set built: the
     walk takes ``forced`` and then extra edges from the rest of the pool.
@@ -498,12 +501,14 @@ def _swap_search(
 
     An addition is pruned outright if it is dependent on
     ``interval.stripped``, the weakest requirement any removal choice
-    could meet.  ``fits`` maps each addition pre-checked so far in this
-    interval to that answer, so no pre-check is asked twice.  Pairs are
-    drawn only from the singles not known to fail: a pair's vertex set
-    contains each of its singles', and independence is closed downward.
-    Removing the whole pool leaves ``stripped``, so that removal needs no
-    query beyond the pre-check.
+    could meet.  That pre-check is asked only once the first removal set,
+    ``forced`` alone, fails: the solution less that set, plus the
+    addition, holds the pre-check set, so it answers the pre-check when it
+    fits (downward closure), and is the pre-check set, asked once, when
+    ``forced`` is the whole pool.
+    ``fits`` keeps each pre-check answer of the interval, so none is asked
+    twice, and a refuted single leaves ``interval.cand`` for good, since
+    ``stripped`` is fixed; pairs are drawn from ``cand``.
 
     ``floor`` maps a single addition whose search found the removal of
     nothing dependent to the limit that search ended with: every removal
@@ -546,8 +551,7 @@ def _swap_search(
     best: tuple[int, tuple[int, ...], tuple[int, ...], frozenset[int]] | None = None
 
     for size in (1, 2):
-        picks = cand if size == 1 else [j for j in cand if fits.get((j,), True)]
-        for add in combinations(picks, size):
+        for add in combinations(cand, size):  # a copy: a refuted single leaves ``cand``
             gain_add = wn[add[0]] if size == 1 else wn[add[0]] + wn[add[1]]
             limit = gain_add if best is None else gain_add - best[0]
             if limit <= 0:
@@ -569,7 +573,10 @@ def _swap_search(
                 (size == 2 and len({c[0] for c in classes}) < len(classes))
                 or not stripped.isdisjoint(chain.from_iterable(classes))
             ):
-                fit = fits[add] = False
+                if size == 1:
+                    fits[add] = False
+                    cand.remove(add[0])
+                continue
             if fit is False:
                 continue
             # Every removal set must hold ``forced``, the pool edges parallel
@@ -590,26 +597,31 @@ def _swap_search(
                     gain_add -= forced_loss
                     limit -= forced_loss
                     known -= forced_loss
-            if fit is None:
-                queries += 1
-                fit = fits[add] = indep(stripped | add_verts)
-                if not fit:
-                    continue
             # Each removal set is taken out of the solution with the addition
             # in; the addition shares no vertex with the pool.
             grown = sol_verts | add_verts
             start = grown.difference(*(edges[e] for e in forced)) if forced else grown
             extras = whole - len(forced)  # the pool edges outside ``forced``
-            # Remove ``forced`` alone, which is nothing when it is empty.  When
-            # it is the whole pool, that leaves the pre-checked set.
-            if known < 0 or (forced and known == 0):
-                if extras:
-                    queries += 1
-                if not extras or indep(start):
-                    if first_lex:
-                        return queries, (add, tuple(forced), gain_add, start)
-                    best = (gain_add, add, tuple(forced), start)
-                    continue  # every other removal set holds ``forced`` and loses more
+            # Remove ``forced`` alone first, which is nothing when it is empty.
+            # When it is the whole pool, that leaves the pre-check set.
+            first = known < 0 or (forced and known == 0)
+            if first and extras:
+                queries += 1
+                first = indep(start)
+                if first:
+                    fit = fits[add] = True  # the pre-check set lies inside ``start``
+            if fit is None:
+                queries += 1
+                fit = fits[add] = indep(stripped | add_verts)
+                if not fit:
+                    if size == 1:
+                        cand.remove(add[0])  # ``stripped`` stays, so it can never join
+                    continue
+            if first:
+                if first_lex:
+                    return queries, (add, tuple(forced), gain_add, start)
+                best = (gain_add, add, tuple(forced), start)
+                continue  # every other removal set holds ``forced`` and loses more
             rest, rest_w, rest_sets = pool, pool_w, pool_sets
             if forced:
                 rest, rest_w, rest_sets = pool[:], pool_w[:], pool_sets[:]
@@ -746,7 +758,9 @@ def sliding_local_search(
                 break
             add, rem, gain_num, after = found
             interval.apply(add, rem, after)
-            swaps.append(SwapMove(add, rem, Fraction(gain_num, den)))
+            # A scaled run's denominator is 1, and ``Fraction(n)`` takes no gcd.
+            gain = Fraction(gain_num) if den == 1 else Fraction(gain_num, den)
+            swaps.append(SwapMove(add, rem, gain))
         verts, added = interval.verts, tuple(interval.pool)
         chosen += added
         records.append(IntervalRecord(index, added, tuple(swaps), calls))

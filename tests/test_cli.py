@@ -253,12 +253,12 @@ def test_trace_out_writes_the_pinned_text(tmp_path):
 # text at the benchmark's solve-large sizes.  A change to the search that keeps
 # its moves, queries and trace layout keeps these bytes.
 SOLVE_LARGE_TRACES = {
-    ("first-lex", "set-packing"): "bb56d0097012954aca38272569de261c4e7d1b8e4e36e2ba93d45d5cd84cf660",
-    ("first-lex", "graphic-parity"): "6dda2461996302a8761c49f02012e89ea67b5d735ebc4680d1acdf041e416918",
-    ("first-lex", "k-mi-partition"): "79f72bbdb79ed229ae119f82dd6146e2b7ad6fc5062cd7c0f70bc40c978ad9fc",
-    ("best-gain", "set-packing"): "9e3caee6be931905ff9b2e6f4308c3ed1a15d27089694536c068de96ddbb2549",
-    ("best-gain", "graphic-parity"): "0e4d08340e7a420c3d6707b185068fe13c8de3b80a9f7ab580011871cf14399a",
-    ("best-gain", "k-mi-partition"): "8572312916796910de06933a02df3e5b783c7dba0c4168a9104c090e76104b67",
+    ("first-lex", "set-packing"): "8d6932d8760f4770c72f772fea7fee3fc294c7e5e89f4b5e8fa053ab370d8af4",
+    ("first-lex", "graphic-parity"): "0c2e82f9f23c58eb01c2bd4bca8e22639f5ee954b1bfbe4c4c4a4770670b3f6e",
+    ("first-lex", "k-mi-partition"): "3f2e3ae96483507bd431b8d210b71603d41c50796670be4981afa385569c7359",
+    ("best-gain", "set-packing"): "b9f65bcbd3854fb58d776c712a5e6942e5a104fc31c33df2e1fea1914ac0e9a8",
+    ("best-gain", "graphic-parity"): "5640b30cd6003fac6451373301ce5df55d916c7a5b11ed43f8877ac15269555d",
+    ("best-gain", "k-mi-partition"): "403e9e6584f6e26002a49015491c7b3ece504e9064f0f92d3543249d3b8eb689",
 }
 SOLVE_LARGE_ARGS = {
     "set-packing": ["--n", "60", "--m", "40", "--k", "2"],

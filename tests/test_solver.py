@@ -5,7 +5,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import floor
 
 import pytest
@@ -793,12 +793,19 @@ def test_oracle_count_ignores_instance_warmup():
 
 def assert_kept(instance, state):
     """The interval state ``state`` equals its recomputation from its edges and the
-    solution's vertex set: edges are disjoint, so j is held iff its vertices are."""
-    wn, edges = instance.weight_numerators, instance.edges
+    solution's vertex set: edges are disjoint, so j is held iff its vertices are.
+    The candidates are the edges not held, less the singles refuted in ``fits``;
+    no pair whose pre-check set holds two vertices of one class is stored."""
+    wn, edges, conflicts = instance.weight_numerators, instance.edges, instance.conflicts
     assert list(state.ids) == sorted(set(state.ids))
     held = [j for j in state.ids if edges[j] <= state.verts]
     assert state.pool == held
-    assert state.cand == [j for j in state.ids if j not in held]
+    refuted = {add[0] for add, fit in state.fits.items() if len(add) == 1 and not fit}
+    assert state.cand == [j for j in state.ids if j not in held and j not in refuted]
+    for pair in (add for add in state.fits if len(add) == 2):
+        classes = conflicts[pair[0]] + conflicts[pair[1]]
+        assert len({c[0] for c in classes}) == len(classes)
+        assert state.stripped.isdisjoint(chain.from_iterable(classes))
     assert state.pool_w == [wn[j] for j in held]
     assert state.pool_sets == [edges[j] for j in held]
     assert state.held == {c[0]: j for j in held for c in instance.conflicts[j]}
@@ -1005,9 +1012,9 @@ def test_no_query_of_a_run_holds_two_parallel_elements(inst, seed):
 def test_a_single_refuted_before_a_pure_addition_is_not_asked_again():
     # x, y and z share one interval.  x holds two sides of a triangle and y
     # its third, so y depends on x through a circuit of three elements, not
-    # a parallel pair.  y's search fails: x is too heavy to remove.  z then
-    # joins with nothing removed, so y's next search could only test sets
-    # that contain one already refuted.
+    # a parallel pair.  y's search fails: its pre-check holds, but x is too
+    # heavy to remove.  z then joins with nothing removed, so y's next
+    # search could only test sets that contain one already refuted.
     x, y, z = 0, 1, 2
     weights = [Fraction(10), Fraction("9.9"), Fraction("9.8")]
     triangle = GraphicMatroid(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
@@ -1020,9 +1027,64 @@ def test_a_single_refuted_before_a_pure_addition_is_not_asked_again():
     _, trace = sliding_local_search(inst, EPS, DELTA, seed=1)
     (record,) = trace.records
     assert [(m.add, m.remove) for m in record.swaps] == [((x,), ()), ((z,), ())]
-    # Pre-checks, then the solution with the single; no {x, z} + y at the end.
+    # x alone; y beside x, then y's pre-check; z beside x, never pre-checked.
+    # No {x, z} + y at the end.
     of = inst.vertices_of
-    assert queried == [of({x}), of({y}), of({x, y}), of({z}), of({x, z})]
+    assert queried == [of({x}), of({x, y}), of({y}), of({x, z})]
+
+
+def test_the_pre_check_is_asked_only_after_the_first_removal_test_fails(monkeypatch):
+    # h takes the first interval alone; a, y and b share the second, where
+    # the pre-check set is h's vertices plus the addition.  h holds two sides
+    # of a triangle and y its third, so y fails beside h whatever is removed.
+    h, a, y, b = 0, 1, 2, 3
+    weights = [Fraction(10), Fraction("1.05"), Fraction(1), Fraction("1.02")]
+    graph = GraphicMatroid(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)])
+    inst = make_disjoint(5, [{0, 1}, {3}, {2}, {4}], weights, graph, 2)
+    recorded = Recorded(inst.matroid)
+    inst = replace(inst, matroid=recorded)
+    inst.feasible_alone  # asked first, so only the search's queries are recorded
+    recorded.queried = queried = []
+    states, search = [], solver._swap_search
+
+    def kept(instance, state, rule, indep):
+        states.append(state)
+        return search(instance, state, rule, indep)
+
+    monkeypatch.setattr(solver, "_swap_search", kept)
+    _, trace = sliding_local_search(inst, EPS, DELTA, seed=1)
+    assert [[(m.add, m.remove) for m in r.swaps] for r in trace.records] == [
+        [((h,), ())],
+        [((a,), ()), ((b,), ())],
+    ]
+    of = inst.vertices_of
+    # With an empty pool the first removal test is the pre-check.  y's first
+    # test fails, so its pre-check follows at once and refutes it; b's first
+    # test holds, so b is never pre-checked.
+    assert queried == [of({h}), of({h, a}), of({h, a, y}), of({h, y}), of({h, a, b})]
+    # y left the candidates for good, so the last search had none to visit.
+    last = states[-1]
+    assert last.cand == [] and last.fits == {(a,): True, (y,): False, (b,): True}
+
+
+def test_pairs_of_one_class_are_not_stored_on_a_rank_one_uniform():
+    # Every pair of these 300 single-vertex edges holds two vertices of the
+    # one parallel class.  Storing each pair's refutation took about 6.4 MB.
+    n = 300
+    weights = [Fraction(1)] * n
+    weights[1] = Fraction("1.001")
+    inst = make_disjoint(n, [{i} for i in range(n)], weights, UniformMatroid(n, 1), 1)
+    inst.conflicts, inst.feasible_alone  # built first, so the peak is the run's own
+    tracemalloc.start()
+    try:
+        _, trace = sliding_local_search(inst, EPS, DELTA, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (record,) = trace.records
+    assert [(m.add, m.remove) for m in record.swaps] == [((0,), ()), ((1,), (0,))]
+    assert trace.oracle_calls == 2
+    assert peak < 1_000_000
 
 
 def test_a_removal_move_frees_a_single_refuted_before_it(monkeypatch):
@@ -1045,12 +1107,12 @@ def test_a_removal_move_frees_a_single_refuted_before_it(monkeypatch):
 # solve-large sizes, instance and shift both seeded 0..9.  A change to the
 # search that keeps its moves and its queries keeps these sums.
 SEARCH_WORK = {
-    (FIRST_LEX, "set-packing"): (347, 204),
-    (FIRST_LEX, "graphic-parity"): (328, 85),
-    (FIRST_LEX, "k-mi-partition"): (402, 219),
-    (BEST_GAIN, "set-packing"): (490, 113),
-    (BEST_GAIN, "graphic-parity"): (336, 38),
-    (BEST_GAIN, "k-mi-partition"): (608, 123),
+    (FIRST_LEX, "set-packing"): (204, 204),
+    (FIRST_LEX, "graphic-parity"): (298, 85),
+    (FIRST_LEX, "k-mi-partition"): (248, 219),
+    (BEST_GAIN, "set-packing"): (356, 113),
+    (BEST_GAIN, "graphic-parity"): (312, 38),
+    (BEST_GAIN, "k-mi-partition"): (458, 123),
 }
 SOLVE_LARGE_SIZES = {
     "set-packing": {"n": 60, "m": 40, "k": 2},
@@ -1161,9 +1223,9 @@ def test_the_kept_state_is_checked_across_removal_and_pair_moves():
 # the sets they rule out without asking.
 PUBLIC_QUERIES = {
     "greedy-trap": ({"k": 3}, (1, 4, 2)),
-    "set-packing": ({"n": 12, "m": 20, "k": 3, "seed": 1}, (6, 20, 29)),
-    "graphic-parity": ({"n": 6, "m": 20, "k": 3, "seed": 1}, (8, 20, 11)),
-    "k-mi-partition": ({"n": 18, "k": 3, "seed": 1}, (11, 18, 46)),
+    "set-packing": ({"n": 12, "m": 20, "k": 3, "seed": 1}, (4, 20, 29)),
+    "graphic-parity": ({"n": 6, "m": 20, "k": 3, "seed": 1}, (9, 20, 11)),
+    "k-mi-partition": ({"n": 18, "k": 3, "seed": 1}, (7, 18, 46)),
 }
 
 
@@ -1262,7 +1324,7 @@ def test_tail_swap_search_memory_stays_flat():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert trace.oracle_calls == 1899
+    assert trace.oracle_calls == 1880
     assert peak < 1_000_000
 
 
