@@ -404,7 +404,7 @@ class _Interval:
 
     ``ids`` are the interval's edges, ascending.  ``pool`` holds those in
     the solution and ``cand`` those outside it not known to fail, each
-    ascending: a single refuted in ``fits`` leaves ``cand`` for good,
+    ascending: a single whose pre-check fails leaves ``cand`` for good,
     since ``stripped`` is fixed.  ``pool_w`` and ``pool_sets`` hold the
     pool's weight numerators and vertex sets, aligned with ``pool``.
     ``stripped`` is the solution's vertex set outside the interval, fixed
@@ -506,9 +506,10 @@ def _swap_search(
     addition, holds the pre-check set, so it answers the pre-check when it
     fits (downward closure), and is the pre-check set, asked once, when
     ``forced`` is the whole pool.
-    ``fits`` keeps each pre-check answer of the interval, so none is asked
-    twice, and a refuted single leaves ``interval.cand`` for good, since
-    ``stripped`` is fixed; pairs are drawn from ``cand``.
+    ``fits`` keeps the interval's pre-check answers, so none is asked
+    twice, but no single's refutation: that single leaves
+    ``interval.cand`` for good, since ``stripped`` is fixed, and pairs are
+    drawn from ``cand``.
 
     ``floor`` maps a single addition whose search found the removal of
     nothing dependent to the limit that search ended with: every removal
@@ -574,7 +575,6 @@ def _swap_search(
                 or not stripped.isdisjoint(chain.from_iterable(classes))
             ):
                 if size == 1:
-                    fits[add] = False
                     cand.remove(add[0])
                 continue
             if fit is False:
@@ -612,11 +612,13 @@ def _swap_search(
                     fit = fits[add] = True  # the pre-check set lies inside ``start``
             if fit is None:
                 queries += 1
-                fit = fits[add] = indep(stripped | add_verts)
-                if not fit:
+                if not indep(stripped | add_verts):
                     if size == 1:
                         cand.remove(add[0])  # ``stripped`` stays, so it can never join
+                    else:
+                        fits[add] = False
                     continue
+                fits[add] = True
             if first:
                 if first_lex:
                     return queries, (add, tuple(forced), gain_add, start)
@@ -758,9 +760,7 @@ def sliding_local_search(
                 break
             add, rem, gain_num, after = found
             interval.apply(add, rem, after)
-            # A scaled run's denominator is 1, and ``Fraction(n)`` takes no gcd.
-            gain = Fraction(gain_num) if den == 1 else Fraction(gain_num, den)
-            swaps.append(SwapMove(add, rem, gain))
+            swaps.append(SwapMove(add, rem, Fraction(gain_num, den)))
         verts, added = interval.verts, tuple(interval.pool)
         chosen += added
         records.append(IntervalRecord(index, added, tuple(swaps), calls))

@@ -794,14 +794,18 @@ def test_oracle_count_ignores_instance_warmup():
 def assert_kept(instance, state):
     """The interval state ``state`` equals its recomputation from its edges and the
     solution's vertex set: edges are disjoint, so j is held iff its vertices are.
-    The candidates are the edges not held, less the singles refuted in ``fits``;
-    no pair whose pre-check set holds two vertices of one class is stored."""
+    The candidates are the edges not held, less singles whose pre-check set the
+    oracle refutes; ``fits`` stores no single's refutation, and no pair whose
+    pre-check set holds two vertices of one class."""
     wn, edges, conflicts = instance.weight_numerators, instance.edges, instance.conflicts
     assert list(state.ids) == sorted(set(state.ids))
     held = [j for j in state.ids if edges[j] <= state.verts]
     assert state.pool == held
-    refuted = {add[0] for add, fit in state.fits.items() if len(add) == 1 and not fit}
-    assert state.cand == [j for j in state.ids if j not in held and j not in refuted]
+    free = [j for j in state.ids if j not in held]
+    assert state.cand == [j for j in free if j in state.cand]
+    for j in set(free).difference(state.cand):
+        assert not instance.matroid.is_independent(state.stripped | edges[j])
+    assert all(fit for add, fit in state.fits.items() if len(add) == 1)
     for pair in (add for add in state.fits if len(add) == 2):
         classes = conflicts[pair[0]] + conflicts[pair[1]]
         assert len({c[0] for c in classes}) == len(classes)
@@ -926,15 +930,47 @@ def test_pruned_swap_search_returns_the_unpruned_move(monkeypatch, rule):
     assert checked > 50
 
 
+def doubly_refuted_run(inst, seed, rule):
+    """A sliding run's trace, and the number of additions whose first removal
+    test and pre-check both failed: there the run asks two queries where the
+    reference asks the pre-check alone.  A pre-check set holds no pool vertex
+    and lies inside the first removal test asked just before it."""
+    search, doubled = solver._swap_search, []
+
+    def counted(instance, state, rule, indep):
+        pool_verts, asked = state.verts - state.stripped, []
+
+        def recorded(vs):
+            fit = indep(vs)
+            asked.append((vs, fit))
+            return fit
+
+        found = search(instance, state, rule, recorded)
+        doubled.extend(
+            b
+            for (a, fit_a), (b, fit_b) in zip(asked, asked[1:])
+            if not fit_a and not fit_b and b < a and b.isdisjoint(pool_verts)
+        )
+        return found
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "_swap_search", counted)
+        _, trace = sliding_local_search(inst, EPS, DELTA, seed, rule)
+    return trace, len(doubled)
+
+
 def assert_same_moves_as_the_reference(inst, seed, rule):
-    _, pruned = sliding_local_search(inst, EPS, DELTA, seed, rule)
+    """The pruned run's moves and result equal the reference's, and it asks at
+    most one query more than the reference per doubly refuted addition."""
+    pruned, doubled = doubly_refuted_run(inst, seed, rule)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(solver, "_swap_search", reference_swap_search)
         _, reference = sliding_local_search(inst, EPS, DELTA, seed, rule)
     assert [r.swaps for r in pruned.records] == [r.swaps for r in reference.records]
     assert pruned.final_edges == reference.final_edges
     assert pruned.final_weight == reference.final_weight
-    assert pruned.oracle_calls <= reference.oracle_calls
+    assert pruned.oracle_calls <= reference.oracle_calls + doubled
+    return pruned, reference, doubled
 
 
 @pytest.mark.parametrize("rule", [FIRST_LEX, BEST_GAIN])
@@ -1064,7 +1100,21 @@ def test_the_pre_check_is_asked_only_after_the_first_removal_test_fails(monkeypa
     assert queried == [of({h}), of({h, a}), of({h, a, y}), of({h, y}), of({h, a, b})]
     # y left the candidates for good, so the last search had none to visit.
     last = states[-1]
-    assert last.cand == [] and last.fits == {(a,): True, (y,): False, (b,): True}
+    assert last.cand == [] and last.fits == {(a,): True, (b,): True}
+
+
+def test_a_doubly_refuted_addition_asks_one_query_more_than_the_reference():
+    # h takes the first interval alone; a and y share the second.  h holds
+    # two sides of a triangle and y its third.  a joins beside h; then y's
+    # first removal test, with h and a in, fails, and so does its pre-check,
+    # which the reference asks alone.
+    h, a, y = 0, 1, 2
+    weights = [Fraction(10), Fraction("1.05"), Fraction(1)]
+    graph = GraphicMatroid(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    inst = make_disjoint(4, [{0, 1}, {3}, {2}], weights, graph, 2)
+    pruned, reference, doubled = assert_same_moves_as_the_reference(inst, 1, FIRST_LEX)
+    assert [[(m.add, m.remove) for m in r.swaps] for r in pruned.records] == [[((h,), ())], [((a,), ())]]
+    assert (pruned.oracle_calls, reference.oracle_calls, doubled) == (4, 3, 1)
 
 
 def test_pairs_of_one_class_are_not_stored_on_a_rank_one_uniform():
@@ -1133,7 +1183,7 @@ def test_the_search_asks_and_swaps_as_pinned(rule, family):
 
 
 @pytest.mark.parametrize("rule", [FIRST_LEX, BEST_GAIN])
-def test_floors_keep_the_unpruned_moves_at_solve_large_sizes(monkeypatch, rule):
+def test_floors_keep_the_unpruned_moves_at_solve_large_sizes(rule):
     # The scaled runs of SEARCH_WORK.  A removal move clears the floors,
     # and a further search of its interval always follows it; the corpus
     # must hold such moves.
@@ -1141,12 +1191,7 @@ def test_floors_keep_the_unpruned_moves_at_solve_large_sizes(monkeypatch, rule):
     for family, sizes in SOLVE_LARGE_SIZES.items():
         for seed in range(10):
             inst = scale_weights(generate(family, seed=seed, **sizes), Fraction(1, 10))
-            _, pruned = sliding_local_search(inst, EPS, DELTA, seed, rule)
-            with monkeypatch.context() as m:
-                m.setattr(solver, "_swap_search", reference_swap_search)
-                _, reference = sliding_local_search(inst, EPS, DELTA, seed, rule)
-            assert [r.swaps for r in pruned.records] == [r.swaps for r in reference.records]
-            assert pruned.oracle_calls <= reference.oracle_calls
+            pruned, _, _ = assert_same_moves_as_the_reference(inst, seed, rule)
             removals += sum(bool(move.remove) for r in pruned.records for move in r.swaps)
     assert removals > 0
 
