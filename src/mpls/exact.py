@@ -57,13 +57,16 @@ def brute_force_optimum(instance: ParityInstance) -> ExactResult:
     best therefore yields the same canonical optimum as any other
     visiting order.  Only ``explored``, the node count, depends on the
     order.  Edges of the normal form are disjoint, so a set is feasible
-    exactly when its vertex union is independent.
+    exactly when its vertex union is independent.  That union holds no
+    two vertices of one parallel class, so it is asked of the matroid's
+    class-free rung (``MatroidOracle._class_free_query``).
 
     The search keeps its own stack, so its depth is not Python's
     recursion limit, and it raises ``SizeLimitExceeded`` once it passes
     ``EXACT_BUDGET`` steps, a count that does not depend on the machine.
     """
-    edges, matroid, conflicts = instance.edges, instance.matroid, instance.conflicts
+    edges, conflicts = instance.edges, instance.conflicts
+    indep = instance.matroid._class_free_query()
     order = instance._lone_order
     n = len(order)
     numerators = instance.weight_numerators
@@ -104,7 +107,7 @@ def brute_force_optimum(instance: ParityInstance) -> ExactResult:
                 used.update(edges[j])
                 if chosen:
                     steps += len(used)
-                if not chosen or matroid._independent(used):  # a union of the instance's edges
+                if not chosen or indep(used):
                     newly: list[int] = []
                     left = rest - w
                     for cls in conflicts[j]:

@@ -15,12 +15,23 @@ Oracles count nothing: a solver run counts its queries in its trace.
 its answers, groups of elements any two of which are dependent together.
 Two such elements form a circuit, or one is a loop, so no independent
 set holds both.  Any part of that relation is sound to state.
+
+``_class_free_query`` returns one more unchecked rung: a callable that
+answers ``_independent`` for a *class-free* set, one holding at most one
+element of each stated class, and may answer anything for another set.
+It skips what the classes settle.  An oracle whose stated classes are
+all its circuits (free; uniform of rank 1 or at least n; a partition
+whose every block has capacity 1 or at least its size; vertex copies and
+direct sums of these) returns ``always_independent``, which reads no
+set.  By default the rung is ``_independent``, and a subclass that
+overrides ``_independent`` or ``_parallel_classes`` but not this method
+gets that default back, since its family's rung may no longer hold.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-from typing import AbstractSet, Collection, Iterable, Sequence
+from typing import AbstractSet, Callable, Collection, Iterable, Sequence
 
 
 # Largest modulus a linear matroid accepts; trial division up to its
@@ -34,6 +45,11 @@ class GroundSetError(ValueError):
 
 class DependentContractionError(ValueError):
     """Contraction was requested on a dependent set."""
+
+
+def always_independent(subset: AbstractSet[int]) -> bool:
+    """The rung of an oracle whose stated classes are all its circuits."""
+    return True
 
 
 def _integer(x: object, what: str) -> int:
@@ -59,6 +75,12 @@ class MatroidOracle:
 
     def __init__(self, ground: Iterable[int]):
         self.ground: frozenset[int] = frozenset(ground)
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        if "_class_free_query" not in own and ("_independent" in own or "_parallel_classes" in own):
+            cls._class_free_query = MatroidOracle._class_free_query  # type: ignore[method-assign]
 
     def is_independent(self, subset: Iterable[int]) -> bool:
         s = frozenset(subset)
@@ -89,6 +111,10 @@ class MatroidOracle:
             return base._parallel_classes()
         return ()
 
+    def _class_free_query(self) -> Callable[[AbstractSet[int]], bool]:
+        """``_independent``, or a faster callable that agrees with it on every class-free set."""
+        return self._independent
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(|ground|={len(self.ground)})"
 
@@ -105,6 +131,9 @@ class FreeMatroid(MatroidOracle):
 
     def _independent(self, subset: AbstractSet[int]) -> bool:
         return True
+
+    def _class_free_query(self) -> Callable[[AbstractSet[int]], bool]:
+        return always_independent
 
 
 class UniformMatroid(MatroidOracle):
@@ -124,6 +153,12 @@ class UniformMatroid(MatroidOracle):
     def _parallel_classes(self) -> Iterable[Collection[int]]:
         return (self.ground,) if self.r == 1 else ()
 
+    def _class_free_query(self) -> Callable[[AbstractSet[int]], bool]:
+        # A class-free set of a rank-1 matroid holds at most one element.
+        if self.r == 1 or self.r >= len(self.ground):
+            return always_independent
+        return self._independent
+
 
 class PartitionMatroid(MatroidOracle):
     """At most ``capacities[i]`` elements from ``blocks[i]``.
@@ -131,7 +166,7 @@ class PartitionMatroid(MatroidOracle):
     Blocks must be pairwise disjoint; their union is the ground set.
     """
 
-    __slots__ = ("blocks", "capacities", "_block_of")
+    __slots__ = ("blocks", "capacities", "_block_of", "_tight")
 
     def __init__(self, blocks: Sequence[Iterable[int]], capacities: Sequence[int]):
         blocks = tuple(frozenset(b) for b in blocks)
@@ -150,21 +185,37 @@ class PartitionMatroid(MatroidOracle):
         self.blocks = blocks
         self.capacities = caps
         self._block_of = block_of
+        # The blocks a class-free set can overfill: a capacity-1 block is a
+        # class, and a block no larger than its capacity never overflows.
+        self._tight = {v: i for i, b in enumerate(blocks) if caps[i] != 1 and caps[i] < len(b) for v in b}
 
     def _independent(self, subset: AbstractSet[int]) -> bool:
-        counts: dict[int, int] = {}
-        block_of = self._block_of
-        caps = self.capacities
-        for v in subset:
-            b = block_of[v]
+        return _within_capacities(subset, self._block_of, self.capacities)
+
+    def _parallel_classes(self) -> Iterable[Collection[int]]:
+        return (b for b, c in zip(self.blocks, self.capacities) if c == 1)
+
+    def _class_free_query(self) -> Callable[[AbstractSet[int]], bool]:
+        tight, caps = self._tight, self.capacities
+        if not tight:
+            return always_independent
+        return lambda subset: _within_capacities(subset, tight, caps)
+
+
+def _within_capacities(subset: AbstractSet[int], block_of: dict[int, int], caps: Sequence[int]) -> bool:
+    """Whether no block holds more of ``subset`` than its capacity.
+
+    Only the elements in ``block_of`` are counted.
+    """
+    counts: dict[int, int] = {}
+    for v in subset:
+        b = block_of.get(v)
+        if b is not None:
             c = counts.get(b, 0) + 1
             if c > caps[b]:
                 return False
             counts[b] = c
-        return True
-
-    def _parallel_classes(self) -> Iterable[Collection[int]]:
-        return (b for b, c in zip(self.blocks, self.capacities) if c == 1)
+    return True
 
 
 class GraphicMatroid(MatroidOracle):
@@ -322,6 +373,23 @@ class DirectSumMatroid(MatroidOracle):
                 return False
         return True
 
+    def _class_free_query(self) -> Callable[[AbstractSet[int]], bool]:
+        # A class-free set's slice is class-free in its part; a part whose
+        # rung reads no set is not asked.
+        asked = [(part._class_free_query(), ids, offset) for part, ids, offset in self._slices]
+        asked = [a for a in asked if a[0] is not always_independent]
+        if not asked:
+            return always_independent
+
+        def query(subset: AbstractSet[int]) -> bool:
+            for part_query, ids, offset in asked:
+                s = ids.intersection(subset)
+                if s and not part_query({x - offset for x in s} if offset else s):
+                    return False
+            return True
+
+        return query
+
     def _parallel_classes(self) -> Iterable[Collection[int]]:
         return (
             [x + offset for x in group]
@@ -358,6 +426,15 @@ class VertexCopyMatroid(MatroidOracle):
                 return False
             seen.add(o)
         return self.base._independent(seen)
+
+    def _class_free_query(self) -> Callable[[AbstractSet[int]], bool]:
+        # Copies of one original share a class, so a class-free set has no
+        # duplicated original, and its originals are class-free in the base.
+        base_query = self.base._class_free_query()
+        if base_query is always_independent:
+            return always_independent
+        original = self.copy_to_original.__getitem__
+        return lambda subset: base_query(set(map(original, subset)))
 
     def _parallel_classes(self) -> Iterable[Collection[int]]:
         # Copies of one original, or of originals in one base group, share a key.

@@ -744,7 +744,9 @@ def sliding_local_search(
     occupied = {} if scheme is None else _place_edges(instance, scheme)
 
     den = instance.weight_denominator
-    indep = instance.matroid._independent  # unions of instance edges need no ground-set check
+    # The search builds only unions of instance edges that hold no two
+    # vertices of one parallel class, so it asks the class-free rung.
+    indep = instance.matroid._class_free_query()
     verts: frozenset[int] = frozenset()
     chosen: list[int] = []
     records: list[IntervalRecord] = []

@@ -15,6 +15,7 @@ from mpls.matroids import (
     PartitionMatroid,
     UniformMatroid,
     VertexCopyMatroid,
+    always_independent,
 )
 from conftest import PublicOnly
 
@@ -455,26 +456,46 @@ def test_direct_sum_kernel_matches_the_reference(parts, data):
     assert oracle.is_independent(subset) == reference_direct_sum(parts, subset)
 
 
+class _RankOnePartition(PartitionMatroid):
+    """Overrides ``_independent`` alone: the partition truncated to rank 1.
+
+    It keeps stating the capacity-1 blocks, which stays sound, but a set
+    with one element in each of two such blocks is now dependent.
+    """
+
+    def _independent(self, subset):
+        return len(subset) <= 1 and super()._independent(subset)
+
+
+class _UnstatedCopies(VertexCopyMatroid):
+    """States no classes, so a set free of them may hold two copies of one original."""
+
+    def _parallel_classes(self):
+        return ()
+
+
 @st.composite
 def oracles(draw, n, depth=2):
     """An oracle on ``0..n-1``: a family, or a combinator over oracles drawn the same way.
 
     Small fields, dimensions and graphs make zero and proportional columns,
     self-loops and parallel edges common; ranks 0 and 1 and capacities 0
-    and 1 come up often.
+    and 1 come up often.  Subclasses that override ``_independent`` alone
+    or state no classes come up too.
     """
-    kinds = ["free", "uniform", "partition", "graphic", "linear"]
+    kinds = ["free", "uniform", "partition", "rank-one partition", "graphic", "linear"]
     if depth:
-        kinds += ["sum", "copies", "wrapped"]
+        kinds += ["sum", "copies", "unstated copies", "contraction", "wrapped"]
     kind = draw(st.sampled_from(kinds))
     if kind == "free":
         return FreeMatroid(n)
     if kind == "uniform":
         return UniformMatroid(n, draw(st.sampled_from([0, 1, 2, n])))
-    if kind == "partition":
+    if kind in ("partition", "rank-one partition"):
         block_of = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
         blocks = [[v for v in range(n) if block_of[v] == b] for b in range(3)]
-        return PartitionMatroid(blocks, [draw(st.integers(0, 2)) for _ in blocks])
+        family = PartitionMatroid if kind == "partition" else _RankOnePartition
+        return family(blocks, [draw(st.integers(0, 2)) for _ in blocks])
     if kind == "graphic":
         ends = st.tuples(st.integers(0, 3), st.integers(0, 3))
         return GraphicMatroid(4, draw(st.lists(ends, min_size=n, max_size=n)))
@@ -485,10 +506,17 @@ def oracles(draw, n, depth=2):
     if kind == "sum":
         a = draw(st.integers(0, n))
         return DirectSumMatroid([draw(oracles(a, depth - 1)), draw(oracles(n - a, depth - 1))])
-    if kind == "copies":
+    if kind in ("copies", "unstated copies"):
         originals = draw(st.integers(1, max(1, n)))
         targets = draw(st.lists(st.integers(0, originals - 1), min_size=n, max_size=n))
-        return VertexCopyMatroid(draw(oracles(originals, depth - 1)), dict(enumerate(targets)))
+        family = VertexCopyMatroid if kind == "copies" else _UnstatedCopies
+        return family(draw(oracles(originals, depth - 1)), dict(enumerate(targets)))
+    if kind == "contraction":
+        # Element n is contracted away when it is no loop; else nothing is.
+        base = draw(oracles(n + 1, depth - 1))
+        if base.is_independent({n}):
+            return ContractedMatroid(base, {n})
+        return ContractedMatroid(draw(oracles(n, depth - 1)), ())
     return PublicOnly(draw(oracles(n, depth - 1)))
 
 
@@ -535,3 +563,91 @@ PARALLEL_CASES = {
 def test_each_family_states_its_parallel_classes(oracle, groups):
     # Groups of one element say nothing and may be left in.
     assert [g for g in stated_groups(oracle) if len(g) > 1] == groups
+
+
+def class_free_subsets(oracle):
+    """Every subset of the ground set that holds at most one element of each stated class."""
+    groups = stated_groups(oracle)
+    elems = sorted(oracle.ground)
+    for size in range(len(elems) + 1):
+        for combo in combinations(elems, size):
+            if all(len(group.intersection(combo)) < 2 for group in groups):
+                yield frozenset(combo)
+
+
+def assert_rung_agrees(oracle):
+    query = oracle._class_free_query()
+    for subset in class_free_subsets(oracle):
+        assert query(subset) == oracle.is_independent(subset), sorted(subset)
+    return query
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8).flatmap(oracles))
+def test_the_class_free_rung_agrees_with_the_full_query_on_class_free_sets(oracle):
+    assert_rung_agrees(oracle)
+
+
+# Each family and combinator, and whether its rung reads no set: its
+# stated classes are all its circuits.
+RUNG_CASES = {
+    "free": (FreeMatroid(4), True),
+    "uniform rank 0": (UniformMatroid(4, 0), False),
+    "uniform rank 1": (UniformMatroid(4, 1), True),
+    "uniform rank 2": (UniformMatroid(4, 2), False),
+    "uniform rank n": (UniformMatroid(4, 4), True),
+    "uniform rank above n": (UniformMatroid(4, 6), True),
+    "partition capacities 1 and full": (PartitionMatroid([[0, 1], [2, 3], [4]], [1, 2, 3]), True),
+    "partition capacity 0": (PartitionMatroid([[0, 1], [2, 3]], [1, 0]), False),
+    "partition partial capacity": (PartitionMatroid([[0, 1, 2], [3, 4]], [2, 1]), False),
+    "graphic with a loop and parallel edges": (
+        GraphicMatroid(3, [(0, 1), (1, 0), (1, 1), (1, 2), (0, 2)]),
+        False,
+    ),
+    "linear with zero and parallel columns": (
+        LinearMatroid(3, [[1, 2], [2, 1], [0, 0], [0, 3], [1, 0]]),
+        False,
+    ),
+    "contraction": (ContractedMatroid(UniformMatroid(4, 2), [0]), False),
+    "direct sum of decided parts": (
+        DirectSumMatroid([UniformMatroid(2, 1), FreeMatroid(2), PartitionMatroid([[0, 1]], [1])]),
+        True,
+    ),
+    "direct sum with a graphic part": (
+        DirectSumMatroid([FreeMatroid(1), GraphicMatroid(3, [(0, 1), (1, 2), (0, 2), (0, 0)])]),
+        False,
+    ),
+    "copies of a free matroid": (VertexCopyMatroid(FreeMatroid(3), {0: 0, 1: 0, 2: 1, 3: 2}), True),
+    "copies of a graphic matroid": (
+        VertexCopyMatroid(GraphicMatroid(3, [(0, 1), (0, 1), (1, 2), (0, 2)]), {0: 0, 1: 0, 2: 1, 3: 2, 4: 3}),
+        False,
+    ),
+    "copies of copies of a partition": (
+        VertexCopyMatroid(
+            VertexCopyMatroid(PartitionMatroid([[0, 1], [2]], [1, 1]), {0: 0, 1: 1, 2: 2, 3: 2}),
+            {0: 0, 1: 0, 2: 3, 3: 1},
+        ),
+        True,
+    ),
+    "wrapper": (PublicOnly(FreeMatroid(3)), False),
+    "subclass overriding _independent alone": (_RankOnePartition([[0, 1], [2, 3]], [1, 1]), False),
+    "subclass stating no classes": (_UnstatedCopies(FreeMatroid(2), {0: 0, 1: 0, 2: 1}), False),
+}
+
+
+@pytest.mark.parametrize("oracle, decided", RUNG_CASES.values(), ids=RUNG_CASES.keys())
+def test_the_class_free_rung_of_each_family(oracle, decided):
+    query = assert_rung_agrees(oracle)
+    assert (query is always_independent) == decided
+
+
+def test_a_wrapped_part_still_sees_the_class_free_queries():
+    # A wrapper that overrides only ``is_independent`` is asked through that
+    # override, by a direct sum's or vertex copies' rung as by their full query.
+    for build in (
+        lambda m: DirectSumMatroid([FreeMatroid(2), m]),
+        lambda m: VertexCopyMatroid(m, {0: 0, 1: 1, 2: 2}),
+    ):
+        wrapper = PublicOnly(FreeMatroid(3))
+        query = build(wrapper)._class_free_query()
+        assert query(frozenset({1, 2})) and wrapper.asked == 1
