@@ -286,9 +286,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     }
     if args.timings:
         obj["wall_time_s"] = wall
-    _emit(dumps_canonical(obj), args.out)
-    if args.trace_out:
+    if args.trace_out:  # first, so a refused trace path leaves no result line
         _emit(dumps_canonical(trace_to_json_obj(trace)), args.trace_out)
+    _emit(dumps_canonical(obj), args.out)
     return VIOLATION_EXIT if status == "ratio-violation" else 0
 
 

@@ -418,14 +418,8 @@ class VertexCopyMatroid(MatroidOracle):
         self.copy_to_original = dict(copy_to_original)
 
     def _independent(self, subset: AbstractSet[int]) -> bool:
-        seen: set[int] = set()
-        mapping = self.copy_to_original
-        for c in subset:
-            o = mapping[c]
-            if o in seen:
-                return False
-            seen.add(o)
-        return self.base._independent(seen)
+        originals = set(map(self.copy_to_original.__getitem__, subset))
+        return len(originals) == len(subset) and self.base._independent(originals)
 
     def _class_free_query(self) -> Callable[[AbstractSet[int]], bool]:
         # Copies of one original share a class, so a class-free set has no

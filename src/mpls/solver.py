@@ -9,13 +9,13 @@ the interval, remove at most ``2 * arity`` solution edges of the same
 interval, subject to feasibility and a strict weight increase.  Edges
 accepted in earlier (heavier) intervals are never removed again.  Each
 interval keeps one search state across its moves (``_Interval``): its
-candidates, its pool with the pool's weights and vertex sets, the pool
-edge that meets each parallel class, and what the search remembers; a
-move updates the state in place, so no search derives it from the
-solution, and the solution is the union of the pools.  Two parallel
-elements form a circuit, so the search never builds or asks about a set
-that holds two vertices of one of the matroid's parallel classes
-(``ParityInstance.conflicts``).
+candidates and its pool, as ascending edge ids, the pool edge that meets
+each parallel class, and what the search remembers; a move updates the
+state in place, so no search derives it from the solution, and the
+solution is the union of the pools.  Weights and vertex sets are read
+from the instance by id.  Two parallel elements form a circuit, so the
+search never builds or asks about a set that holds two vertices of one
+of the matroid's parallel classes (``ParityInstance.conflicts``).
 
 All weight arithmetic is exact.  Edge weights are compared through
 integer numerators over a common denominator; markers and the random
@@ -359,31 +359,34 @@ class SolverTrace:
 
 
 def _light_combinations(
+    ids: Sequence[int],
     weights: Sequence[int],
     vertex_sets: Sequence[frozenset[int]],
     start: frozenset[int],
     size: int,
     limit: int,
 ) -> Iterable[tuple[tuple[int, ...], int, frozenset[int]]]:
-    """Position tuples of ``size`` weights summing below ``limit``, for ``size`` at least 1.
+    """Position tuples of ``size`` ids whose weights sum below ``limit``, for ``size`` at least 1.
 
-    Each tuple comes with its weight sum and with ``start`` minus the
-    vertex sets at its positions.  Tuples come in
+    ``weights`` and ``vertex_sets`` are indexed by id, so position i
+    weighs ``weights[ids[i]]``.  Each tuple comes with its weight sum and
+    with ``start`` minus the vertex sets of its ids.  Tuples come in
     ``itertools.combinations`` order.  Weights are nonnegative, so the
     depth-first walk drops a prefix, and every tuple extending it, as
     soon as the prefix sum reaches ``limit``.  The walk keeps one sum and
     one vertex set per picked position, nothing more.
     """
-    last = len(weights) - size  # highest position the first element may take
+    last = len(ids) - size  # highest position the first element may take
     picked: list[int] = []
     sums = [0]
     lefts = [start]
     i = 0
     while True:
         if i <= last + len(picked):
-            total = sums[-1] + weights[i]
+            e = ids[i]
+            total = sums[-1] + weights[e]
             if total < limit:
-                left = lefts[-1] - vertex_sets[i]
+                left = lefts[-1] - vertex_sets[e]
                 if len(picked) + 1 == size:
                     yield (*picked, i), total, left
                 else:
@@ -405,10 +408,10 @@ class _Interval:
     ``ids`` are the interval's edges, ascending.  ``pool`` holds those in
     the solution and ``cand`` those outside it not known to fail, each
     ascending: a single whose pre-check fails leaves ``cand`` for good,
-    since ``stripped`` is fixed.  ``pool_w`` and ``pool_sets`` hold the
-    pool's weight numerators and vertex sets, aligned with ``pool``.
-    ``stripped`` is the solution's vertex set outside the interval, fixed
-    while the interval is searched, and ``verts`` the whole solution's.
+    since ``stripped`` is fixed.  Both hold edge ids only: the search
+    reads weights and vertex sets from the instance by id.  ``stripped``
+    is the solution's vertex set outside the interval, fixed while the
+    interval is searched, and ``verts`` the whole solution's.
     ``held`` maps each parallel class that a pool edge meets, named by
     its least vertex, to that edge; the pool is feasible, so it holds at
     most one edge of a class, and ``held`` grows with the pool times the
@@ -428,33 +431,25 @@ class _Interval:
         self.ids = tuple(sorted(ids))
         self.cand = list(self.ids)
         self.pool: list[int] = []
-        self.pool_w: list[int] = []
-        self.pool_sets: list[frozenset[int]] = []
         self.stripped = self.verts = verts
         self.held: dict[int, int] = {}
         self.fits: dict[tuple[int, ...], bool] = {}
         self.floor: dict[int, int] = {}
-        self._wn, self._edges = instance.weight_numerators, instance.edges
         self._conflicts = instance.conflicts
 
     def apply(self, add: Iterable[int], rem: Iterable[int], verts: frozenset[int]) -> None:
         """Move ``rem`` from the pool to the candidates and ``add`` the other way, by
         bisection, leaving the solution on ``verts``.  A move that removes edges
         clears ``floor``: the solution shrank, so a refuted single may fit now."""
-        cand, pool, pool_w, pool_sets = self.cand, self.pool, self.pool_w, self.pool_sets
-        held, conflicts = self.held, self._conflicts
+        cand, pool, held, conflicts = self.cand, self.pool, self.held, self._conflicts
         for r in rem:
-            i = bisect_left(pool, r)
-            del pool[i], pool_w[i], pool_sets[i]
+            del pool[bisect_left(pool, r)]
             insort(cand, r)
             for c in conflicts[r]:
                 del held[c[0]]
         for j in add:
             del cand[bisect_left(cand, j)]
-            i = bisect_left(pool, j)
-            pool.insert(i, j)
-            pool_w.insert(i, self._wn[j])
-            pool_sets.insert(i, self._edges[j])
+            insort(pool, j)
             for c in conflicts[j]:
                 held[c[0]] = j
         if rem:
@@ -540,7 +535,7 @@ def _swap_search(
     if not cand:
         return 0, None
     wn, edges, conflicts = instance.weight_numerators, instance.edges, instance.conflicts
-    pool, pool_w, pool_sets, held = interval.pool, interval.pool_w, interval.pool_sets, interval.held
+    pool, held = interval.pool, interval.held
     stripped, sol_verts, fits, floor = interval.stripped, interval.verts, interval.fits, interval.floor
     whole = len(pool)
     max_remove = min(2 * instance.arity, whole)
@@ -549,12 +544,12 @@ def _swap_search(
     lightest: list[int] = []
     first_lex = rule == FIRST_LEX
     queries = 0
-    best: tuple[int, tuple[int, ...], tuple[int, ...], frozenset[int]] | None = None
+    best: tuple[tuple[int, ...], tuple[int, ...], int, frozenset[int]] | None = None
 
     for size in (1, 2):
         for add in combinations(cand, size):  # a copy: a refuted single leaves ``cand``
             gain_add = wn[add[0]] if size == 1 else wn[add[0]] + wn[add[1]]
-            limit = gain_add if best is None else gain_add - best[0]
+            limit = gain_add if best is None else gain_add - best[2]
             if limit <= 0:
                 continue  # cannot strictly improve, or cannot beat the best
             # Removal sets lighter than ``known`` are known to fail, and so
@@ -622,15 +617,11 @@ def _swap_search(
             if first:
                 if first_lex:
                     return queries, (add, tuple(forced), gain_add, start)
-                best = (gain_add, add, tuple(forced), start)
+                best = (add, tuple(forced), gain_add, start)
                 continue  # every other removal set holds ``forced`` and loses more
-            rest, rest_w, rest_sets = pool, pool_w, pool_sets
-            if forced:
-                rest, rest_w, rest_sets = pool[:], pool_w[:], pool_sets[:]
-                for e in reversed(forced):
-                    i = bisect_left(pool, e)
-                    del rest[i], rest_w[i], rest_sets[i]
-            for r, loss in zip(rest, rest_w):  # one extra removal
+            rest = [e for e in pool if e not in forced] if forced else pool
+            for r in rest:  # one extra removal
+                loss = wn[r]
                 if not known <= loss < limit:
                     continue
                 after = start - edges[r]
@@ -641,14 +632,14 @@ def _swap_search(
                 rem = tuple(sorted((*forced, r)))
                 if first_lex:
                     return queries, (add, rem, gain_add - loss, after)
-                best = (gain_add - loss, add, rem, after)
+                best = (add, rem, gain_add - loss, after)
                 limit = loss  # only a lighter removal set beats this move
             if max_remove - len(forced) >= 2 and not lightest:
-                lightest = list(accumulate(sorted(pool_w)[:max_remove], initial=0))
+                lightest = list(accumulate(sorted(wn[e] for e in pool)[:max_remove], initial=0))
             for more in range(2, max_remove - len(forced) + 1):
                 if lightest[more] >= limit:
                     break
-                for pos, loss, after in _light_combinations(rest_w, rest_sets, start, more, limit):
+                for pos, loss, after in _light_combinations(rest, wn, edges, start, more, limit):
                     if not known <= loss < limit:
                         continue  # known to fail, or the best gain rose during this walk
                     if more < extras:
@@ -658,13 +649,11 @@ def _swap_search(
                     rem = tuple(sorted((*forced, *(rest[i] for i in pos))))
                     if first_lex:
                         return queries, (add, rem, gain_add - loss, after)
-                    best = (gain_add - loss, add, rem, after)
+                    best = (add, rem, gain_add - loss, after)
                     limit = loss
             if size == 1:
                 floor[add[0]] = limit + forced_loss
-    if best is None:
-        return queries, None
-    return queries, (best[1], best[2], best[0], best[3])
+    return queries, best
 
 
 def _draw_shift(epsilon: Fraction, seed: int) -> Fraction:

@@ -287,6 +287,14 @@ def test_trace_out_without_one_sliding_run_exits_one_before_solving(tmp_path, ca
     assert not path.exists()
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_trace_out_prints_no_result_line(tmp_path, capsys, where):
+    # The trace is written before the result, so a refused path leaves stdout empty.
+    path = tmp_path / "missing" / "trace.json" if where == "missing-dir" else tmp_path
+    assert main(["solve", *GEN_ARGS, "--trace-out", str(path)]) == 1
+    assert_one_error_line(capsys)
+
+
 def test_verify_k4(capsys):
     code, out = run(capsys, ["verify", "k4"])
     assert code == 0

@@ -791,13 +791,32 @@ def test_oracle_count_ignores_instance_warmup():
     assert cold == warm
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sets(st.integers(0, 12), max_size=8).map(lambda xs: [3 * x + 1 for x in sorted(xs)]),
+    st.lists(st.integers(0, 9), min_size=40, max_size=40),
+    st.lists(st.frozensets(st.integers(0, 15), max_size=3), min_size=40, max_size=40),
+    st.integers(1, 5),
+    st.integers(0, 30),
+)
+def test_light_combinations_walks_the_light_tuples_of_sparse_ids(ids, weights, vertex_sets, size, limit):
+    # Ids skip values, and weights and vertex sets are indexed by id, not by position.
+    start = frozenset(range(12))
+    expected = []
+    for pos in combinations(range(len(ids)), size):
+        total = sum(weights[ids[i]] for i in pos)
+        if total < limit:
+            expected.append((pos, total, start.difference(*(vertex_sets[ids[i]] for i in pos))))
+    assert list(solver._light_combinations(ids, weights, vertex_sets, start, size, limit)) == expected
+
+
 def assert_kept(instance, state):
     """The interval state ``state`` equals its recomputation from its edges and the
     solution's vertex set: edges are disjoint, so j is held iff its vertices are.
     The candidates are the edges not held, less singles whose pre-check set the
     oracle refutes; ``fits`` stores no single's refutation, and no pair whose
     pre-check set holds two vertices of one class."""
-    wn, edges, conflicts = instance.weight_numerators, instance.edges, instance.conflicts
+    edges, conflicts = instance.edges, instance.conflicts
     assert list(state.ids) == sorted(set(state.ids))
     held = [j for j in state.ids if edges[j] <= state.verts]
     assert state.pool == held
@@ -810,10 +829,8 @@ def assert_kept(instance, state):
         classes = conflicts[pair[0]] + conflicts[pair[1]]
         assert len({c[0] for c in classes}) == len(classes)
         assert state.stripped.isdisjoint(chain.from_iterable(classes))
-    assert state.pool_w == [wn[j] for j in held]
-    assert state.pool_sets == [edges[j] for j in held]
     assert state.held == {c[0]: j for j in held for c in instance.conflicts[j]}
-    assert state.verts == state.stripped.union(*state.pool_sets)
+    assert state.verts == state.stripped.union(*(edges[j] for j in held))
     assert not state.stripped & instance.vertices_of(state.ids)
 
 
