@@ -17,11 +17,14 @@ import csv
 import inspect
 import io
 import math
+import os
+import stat
 import sys
 import time
+from contextlib import ExitStack
 from fractions import Fraction
 from itertools import chain
-from typing import Any, Callable, Iterable
+from typing import IO, Any, Callable, Iterable
 
 from . import campaigns, generators
 from .exact import SizeLimitExceeded, brute_force_optimum
@@ -115,15 +118,35 @@ _epsilon = _fraction_in(Fraction(0), Fraction(1, 2))  # the solver's range
 _unit = _fraction_in(Fraction(0), Fraction(1))
 
 
-def _emit(texts: str | Iterable[str], out: str | None) -> None:
-    """Write a text, or texts one by one as they are produced."""
-    if isinstance(texts, str):
-        texts = (texts,)
-    if out is None or out == "-":
-        sys.stdout.writelines(texts)
-    else:
-        with open(out, "w", encoding="utf-8") as f:
-            f.writelines(texts)
+def _emit(*targets: tuple[str | Iterable[str], str | None]) -> None:
+    """Write each ``(text, out)``: a text, or texts one by one as they are
+    produced, to stdout for ``None`` or ``-``, else to the file ``out``.
+
+    Every file is opened before any text is written, and no regular file
+    is emptied until all are open; if one cannot be opened, the files this
+    call made are removed, so a refused target leaves no file and no output.
+    """
+    with ExitStack() as stack:
+        files: list[IO[str]] = []
+        made: list[str] = []
+        try:
+            for _, out in targets:
+                if out is None or out == "-":
+                    files.append(sys.stdout)
+                    continue
+                existed = os.path.lexists(out)
+                files.append(stack.enter_context(open(out, "a", encoding="utf-8")))
+                if not existed:
+                    made.append(out)
+        except OSError:
+            stack.close()
+            for path in made:
+                os.remove(path)
+            raise
+        for f, (texts, _) in zip(files, targets):
+            if f is not sys.stdout and stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate(0)
+            f.writelines((texts,) if isinstance(texts, str) else texts)
 
 
 def _add_family_args(p: argparse.ArgumentParser, required: bool) -> None:
@@ -220,13 +243,17 @@ def cmd_gen(args: argparse.Namespace) -> int:
         for i in range(count)
     )
     first = next(texts)  # a bad flag fails here, before --out is created
-    _emit(chain((first,), texts), args.out)
+    _emit((chain((first,), texts), args.out))
     return 0
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     if args.trace_out and (args.algo == "greedy" or args.runs > 1):
         raise UsageError("--trace-out writes one sliding run's trace; drop --algo greedy and --runs")
+    if args.trace_out and args.out not in (None, "-") and (
+        os.path.realpath(args.trace_out) == os.path.realpath(args.out)
+    ):
+        raise UsageError("--out and --trace-out name the same file")
     name, inst = _load_source(args)
     work = scale_weights(inst, args.scale_epsilon) if args.scale else inst
     algo = args.algo
@@ -286,9 +313,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     }
     if args.timings:
         obj["wall_time_s"] = wall
-    if args.trace_out:  # first, so a refused trace path leaves no result line
-        _emit(dumps_canonical(trace_to_json_obj(trace)), args.trace_out)
-    _emit(dumps_canonical(obj), args.out)
+    targets = [(dumps_canonical(obj), args.out)]
+    if args.trace_out:
+        targets.insert(0, (dumps_canonical(trace_to_json_obj(trace)), args.trace_out))
+    _emit(*targets)
     return VIOLATION_EXIT if status == "ratio-violation" else 0
 
 
@@ -298,7 +326,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
         result = brute_force_optimum(inst)
     except SizeLimitExceeded as exc:
         obj: dict[str, Any] = {"instance": name, "status": "skipped", "reason": str(exc)}
-        _emit(dumps_canonical(obj), args.out)
+        _emit((dumps_canonical(obj), args.out))
         return 0
     obj = {
         "instance": name,
@@ -307,7 +335,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
         "edges": sorted(result.optimum.edges),
         "explored": result.explored,
     }
-    _emit(dumps_canonical(obj), args.out)
+    _emit((dumps_canonical(obj), args.out))
     return 0
 
 
@@ -365,7 +393,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    _emit(buf.getvalue(), args.out)
+    _emit((buf.getvalue(), args.out))
     return VIOLATION_EXIT if any_violation else 0
 
 
@@ -396,24 +424,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         report = campaigns.k4_report()
         bad = not report["verified"]
-    _emit(dumps_canonical(report), args.out)
+    _emit((dumps_canonical(report), args.out))
     return VIOLATION_EXIT if bad else 0
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="mpls", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    out = _Parser(add_help=False)
+    out.add_argument("--out", default=None)
 
-    p_gen = sub.add_parser("gen", help="write instance documents")
+    p_gen = sub.add_parser("gen", help="write instance documents", parents=[out])
     _add_family_args(p_gen, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument(
         "--count", type=_at_least_one, default=1, help="instances (seeds seed..seed+count-1)"
     )
-    p_gen.add_argument("--out", default=None)
     p_gen.set_defaults(func=cmd_gen)
 
-    p_solve = sub.add_parser("solve", help="run one algorithm on one instance")
+    p_solve = sub.add_parser("solve", help="run one algorithm on one instance", parents=[out])
     _add_source_args(p_solve)
     _add_solver_args(p_solve)
     p_solve.add_argument("--algo", choices=("sliding", "greedy"), default="sliding")
@@ -422,48 +451,41 @@ def build_parser() -> _Parser:
     )
     p_solve.add_argument("--timings", action="store_true", help="include wall time in output")
     p_solve.add_argument("--trace-out", default=None, help="write the solver trace as JSON")
-    p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(func=cmd_solve)
 
-    p_exact = sub.add_parser("exact", help="canonical brute-force optimum")
+    p_exact = sub.add_parser("exact", help="canonical brute-force optimum", parents=[out])
     _add_source_args(p_exact)
     p_exact.add_argument("--seed", type=int, default=0)
-    p_exact.add_argument("--out", default=None)
     p_exact.set_defaults(func=cmd_exact)
 
-    p_bench = sub.add_parser("bench", help="ratio table over a generated corpus")
+    p_bench = sub.add_parser("bench", help="ratio table over a generated corpus", parents=[out])
     _add_family_args(p_bench, required=True)
     _add_solver_args(p_bench)
     p_bench.add_argument("--algo", choices=("sliding", "greedy"), default="sliding")
     p_bench.add_argument("--count", type=_at_least_one, default=5)
-    p_bench.add_argument("--out", default=None)
     p_bench.set_defaults(func=cmd_bench)
 
     p_verify = sub.add_parser("verify", help="randomized structural checks")
     vsub = p_verify.add_subparsers(dest="what", required=True)
     for name in ("rota", "laminar"):
-        p = vsub.add_parser(name)
+        p = vsub.add_parser(name, parents=[out])
         p.add_argument("--count", type=_at_least_one, default=200)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None)
         p.set_defaults(func=cmd_verify)
-    p_trace = vsub.add_parser("trace")
+    p_trace = vsub.add_parser("trace", parents=[out])
     p_trace.add_argument("--count", type=_at_least_one, default=25)
     p_trace.add_argument("--seed", type=int, default=0)
     p_trace.add_argument("--epsilon", type=_epsilon, default=DEFAULT_EPSILON)
     p_trace.add_argument("--delta", type=_unit, default=DEFAULT_DELTA)
     p_trace.add_argument("--gamma", type=_fraction, default=DEFAULT_GAMMA)
-    p_trace.add_argument("--out", default=None)
     p_trace.set_defaults(func=cmd_verify)
-    p_bad = vsub.add_parser("badprob")
+    p_bad = vsub.add_parser("badprob", parents=[out])
     _add_source_args(p_bad)
     p_bad.add_argument("--seed", type=int, default=0, help="generator seed")
     p_bad.add_argument("--epsilon", type=_unit, default=DEFAULT_EPSILON)
     p_bad.add_argument("--gamma", type=_fraction, default=DEFAULT_GAMMA)
-    p_bad.add_argument("--out", default=None)
     p_bad.set_defaults(func=cmd_verify)
-    p_k4 = vsub.add_parser("k4")
-    p_k4.add_argument("--out", default=None)
+    p_k4 = vsub.add_parser("k4", parents=[out])
     p_k4.set_defaults(func=cmd_verify)
 
     return parser

@@ -45,7 +45,6 @@ from .matroids import (
 from .serialization import instance_signature  # noqa: F401
 from .solver import (
     DEFAULT_DELTA,
-    IntervalScheme,
     SolverTrace,
     SwapMove,
     compute_markers,
@@ -267,9 +266,9 @@ class ConflictTrace:
     ``build_conflict_trace``), the optimum's edge ids, gamma and the chain
     ``blocked``: per record that added edges, in increasing index, the
     optimum vertices blocked up to that interval.  The chain is all the
-    construction chooses; ``scheme`` is the trace's, and ``layers``, the
-    padded optimum ``edges``, ``optimum_vertices`` and ``extended_matroid``
-    are derived and cached.  Every positive-weight optimum edge is
+    construction chooses; ``layers``, the padded optimum ``edges`` (its one
+    padded view), ``optimum_vertices`` and ``extended_matroid`` are derived
+    and cached.  Every positive-weight optimum edge is
     blocked no later than its own interval: inside it with one contact
     (single), inside it with several (double), or already earlier.
     """
@@ -279,10 +278,6 @@ class ConflictTrace:
     optimum_edges: frozenset[int]
     gamma: Fraction
     blocked: tuple[frozenset[int], ...]
-
-    @property
-    def scheme(self) -> IntervalScheme:
-        return self.trace.scheme
 
     @cached_property
     def _added(self) -> tuple[tuple[int, frozenset[int]], ...]:
@@ -296,36 +291,30 @@ class ConflictTrace:
         return tuple((index, added, b) for (index, added), b in zip(self._added, self.blocked))
 
     @cached_property
-    def _padded(self) -> tuple[tuple[int | None, frozenset[int]], ...]:
-        """``(id, vertices)`` of each optimum edge, then of full-arity dummies of fresh coloop
-        vertices (id None) up to the run's added vertex count; edges are disjoint, so counts add."""
-        inst = self.instance
-        padded = [(j, inst.edges[j]) for j in sorted(self.optimum_edges)]
-        short = sum(len(added) for _, added in self._added) - sum(len(v) for _, v in padded)
-        for vertex in range(inst.num_vertices, inst.num_vertices + short, inst.arity):
-            padded.append((None, frozenset(range(vertex, vertex + inst.arity))))
-        return tuple(padded)
-
-    @cached_property
     def edges(self) -> tuple[tuple[int | None, frozenset[int], Fraction, int], ...]:
         """The padded optimum: (original id, None for a dummy; vertices; weight; own
-        interval); a dummy sits in the closed interval ``levels + 1``."""
-        weights, scheme = self.instance.weights, self.scheme
-        return tuple(
-            (j, verts, weights[j], scheme.interval_of(weights[j]))
-            if j is not None
-            else (None, verts, Fraction(0), scheme.levels + 1)
-            for j, verts in self._padded
-        )
+        interval) of each optimum edge, then of zero-weight full-arity dummies of fresh
+        coloop vertices in the closed interval ``levels + 1``, up to the run's added
+        vertex count; edges are disjoint, so counts add."""
+        inst, scheme = self.instance, self.trace.scheme
+        edges = [
+            (j, inst.edges[j], inst.weights[j], scheme.interval_of(inst.weights[j]))
+            for j in sorted(self.optimum_edges)
+        ]
+        short = sum(len(added) for _, added in self._added) - sum(len(e[1]) for e in edges)
+        dummy = (Fraction(0), scheme.levels + 1)
+        for vertex in range(inst.num_vertices, inst.num_vertices + short, inst.arity):
+            edges.append((None, frozenset(range(vertex, vertex + inst.arity)), *dummy))
+        return tuple(edges)
 
     @cached_property
     def optimum_vertices(self) -> frozenset[int]:
-        return frozenset().union(*(verts for _, verts in self._padded))
+        return frozenset().union(*(verts for _, verts, _, _ in self.edges))
 
     @cached_property
     def extended_matroid(self) -> MatroidOracle:
         """The instance's matroid, plus a free part for the dummies' vertices."""
-        extra = sum(len(verts) for j, verts in self._padded if j is None)
+        extra = sum(len(verts) for j, verts, _, _ in self.edges if j is None)
         matroid = self.instance.matroid
         return DirectSumMatroid([matroid, FreeMatroid(extra)]) if extra else matroid
 
@@ -343,7 +332,7 @@ class ConflictTrace:
                 cls = CLASS_SINGLE if conflict == 1 else CLASS_DOUBLE
             elif first < own:
                 cls = CLASS_BLOCKED_EARLIER
-                near = (1 + self.gamma) * weight >= self.scheme.marker(own - 1)
+                near = (1 + self.gamma) * weight >= self.trace.scheme.marker(own - 1)
             else:
                 raise ConflictTraceError(
                     f"optimum edge {orig} blocked after its own interval; "
@@ -393,7 +382,7 @@ def _single_part_exchange(
 
 
 # The cached values of a ConflictTrace that do not depend on its chain.
-_CHAIN_FREE = ("_added", "_padded", "optimum_vertices", "extended_matroid")
+_CHAIN_FREE = ("_added", "edges", "optimum_vertices", "extended_matroid")
 
 
 def build_conflict_trace(

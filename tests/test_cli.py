@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import random
 import re
 import time
@@ -189,6 +190,29 @@ def test_bench_csv_shape(tmp_path):
         assert float(row["min_ratio"]) >= float(row["floor_k"])
 
 
+# `mpls bench` with greedy, and on the unseeded greedy trap, whose one
+# instance gives one row for any --count, as printed.
+BENCH_HEADER = "instance,algo,runs,status,mean_ratio,min_ratio,max_ratio,floor_k,floor_910,floor_2ln2\n"
+PINNED_BENCH = {
+    "greedy": (
+        [*GEN_ARGS, "--count", "2", "--algo", "greedy"],
+        BENCH_HEADER
+        + "set-packing-n7-m6-k3-s0,greedy,1,ok,1.000000,1.000000,1.000000,0.333333,0.277778,0.346574\n"
+        + "set-packing-n7-m6-k3-s1,greedy,1,ok,1.000000,1.000000,1.000000,0.333333,0.277778,0.346574\n",
+    ),
+    "unseeded-family": (
+        ["--gen", "greedy-trap", "--k", "3", "--count", "3"],
+        BENCH_HEADER
+        + "greedy-trap-k3-rho0.3,sliding,1,ok,0.476190,0.476190,0.476190,0.333333,0.277778,0.346574\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, text", PINNED_BENCH.values(), ids=PINNED_BENCH.keys())
+def test_bench_prints_the_pinned_csv(capsys, argv, text):
+    assert run(capsys, ["bench", *argv]) == (0, text)
+
+
 def test_trace_out_verifies_against_the_instance(tmp_path):
     trace_path = tmp_path / "trace.json"
     assert (
@@ -293,6 +317,40 @@ def test_unwritable_trace_out_prints_no_result_line(tmp_path, capsys, where):
     path = tmp_path / "missing" / "trace.json" if where == "missing-dir" else tmp_path
     assert main(["solve", *GEN_ARGS, "--trace-out", str(path)]) == 1
     assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("refused", ["--out", "--trace-out"])
+def test_a_refused_file_target_writes_no_file(tmp_path, capsys, refused, existing):
+    # Both targets are opened before either is written, and neither is emptied
+    # before both are open; the one that opened is removed if this run made it.
+    kept = tmp_path / "kept.json"
+    if existing:
+        kept.write_text("old\n")
+    targets = {"--out": kept, "--trace-out": kept, refused: tmp_path / "missing" / "x.json"}
+    argv = ["solve", "--gen", "greedy-trap", "--k", "3"]
+    for flag, path in targets.items():
+        argv += [flag, str(path)]
+    assert main(argv) == 1
+    assert_one_error_line(capsys)
+    assert [path.name for path in tmp_path.iterdir()] == (["kept.json"] if existing else [])
+    assert not existing or kept.read_text() == "old\n"
+
+
+def test_out_may_name_a_device(tmp_path, capsys):
+    # A device is opened, never emptied.
+    trace = tmp_path / "trace.json"
+    assert main(["solve", *GEN_ARGS, "--out", os.devnull, "--trace-out", str(trace)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert trace.read_text().startswith('{"delta":')
+
+
+def test_out_and_trace_out_naming_one_file_exit_one(tmp_path, capsys):
+    path = tmp_path / "both.json"
+    argv = ["solve", *GEN_ARGS, "--out", str(path), "--trace-out", str(tmp_path / "." / "both.json")]
+    assert main(argv) == 1
+    assert_one_error_line(capsys)
+    assert not path.exists()
 
 
 def test_verify_k4(capsys):

@@ -20,6 +20,8 @@ from mpls.exact import TraceRefuted, brute_force_optimum, check_trace, verify_lo
 from mpls.exchange import (
     CLASS_BLOCKED_EARLIER,
     CLASS_DOUBLE,
+    CLASS_SINGLE,
+    CLASS_UNBLOCKED,
     ConflictTrace,
     ExchangeBudgetError,
     ExchangeInputError,
@@ -192,7 +194,7 @@ def two_layer_conflict():
 
 def test_a_build_derives_each_chain_free_value_once(monkeypatch):
     derived = Counter()
-    for name in ("_added", "_padded", "optimum_vertices", "extended_matroid"):
+    for name in ("_added", "edges", "optimum_vertices", "extended_matroid"):
         derive = ConflictTrace.__dict__[name].func
 
         def counted(ct, name=name, derive=derive):
@@ -203,7 +205,7 @@ def test_a_build_derives_each_chain_free_value_once(monkeypatch):
         prop.__set_name__(ConflictTrace, name)
         monkeypatch.setattr(ConflictTrace, name, prop)
     two_layer_conflict()  # builds, then verifies the built trace
-    assert derived == {"_added": 1, "_padded": 1, "optimum_vertices": 1, "extended_matroid": 1}
+    assert derived == {"_added": 1, "edges": 1, "optimum_vertices": 1, "extended_matroid": 1}
 
 
 def test_conflict_trace_verifier_reports_a_chain_that_is_not_nested_or_grows_wrongly():
@@ -339,6 +341,39 @@ def test_conflict_trace_pads_a_small_optimum_with_coloop_edges():
         range(inst.num_vertices, inst.num_vertices + inst.arity)
     )
     assert verify_conflict_trace(ct) == []
+
+
+def two_singles(matroid):
+    """Edge 0 of weight 1 and edge 1 of weight 0, one vertex each, and a run that adds edge 0."""
+    edges, weights = (frozenset({0}), frozenset({1})), (Fraction(1), Fraction(0))
+    inst = ParityInstance(2, edges, weights, matroid, 1)
+    _, trace = sliding_local_search(inst, EPS, DELTA, 0)
+    assert [r.added for r in trace.records if r.added] == [(0,)]
+    return inst, trace
+
+
+def test_conflict_trace_leaves_a_zero_weight_optimum_edge_unblocked():
+    # The run adds vertex 0 only, so the chain never reaches edge 1's vertex.
+    inst, trace = two_singles(FreeMatroid(2))
+    ct = build_conflict_trace(inst, trace, Solution((0, 1), Fraction(1)), GAMMA)
+    assert [(r.original_edge, r.cls, r.own_interval) for r in ct.reports] == [
+        (0, CLASS_SINGLE, 1),
+        (1, CLASS_UNBLOCKED, trace.scheme.levels + 1),
+    ]
+    assert ct.singles_weight() == 1
+    assert verify_conflict_trace(ct) == []
+
+
+def test_conflict_trace_verifier_reports_a_dependent_forged_optimum():
+    # At rank 1 the optimum is edge 0 alone; both edges together are dependent.
+    inst, trace = two_singles(UniformMatroid(2, 1))
+    ct = build_conflict_trace(inst, trace, Solution((0,), Fraction(1)), GAMMA)
+    assert verify_conflict_trace(ct) == []
+    forged = dataclasses.replace(ct, optimum_edges=frozenset({0, 1}))
+    assert verify_conflict_trace(forged) == [
+        "padded optimum vertex set is not independent",
+        "interval 1: prefix plus unblocked optimum is dependent",
+    ]
 
 
 @pytest.mark.parametrize(
